@@ -14,7 +14,8 @@ import io
 import json
 import sys
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import costrat, relcoeff, verify as verify_mod
 from .lattice import ExpKernel, TorusPoint, gamma_x, kernel_from_file, kernel_preset, pq_map
@@ -32,11 +33,7 @@ def _build(args) -> Tuple[RootSystem, WeylGroup]:
     return rs, generate_group(rs)
 
 
-def _classes(rs, wg) -> List[SubsystemClass]:
-    return enumerate_classes(rs, wg)
-
-
-def _find_class(rs, classes: List[SubsystemClass], label: str) -> SubsystemClass:
+def _find_class(classes: List[SubsystemClass], label: str) -> SubsystemClass:
     if label == "full":
         return max(classes, key=len)
     try:
@@ -59,20 +56,41 @@ def _kernel(rs, spec: str) -> Optional[ExpKernel]:
     return kernel_from_file(spec)
 
 
-def _ratios(rs, wg, kernel: Optional[ExpKernel]):
-    return None if kernel is None else pq_map(rs, wg, kernel)
+def _class_table(args):
+    """The type, its Weyl group, the --class and its C table under --kernel."""
+    rs, wg = _build(args)
+    cls = _find_class(enumerate_classes(rs, wg), args.cls)
+    kernel = _kernel(rs, args.kernel)
+    ratios = None if kernel is None else pq_map(rs, kernel)
+    return rs, wg, cls, relcoeff.coeff_table(rs, wg, cls, ratios)
 
 
-def _emit(args, text: str):
+def _root_ratios(rs, spec: str):
+    """p/q of every root under --kernel; sc is spelled out, since every ratio is shown."""
+    kernel = _kernel(rs, spec)
+    return pq_map(rs, kernel_preset(rs, "sc") if kernel is None else kernel)
+
+
+def _emit(args, payload: Optional[dict], csv_rows: Optional[Iterable], text: Iterable[str]):
+    """Render the selected --format only and write it to --out or stdout.
+
+    json needs a payload and csv needs rows; any other request, and either of
+    those without its data, falls back to the text chunks.
+    """
+    if args.format == "json" and payload is not None:
+        header = {"family": args.family, "rank": args.rank, "kernel": getattr(args, "kernel", "sc")}
+        out = json.dumps({"group": header, **payload}, indent=1) + "\n"
+    elif args.format == "csv" and csv_rows is not None:
+        buf = io.StringIO()
+        csv.writer(buf).writerows(csv_rows)
+        out = buf.getvalue()
+    else:
+        out = "".join(text)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.write(out)
     else:
-        sys.stdout.write(text)
-
-
-def _group_header(args) -> dict:
-    return {"family": args.family, "rank": args.rank, "kernel": getattr(args, "kernel", "sc")}
+        sys.stdout.write(out)
 
 
 def _fmt_lambda(lam: Sequence[int]) -> str:
@@ -89,117 +107,95 @@ def _warn_non_integers(entries: Dict, context: str):
 
 
 def cmd_subsystems(args) -> int:
-    rs, wg = _build(args)
-    classes = _classes(rs, wg)
-    if args.format == "json":
-        payload = {
-            "group": _group_header(args),
-            "classes": [
-                {
-                    "label": c.label,
-                    "size": len(c),
-                    "closed": c.representative.closed,
-                    "root_indices": sorted(c.representative.root_indices),
-                }
-                for c in classes
-            ],
-        }
-        _emit(args, json.dumps(payload, indent=1) + "\n")
-        return 0
-    buf = io.StringIO()
-    if args.format == "csv":
-        w = csv.writer(buf)
-        w.writerow(["label", "size", "closed"])
-        for c in classes:
-            w.writerow([c.label, len(c), c.representative.closed])
-    else:
-        for c in classes:
-            flag = "closed" if c.representative.closed else "non-closed"
-            buf.write(f"{c.label:16s} size={len(c):3d}  {flag}\n")
-    _emit(args, buf.getvalue())
+    classes = enumerate_classes(*_build(args))
+    payload = {
+        "classes": [
+            {
+                "label": c.label,
+                "size": len(c),
+                "closed": c.representative.closed,
+                "root_indices": sorted(c.representative.root_indices),
+            }
+            for c in classes
+        ],
+    }
+    csv_rows = chain(
+        [["label", "size", "closed"]], ([c.label, len(c), c.representative.closed] for c in classes)
+    )
+    text = (
+        f"{c.label:16s} size={len(c):3d}  {'closed' if c.representative.closed else 'non-closed'}\n"
+        for c in classes
+    )
+    _emit(args, payload, csv_rows, text)
     return 0
 
 
 def cmd_hasse(args) -> int:
-    rs, wg = _build(args)
-    poset = build_poset(wg, _classes(rs, wg))
     if args.format == "csv":
         raise UsageError("hasse supports only dot and json output")
-    if args.format == "json":
-        payload = {
-            "group": _group_header(args),
-            "classes": [c.label for c in poset.classes],
-            "hasse_edges": sorted(poset.hasse_edges),
-        }
-        _emit(args, json.dumps(payload, indent=1) + "\n")
-    else:
-        _emit(args, poset_to_dot(poset))
+    rs, wg = _build(args)
+    poset = build_poset(wg, enumerate_classes(rs, wg))
+    payload = {
+        "classes": [c.label for c in poset.classes],
+        "hasse_edges": sorted(poset.hasse_edges),
+    }
+    _emit(args, payload, None, [poset_to_dot(poset)])
     return 0
 
 
-def _coeff_entries(args, with_d: bool):
-    rs, wg = _build(args)
-    classes = _classes(rs, wg)
-    cls = _find_class(rs, classes, args.cls)
-    kernel = _kernel(rs, args.kernel)
-    table = relcoeff.coeff_table(rs, wg, cls, _ratios(rs, wg, kernel))
+def _emit_coeffs(args, with_d: bool) -> int:
+    rs, wg, cls, table = _class_table(args)
     _warn_non_integers(table.entries, f"class {cls.label}")
-    dt = costrat.d_coeffs(rs, wg, table) if with_d else None
+    columns = ["c_over_n"]
     lams = set(table.entries)
-    if dt is not None:
+    if with_d:
+        dt = costrat.d_coeffs(rs, wg, table)
+        columns.append("d")
         lams |= set(dt.entries)
     rows = []
     for lam in sorted(lams):
         row = {"lambda": list(lam), "c_over_n": str(Q(table.entries.get(lam, 0)))}
-        if dt is not None:
+        if with_d:
             row["d"] = str(dt.entries.get(lam, Q(0)))
         rows.append(row)
-    return rs, cls, rows
-
-
-def _emit_table(args, cls, rows, columns: List[str]) -> int:
-    if args.format == "json":
-        payload = {"group": _group_header(args), "class": cls.label, "entries": rows}
-        _emit(args, json.dumps(payload, indent=1) + "\n")
-        return 0
-    buf = io.StringIO()
-    if args.format == "csv":
-        w = csv.writer(buf)
-        w.writerow([f"lambda_{i+1}" for i in range(args.rank)] + columns)
-        for r in rows:
-            w.writerow(r["lambda"] + [r[c] for c in columns])
-    else:
-        head = "lambda".ljust(2 * args.rank + 2) + "  ".join(c.rjust(10) for c in columns)
-        buf.write(head + "\n")
-        for r in rows:
-            lam = _fmt_lambda(r["lambda"]).ljust(2 * args.rank + 2)
-            buf.write(lam + "  ".join(r[c].rjust(10) for c in columns) + "\n")
-    _emit(args, buf.getvalue())
+    width = 2 * args.rank + 2
+    csv_rows = chain(
+        [[f"lambda_{i+1}" for i in range(args.rank)] + columns],
+        (r["lambda"] + [r[c] for c in columns] for r in rows),
+    )
+    text = chain(
+        ["lambda".ljust(width) + "  ".join(c.rjust(10) for c in columns) + "\n"],
+        (
+            _fmt_lambda(r["lambda"]).ljust(width)
+            + "  ".join(r[c].rjust(10) for c in columns)
+            + "\n"
+            for r in rows
+        ),
+    )
+    _emit(args, {"class": cls.label, "entries": rows}, csv_rows, text)
     return 0
 
 
 def cmd_coeffs(args) -> int:
-    _rs, cls, rows = _coeff_entries(args, with_d=False)
-    return _emit_table(args, cls, rows, ["c_over_n"])
+    return _emit_coeffs(args, with_d=False)
 
 
 def cmd_dcoeffs(args) -> int:
-    _rs, cls, rows = _coeff_entries(args, with_d=True)
-    return _emit_table(args, cls, rows, ["c_over_n", "d"])
+    return _emit_coeffs(args, with_d=True)
 
 
 def cmd_kblock(args) -> int:
     if args.cutoff is None:
         raise UsageError("kblock requires --cutoff")
-    rs, wg = _build(args)
-    classes = _classes(rs, wg)
-    cls = _find_class(rs, classes, args.cls)
-    kernel = _kernel(rs, args.kernel)
-    table = relcoeff.coeff_table(rs, wg, cls, _ratios(rs, wg, kernel))
-    dt = costrat.d_coeffs(rs, wg, table)
-    cutoff_sq = Q(args.cutoff) ** 2
-    block = costrat.k_block(rs, wg, dt, cutoff_sq)
-    cfg = costrat.HbarConfig(args.hbar, len(rs.roots) + rs.rank) if args.hbar else None
+    try:
+        cutoff = Q(args.cutoff)
+    except ZeroDivisionError:
+        raise UsageError(f"--cutoff {args.cutoff} is undefined") from None
+    if cutoff < 0:
+        raise UsageError(f"--cutoff must be non-negative, got {args.cutoff}")
+    cfg = None if args.hbar is None else costrat.HbarConfig(args.hbar)
+    rs, wg, cls, table = _class_table(args)
+    block = costrat.k_block(rs, wg, costrat.d_coeffs(rs, wg, table), cutoff**2)
     entries = []
     for (row, col), v in sorted(block.entries.items()):
         e = {"lambda_row": list(row), "lambda_col": list(col), "value": str(v)}
@@ -207,41 +203,34 @@ def cmd_kblock(args) -> int:
             ratio, _exp = costrat.norm_ratio(rs, cfg, row, col)
             e["value_with_norms"] = repr(ratio * float(v))
         entries.append(e)
-    if args.format == "json":
-        payload = {
-            "group": _group_header(args),
-            "class": cls.label,
-            "cutoff": str(Q(args.cutoff)),
-            "entries": entries,
-            "possibly_incomplete_rows": [list(l) for l in sorted(block.incomplete_rows)],
-        }
-        _emit(args, json.dumps(payload, indent=1) + "\n")
-        return 0
-    buf = io.StringIO()
-    if args.format == "csv":
-        w = csv.writer(buf)
-        w.writerow(["lambda_row", "lambda_col", "value"])
-        for e in entries:
-            w.writerow([_fmt_lambda(e["lambda_row"]), _fmt_lambda(e["lambda_col"]), e["value"]])
-    else:
-        for e in entries:
-            buf.write(
-                f"{_fmt_lambda(e['lambda_row']):>10s} {_fmt_lambda(e['lambda_col']):>10s} "
-                f"{e['value']:>10s}\n"
-            )
-        if block.incomplete_rows:
-            rows = " ".join(_fmt_lambda(l) for l in sorted(block.incomplete_rows))
-            buf.write(f"# possibly incomplete columns near cutoff: {rows}\n")
-    _emit(args, buf.getvalue())
+    incomplete = sorted(block.incomplete_rows)
+    payload = {
+        "class": cls.label,
+        "cutoff": str(cutoff),
+        "entries": entries,
+        "possibly_incomplete_rows": [list(l) for l in incomplete],
+    }
+    csv_rows = chain(
+        [["lambda_row", "lambda_col", "value"]],
+        ([_fmt_lambda(e["lambda_row"]), _fmt_lambda(e["lambda_col"]), e["value"]] for e in entries),
+    )
+    text = chain(
+        (
+            f"{_fmt_lambda(e['lambda_row']):>10s} {_fmt_lambda(e['lambda_col']):>10s} "
+            f"{e['value']:>10s}\n"
+            for e in entries
+        ),
+        [f"# possibly incomplete columns near cutoff: {' '.join(map(_fmt_lambda, incomplete))}\n"]
+        if incomplete
+        else [],
+    )
+    _emit(args, payload, csv_rows, text)
     return 0
 
 
 def cmd_pq(args) -> int:
-    rs, wg = _build(args)
-    kernel = _kernel(rs, args.kernel)
-    if kernel is None:
-        kernel = kernel_preset(rs, "sc")
-    ratios = pq_map(rs, wg, kernel)
+    rs = build_root_system(LieType(args.family, args.rank))
+    ratios = _root_ratios(rs, args.kernel)
     rows = [
         {
             "root": [str(x) for x in rs.roots[i]],
@@ -251,19 +240,11 @@ def cmd_pq(args) -> int:
         }
         for i in range(len(rs.roots))
     ]
-    if args.format == "json":
-        _emit(args, json.dumps({"group": _group_header(args), "roots": rows}, indent=1) + "\n")
-        return 0
-    buf = io.StringIO()
-    if args.format == "csv":
-        w = csv.writer(buf)
-        w.writerow(["root", "p", "q"])
-        for r in rows:
-            w.writerow(["(" + ",".join(r["root"]) + ")", r["p"], r["q"]])
-    else:
-        for r in rows:
-            buf.write(f"({','.join(r['root'])})  p={r['p']} q={r['q']}\n")
-    _emit(args, buf.getvalue())
+    csv_rows = chain(
+        [["root", "p", "q"]], (["(" + ",".join(r["root"]) + ")", r["p"], r["q"]] for r in rows)
+    )
+    text = (f"({','.join(r['root'])})  p={r['p']} q={r['q']}\n" for r in rows)
+    _emit(args, {"roots": rows}, csv_rows, text)
     return 0
 
 
@@ -294,34 +275,26 @@ def cmd_gammax(args) -> int:
     if not args.point:
         raise UsageError("gammax requires --point")
     rs, wg = _build(args)
-    kernel = _kernel(rs, args.kernel)
-    if kernel is None:
-        kernel = kernel_preset(rs, "sc")
-    ratios = pq_map(rs, wg, kernel)
+    ratios = _root_ratios(rs, args.kernel)
     point = _parse_point(args.point, rs.rank)
     sub = gamma_x(rs, ratios, point)
-    label = None
-    for c in _classes(rs, wg):
-        if are_conjugate(wg, sub, c.representative)[0]:
-            label = c.label
-            break
+    label = next(
+        (c.label for c in enumerate_classes(rs, wg) if are_conjugate(wg, sub, c.representative)[0]),
+        None,
+    )
     payload = {
-        "group": _group_header(args),
         "point": {"A": [str(x) for x in point.a_coords], "B": [str(x) for x in point.b_coords]},
         "root_indices": sorted(sub.root_indices),
         "roots": [[str(x) for x in rs.roots[i]] for i in sorted(sub.root_indices)],
         "closed": sub.closed,
         "class": label,
     }
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=1) + "\n")
-    else:
-        roots = " ".join("(" + ",".join(r) + ")" for r in payload["roots"])
-        _emit(
-            args,
-            f"indices: {payload['root_indices']}\nroots: {roots}\n"
-            f"closed: {payload['closed']}\nclass: {label}\n",
-        )
+    roots = " ".join("(" + ",".join(r) + ")" for r in payload["roots"])
+    text = (
+        f"indices: {payload['root_indices']}\nroots: {roots}\n"
+        f"closed: {payload['closed']}\nclass: {label}\n"
+    )
+    _emit(args, payload, None, [text])  # no csv form: csv prints the text
     return 0
 
 
@@ -331,7 +304,7 @@ def cmd_verify(args) -> int:
             groups = [json.load(fh)]
     else:
         groups = verify_mod.load_corpus(args.group)
-    buf = io.StringIO()
+    lines = []
     total_bad = 0
     for data in groups:
         bad, perm = verify_mod.verify_group(data)
@@ -341,17 +314,15 @@ def cmd_verify(args) -> int:
         )
         status = "PASS" if not bad else "FAIL"
         note = "" if perm == tuple(range(data["rank"])) else f" (node permutation {perm})"
-        buf.write(f"{status} {data['group']}: {n_entries} table entries{note}\n")
+        lines.append(f"{status} {data['group']}: {n_entries} table entries{note}\n")
         for m in bad:
-            buf.write(
+            lines.append(
                 f"  mismatch group={m.group} class={m.class_label} lambda={_fmt_lambda(m.lam)} "
                 f"column={m.column} expected={m.expected} got={m.got}\n"
             )
-    buf.write(("OK" if not total_bad else f"{total_bad} MISMATCHES") + "\n")
-    _emit(args, buf.getvalue())
+    lines.append(("OK" if not total_bad else f"{total_bad} MISMATCHES") + "\n")
+    _emit(args, None, None, lines)  # the report is text in every --format
     return 0 if not total_bad else 1
-
-
 # -- parser ---------------------------------------------------------------------
 
 
@@ -421,7 +392,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,7 +38,6 @@ class KBlock:
 @dataclass(frozen=True)
 class HbarConfig:
     hbar: float
-    dim_g: int
 
     def __post_init__(self):
         if self.hbar <= 0:

@@ -19,7 +19,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .rootsys import RootSystem, Vector
 from .subsys import RootSubsystem, _closed
-from .weyl import WeylGroup
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,10 @@ def kernel_from_file(path: str) -> ExpKernel:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if line:
-                rows.append(tuple(Q(tok) for tok in line.split()))
+                try:
+                    rows.append(tuple(Q(tok) for tok in line.split()))
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in kernel row {line!r} of {path}") from None
     if not rows:
         raise ValueError(f"no matrix rows found in {path}")
     return ExpKernel(tuple(rows))
@@ -128,7 +130,7 @@ def _simple_conjugate(rs: RootSystem, root_index: int) -> int:
     raise ValueError("root has no simple conjugate; not a root index?")
 
 
-def pq_ratio(rs: RootSystem, wg: WeylGroup, kernel: ExpKernel, a: Vector) -> PQRatio:
+def pq_ratio(rs: RootSystem, kernel: ExpKernel, a: Vector) -> PQRatio:
     """Coprime (p, q) with {sum_i r_ia k_i : k integral, other columns vanish} = (p/q)Z.
 
     The root is first moved onto the base by the Weyl action; any mover is
@@ -148,9 +150,9 @@ def pq_ratio(rs: RootSystem, wg: WeylGroup, kernel: ExpKernel, a: Vector) -> PQR
     return PQRatio(g.numerator, g.denominator)
 
 
-def pq_map(rs: RootSystem, wg: WeylGroup, kernel: ExpKernel) -> List[PQRatio]:
+def pq_map(rs: RootSystem, kernel: ExpKernel) -> List[PQRatio]:
     """p/q for every root index (constant along W-orbits, computed per root)."""
-    return [pq_ratio(rs, wg, kernel, a) for a in rs.roots]
+    return [pq_ratio(rs, kernel, a) for a in rs.roots]
 
 
 def _rational_gcd(values: Sequence[Q]) -> Q:

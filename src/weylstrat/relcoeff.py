@@ -38,15 +38,6 @@ class WeightedSum:
     def value(self, key: tuple) -> int:
         return self.entries.get(key, 0)
 
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def max_norm_sq(self, rs: RootSystem) -> Q:
-        return max((rs.labels_norm_sq(k) for k in self.entries), default=Q(0))
-
-    def __eq__(self, other):
-        return isinstance(other, WeightedSum) and self.entries == other.entries
-
     def __len__(self):
         return len(self.entries)
 

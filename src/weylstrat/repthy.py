@@ -8,12 +8,11 @@ transcendental norm prefactors never enter here.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from .rootsys import Labels, RootSystem, _invert_rational
+from .rootsys import Labels, RootSystem
 from .weyl import WeylGroup
 
 
@@ -21,10 +20,6 @@ from .weyl import WeylGroup
 class WeightSystem:
     highest: Labels
     dominant_entries: Dict[Labels, int]
-
-
-_WS_CACHE: Dict[Tuple[str, int, Labels], WeightSystem] = {}
-_WS_LOCK = threading.Lock()
 
 
 def dominant_labels_within(rs: RootSystem, accept: Callable[[Q], bool]) -> List[Labels]:
@@ -62,48 +57,24 @@ def dominant_labels_within(rs: RootSystem, accept: Callable[[Q], bool]) -> List[
 
 def _root_coords(rs: RootSystem, lab: Sequence[int]) -> List[Q]:
     """Coordinates of a label vector over the simple roots."""
-    inv = _cartan_inverse(rs)
+    inv = rs.cartan_inverse
     n = rs.rank
     return [sum(inv[i][j] * lab[j] for j in range(n)) for i in range(n)]
 
 
-_CARTAN_INV: Dict[Tuple[str, int], List[List[Q]]] = {}
-
-
-def _cartan_inverse(rs: RootSystem):
-    key = (rs.lie_type.family, rs.rank)
-    if key not in _CARTAN_INV:
-        _CARTAN_INV[key] = _invert_rational([[Q(c) for c in row] for row in rs.cartan])
-    return _CARTAN_INV[key]
-
-
-_KOMEGA: Dict[Tuple[str, int], List[List[Q]]] = {}
-
-
-def _komega(rs: RootSystem) -> List[List[Q]]:
-    """komega[p][i] = k(omega_i, alpha_p) over the positive roots."""
-    key = (rs.lie_type.family, rs.rank)
-    if key not in _KOMEGA:
-        fw = rs.fundamental_weights()
-        _KOMEGA[key] = [
-            [rs.pairing(w, rs.roots[p]) for w in fw] for p in range(rs.num_positive)
-        ]
-    return _KOMEGA[key]
-
-
 def _pairing_labels_root(rs: RootSystem, lab: Sequence[int], p: int) -> Q:
-    ko = _komega(rs)[p]
-    return sum(l * k for l, k in zip(lab, ko))
+    return sum(l * k for l, k in zip(lab, rs.komega[p]))
 
 
 def dominant_weight_system(rs: RootSystem, wg: WeylGroup, highest: Sequence[int]) -> WeightSystem:
-    """Dominant weights of the irrep with the given highest weight, with multiplicities."""
+    """Dominant weights of the irrep with the given highest weight, with multiplicities.
+
+    Memoized in wg.weight_systems, so each irrep is computed once per type.
+    """
     lam = tuple(int(l) for l in highest)
     if any(l < 0 for l in lam):
         raise ValueError(f"highest weight {lam} is not dominant")
-    key = (rs.lie_type.family, rs.rank, lam)
-    with _WS_LOCK:
-        cached = _WS_CACHE.get(key)
+    cached = wg.weight_systems.get(lam)
     if cached is not None:
         return cached
 
@@ -142,9 +113,7 @@ def dominant_weight_system(rs: RootSystem, wg: WeylGroup, highest: Sequence[int]
             raise AssertionError(f"Freudenthal gave non-integer multiplicity {m_mu} at {mu}")
         mult[mu] = int(m_mu)
 
-    ws = WeightSystem(lam, mult)
-    with _WS_LOCK:
-        _WS_CACHE[key] = ws
+    ws = wg.weight_systems[lam] = WeightSystem(lam, mult)
     return ws
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
 Labels = Tuple[int, ...]
@@ -34,10 +34,6 @@ class LieType:
 
     def __str__(self):
         return f"{self.family}{self.rank}"
-
-
-def _vec(entries: Iterable) -> Vector:
-    return tuple(Q(e) for e in entries)
 
 
 def vec_add(x: Vector, y: Vector) -> Vector:
@@ -126,12 +122,28 @@ class RootSystem:
         self._root_labels: List[Labels] = [
             tuple(int(l) for l in self._labels_exact(a)) for a in self.roots
         ]
-        # eagerly built so instances are immutable after construction
-        self._fund_weights: Optional[List[Vector]] = None
-        self._fund_gram: Optional[List[List[Q]]] = None
-        self._reflection_perms: Optional[List[Tuple[int, ...]]] = None
-        self.fundamental_gram()
-        self.reflection_perms()
+        self.cartan_inverse: List[List[Q]] = _invert_rational(
+            [[Q(c) for c in row] for row in self.cartan]
+        )
+        # omega_i = sum_m cartan_inverse[m][i] * alpha_m
+        self._fund_weights: List[Vector] = [
+            _sum_vecs(
+                [vec_scale(row[i], a) for row, a in zip(self.cartan_inverse, self.simple_roots)],
+                self.dim,
+            )
+            for i in range(n)
+        ]
+        # Gram matrix k(omega_i, omega_j) for norms in label space
+        self.fund_gram: List[List[Q]] = [
+            [self.pairing(a, b) for b in self._fund_weights] for a in self._fund_weights
+        ]
+        # komega[p][i] = k(omega_i, alpha_p) over the positive roots
+        self.komega: List[List[Q]] = [
+            [self.pairing(w, a) for w in self._fund_weights] for a in positives
+        ]
+        self._reflection_perms: List[Tuple[int, ...]] = [
+            tuple(self.index[self.reflect(a, b)] for b in self.roots) for a in self.roots
+        ]
 
     # -- form and conversions ------------------------------------------------
 
@@ -139,9 +151,6 @@ class RootSystem:
         if len(a) != self.dim or len(b) != self.dim:
             raise ValueError("dimension mismatch")
         return self.form_scale * sum(x * y for x, y in zip(a, b))
-
-    def norm_sq(self, a: Vector) -> Q:
-        return self.pairing(a, a)
 
     def _labels_exact(self, x: Vector) -> Tuple[Q, ...]:
         return tuple(
@@ -168,27 +177,10 @@ class RootSystem:
         return out
 
     def fundamental_weights(self) -> List[Vector]:
-        if self._fund_weights is None:
-            inv = _invert_rational([[Q(c) for c in row] for row in self.cartan])
-            fw = []
-            for i in range(self.rank):
-                w = tuple(Q(0) for _ in range(self.dim))
-                for m in range(self.rank):
-                    if inv[m][i]:
-                        w = vec_add(w, vec_scale(inv[m][i], self.simple_roots[m]))
-                fw.append(w)
-            self._fund_weights = fw
         return self._fund_weights
 
-    def fundamental_gram(self) -> List[List[Q]]:
-        """Gram matrix k(omega_i, omega_j) for norms in label space."""
-        if self._fund_gram is None:
-            fw = self.fundamental_weights()
-            self._fund_gram = [[self.pairing(a, b) for b in fw] for a in fw]
-        return self._fund_gram
-
     def labels_norm_sq(self, labels: Sequence) -> Q:
-        g = self.fundamental_gram()
+        g = self.fund_gram
         n = self.rank
         return sum(labels[i] * g[i][j] * labels[j] for i in range(n) for j in range(n))
 
@@ -210,9 +202,6 @@ class RootSystem:
     def negative_index(self, i: int) -> int:
         return i + self.num_positive if i < self.num_positive else i - self.num_positive
 
-    def is_positive(self, i: int) -> bool:
-        return i < self.num_positive
-
     def dual_root(self, a: Vector) -> Vector:
         self.root_index(a)
         return vec_scale(2 / self.pairing(a, a), a)
@@ -225,11 +214,6 @@ class RootSystem:
 
     def reflection_perms(self) -> List[Tuple[int, ...]]:
         """Permutation of root indices induced by each root's reflection."""
-        if self._reflection_perms is None:
-            perms = []
-            for a in self.roots:
-                perms.append(tuple(self.index[self.reflect(a, b)] for b in self.roots))
-            self._reflection_perms = perms
         return self._reflection_perms
 
     def named_root(self, kind: str, l: int) -> Vector:

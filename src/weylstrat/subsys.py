@@ -33,7 +33,6 @@ class SubsystemClass:
     label: str
     base: Tuple[Vector, ...]
     representative: RootSubsystem
-    canonical_key: Tuple[int, ...]
 
     def __len__(self):
         return len(self.representative)
@@ -201,9 +200,7 @@ def enumerate_classes(rs: RootSystem, wg: WeylGroup) -> List[SubsystemClass]:
         sub = span_subsystem(rs, base)
         label = _label(rs.lie_type.family, parts)
         sub = RootSubsystem(sub.root_indices, sub.closed, label)
-        out.append(
-            SubsystemClass(label, tuple(base), sub, canonical_key(wg, sub.root_indices))
-        )
+        out.append(SubsystemClass(label, tuple(base), sub))
     out.sort(key=lambda c: (len(c), c.label))
     return out
 

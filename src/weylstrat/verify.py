@@ -72,9 +72,6 @@ def load_corpus(name: Optional[str] = None) -> List[dict]:
     return out
 
 
-_TABLE_CACHE: Dict[Tuple[str, int, str], Tuple[CoeffTable, DCoeffTable]] = {}
-
-
 def computed_tables(
     family: str, rank: int, class_labels: Sequence[str]
 ) -> Dict[str, Tuple[CoeffTable, DCoeffTable]]:
@@ -83,12 +80,8 @@ def computed_tables(
     classes = {c.label: c for c in enumerate_classes(rs, wg)}
     out = {}
     for label in class_labels:
-        key = (family, rank, normalize_label(label))
-        if key not in _TABLE_CACHE:
-            cls = classes[key[2]]
-            ct = coeff_table(rs, wg, cls)
-            _TABLE_CACHE[key] = (ct, d_coeffs(rs, wg, ct))
-        out[label] = _TABLE_CACHE[key]
+        ct = coeff_table(rs, wg, classes[normalize_label(label)])
+        out[label] = (ct, d_coeffs(rs, wg, ct))
     return out
 
 
@@ -177,12 +170,3 @@ def verify_group(data: dict) -> Tuple[List[Mismatch], Tuple[int, ...]]:
         if best is None or len(bad) < len(best):
             best, best_perm = bad, p
     return best or [], best_perm
-
-
-def verify_corpus(groups: Optional[List[dict]] = None) -> List[Mismatch]:
-    groups = groups if groups is not None else load_corpus()
-    bad: List[Mismatch] = []
-    for data in groups:
-        bad_g, _perm = verify_group(data)
-        bad += bad_g
-    return bad

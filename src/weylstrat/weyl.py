@@ -34,9 +34,6 @@ class WeylElement:
     label_mat: IntMatrix
     length: int
 
-    def apply_index(self, i: int) -> int:
-        return self.perm[i]
-
     def apply_labels(self, labels: Sequence[int]) -> Labels:
         return _mat_vec(self.label_mat, labels)
 
@@ -89,12 +86,11 @@ class WeylGroup:
         self.identity = elements[0]
         self.generators: List[WeylElement] = [elements[lookup[p]] for p in gen_perms]
         self._inverse_index = [lookup[_invert_perm(e.perm)] for e in elements]
+        # highest-weight labels -> repthy.WeightSystem, filled by dominant_weight_system
+        self.weight_systems: dict = {}
 
     def __len__(self):
         return len(self.elements)
-
-    def element_from_perm(self, perm: Tuple[int, ...]) -> WeylElement:
-        return self.elements[self._lookup[perm]]
 
     def compose(self, a: WeylElement, b: WeylElement) -> WeylElement:
         """The element a*b acting as: apply b first, then a."""

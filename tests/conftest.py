@@ -1,17 +1,15 @@
+import functools
+
 import pytest
 
 from weylstrat.rootsys import LieType, build_root_system
 from weylstrat.weyl import generate_group
 
-_CACHE = {}
 
-
+@functools.cache
 def system(family, rank):
-    key = (family, rank)
-    if key not in _CACHE:
-        rs = build_root_system(LieType(family, rank))
-        _CACHE[key] = (rs, generate_group(rs))
-    return _CACHE[key]
+    rs = build_root_system(LieType(family, rank))
+    return rs, generate_group(rs)
 
 
 @pytest.fixture

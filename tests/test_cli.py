@@ -105,7 +105,7 @@ def test_kblock(capsys):
     capsys.readouterr()
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
     assert run(["coeffs", "--family", "A", "--rank", "2", "--class", "Z9"]) == 2
     assert run(["coeffs", "--family", "B", "--rank", "1", "--class", "0"]) == 2
     assert run(["gammax", "--family", "A", "--rank", "2", "--point", "A=oops"]) == 2
@@ -113,6 +113,22 @@ def test_usage_errors(capsys):
                 "--kernel", "/nonexistent/kernel.txt"]) == 2
     assert run(["nonsense"]) == 2
     capsys.readouterr()
+    # each of these is one "error:" line on stderr, never a traceback
+    undefined = tmp_path / "undefined.txt"
+    undefined.write_text("1/0 0\n0 1\n")
+    pq = ["pq", "--family", "C", "--rank", "2"]
+    kblock = ["kblock", "--family", "A", "--rank", "1", "--class", "0"]
+    for argv in [
+        pq + ["--kernel", str(undefined)],
+        pq + ["--kernel", str(tmp_path)],
+        pq + ["--out", str(tmp_path)],
+        kblock + ["--cutoff", "1/0"],
+        kblock + ["--cutoff", "-3"],
+        kblock + ["--cutoff", "5", "--hbar", "0"],
+    ]:
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_rank_four_bc_supported_outside_corpus(capsys):

@@ -1,0 +1,153 @@
+"""Byte-identity matrix for the CLI.
+
+Every subcommand runs in each of --format json, csv, text and dot on small
+types, plus the usage errors and one --out case. A digest of the exit code,
+stdout, stderr and the --out file pins each command's complete output, so a
+refactor of the command surface must reproduce it byte for byte.
+
+To re-record after an intended output change, print ``digest(...)`` for every
+key of ``DIGESTS`` and paste the values. The "nonsense" case pins argparse's
+own usage message, whose wording can change between Python releases.
+"""
+
+import hashlib
+import shlex
+from pathlib import Path
+
+import pytest
+
+from weylstrat.cli import run
+
+# README's SO(5) example kernel, for the --kernel FILE path
+KERNEL = "# SO(5): half step along the short coroot\n1/2 0\n0 1\n"
+
+FORMATS = ("json", "csv", "text", "dot")
+COMMANDS = [
+    "subsystems --family B --rank 3",
+    "hasse --family C --rank 3",
+    "coeffs --family A --rank 2 --class A1",
+    "coeffs --family B --rank 2 --class 0 --kernel so-odd",
+    "dcoeffs --family C --rank 3 --class C1+C2",
+    "dcoeffs --family A --rank 1 --class full",
+    "kblock --family A --rank 2 --class 0 --cutoff 6",
+    "kblock --family B --rank 2 --class A1 --cutoff 5 --kernel so-odd --hbar 1.0",
+    "kblock --family A --rank 1 --class 0 --cutoff 3/2",
+    "pq --family C --rank 2 --kernel so-odd",
+    "pq --family B --rank 2 --kernel {kernel}",
+    "gammax --family C --rank 2 --kernel so-odd --point A=1/4,0",
+    "gammax --family D --rank 4 --point A=1/3,0,1/2,0",
+    "verify --group SU(3)",
+]
+EXTRA = [
+    # usage errors
+    "coeffs --family A --rank 2 --class Z9",
+    "coeffs --family B --rank 1 --class 0",
+    "gammax --family A --rank 2 --point A=oops",
+    "coeffs --family A --rank 2 --class 0 --kernel /nonexistent/kernel.txt",
+    "nonsense",
+    "kblock --family A --rank 1 --class 0",
+    "verify --group Nope",
+    # default format, and a file target
+    "hasse --family B --rank 2",
+    "coeffs --family A --rank 1 --class 0 --format csv --out {out}",
+]
+
+
+def digest(cmd, capsys):
+    """sha256 over (exit code, stdout, stderr, --out file), each length-prefixed.
+
+    Runs in the current directory, which must be empty and writable: the
+    kernel path appears in the JSON header, so it has to be the same relative
+    name on every run.
+    """
+    kernel, out = Path("kernel.txt"), Path("out.txt")
+    kernel.write_text(KERNEL)
+    code = run([a.format(kernel=kernel, out=out) for a in shlex.split(cmd)])
+    captured = capsys.readouterr()
+    written = out.read_bytes() if out.exists() else b""
+    h = hashlib.sha256()
+    for part in (str(code).encode(), captured.out.encode(), captured.err.encode(), written):
+        h.update(len(part).to_bytes(8, "big"))
+        h.update(part)
+    return h.hexdigest()
+
+
+DIGESTS = {
+    "subsystems --family B --rank 3 --format json": "14d4e395170b4582554388073db2b334ff4c00681c8ff4d8d10b3afd26d32fdc",
+    "subsystems --family B --rank 3 --format csv": "9d7852b5228f89757a35ccab0d73ddee082e25ea564cd9c208fbb9362dd36684",
+    "subsystems --family B --rank 3 --format text": "fd170b59286a3e434021c377a63c715f4bde640898036a457a28b2d38dc689dc",
+    "subsystems --family B --rank 3 --format dot": "fd170b59286a3e434021c377a63c715f4bde640898036a457a28b2d38dc689dc",
+    "hasse --family C --rank 3 --format json": "7d097f72634b99c81588d6e6310723e5f2de797a636cfd723b53a248fa560791",
+    "hasse --family C --rank 3 --format csv": "266fb430f4bab1de18c03da1f2b3407d6910449046efd8d74b0ec7ec531b3f62",
+    "hasse --family C --rank 3 --format text": "679095d05a349c081d691d7b7fd4b5a004fa424bc689fd10aa4d14f235a8808f",
+    "hasse --family C --rank 3 --format dot": "679095d05a349c081d691d7b7fd4b5a004fa424bc689fd10aa4d14f235a8808f",
+    "coeffs --family A --rank 2 --class A1 --format json": "4892c4f9e4d1c85c8e778113ad2cb816b85a23897d90f84c5d03c698862b1ef5",
+    "coeffs --family A --rank 2 --class A1 --format csv": "efac1df3514eb2ff4f879a662419f26e2ca0fab03afc0961c2de7fd5a1867c39",
+    "coeffs --family A --rank 2 --class A1 --format text": "1e874b9b2217d9ecbdd06b9b497e2906a5d7fa688e3c62dda917307bd583f311",
+    "coeffs --family A --rank 2 --class A1 --format dot": "1e874b9b2217d9ecbdd06b9b497e2906a5d7fa688e3c62dda917307bd583f311",
+    "coeffs --family B --rank 2 --class 0 --kernel so-odd --format json": "7c27a6e404aa4852b635961e76e0273e307aff73b49dc1fa716ce06662f4a0ee",
+    "coeffs --family B --rank 2 --class 0 --kernel so-odd --format csv": "082edebd3fa7db076ea07eee0550fd29b70656d034531daa0de46f4fdd8f3936",
+    "coeffs --family B --rank 2 --class 0 --kernel so-odd --format text": "e6b10511aa90e40011d7bd0c0cd400d602f1f607838aa965e9a56d0bb97ed308",
+    "coeffs --family B --rank 2 --class 0 --kernel so-odd --format dot": "e6b10511aa90e40011d7bd0c0cd400d602f1f607838aa965e9a56d0bb97ed308",
+    "dcoeffs --family C --rank 3 --class C1+C2 --format json": "c184537ef8a74842b829da98bd59ecfad3e06aa85ba7b52d002c06b09729498a",
+    "dcoeffs --family C --rank 3 --class C1+C2 --format csv": "ad7e003c046b9584bf76f4f02417406358359fd411d5dbaba2fb0392ff22cc6f",
+    "dcoeffs --family C --rank 3 --class C1+C2 --format text": "9d71252bad8cd03a1eea6cad157f2abe8f4f77c1172a75153e1f368a449880b8",
+    "dcoeffs --family C --rank 3 --class C1+C2 --format dot": "9d71252bad8cd03a1eea6cad157f2abe8f4f77c1172a75153e1f368a449880b8",
+    "dcoeffs --family A --rank 1 --class full --format json": "ff25dfb159b79e99ae6715cd9337a5b14bf4ef9b986cfdc7f5b18c891a1916b6",
+    "dcoeffs --family A --rank 1 --class full --format csv": "b64956175b05fede97dc16b9b6c1202ac46de7315b3ce8929f86535fd0529a1f",
+    "dcoeffs --family A --rank 1 --class full --format text": "4ca029d25d2358521fc4475b76d249f2ae9c639fe7e27855699d322034ca9e7b",
+    "dcoeffs --family A --rank 1 --class full --format dot": "4ca029d25d2358521fc4475b76d249f2ae9c639fe7e27855699d322034ca9e7b",
+    "kblock --family A --rank 2 --class 0 --cutoff 6 --format json": "84dc2bd27ccf6fb70b687a0ce6ce3c49e3897c826c39fb33e3eb654ab779b643",
+    "kblock --family A --rank 2 --class 0 --cutoff 6 --format csv": "d0f9c082be20c81b64ecd130e018d3046eab72ecc30c19010031af058ede3c73",
+    "kblock --family A --rank 2 --class 0 --cutoff 6 --format text": "a9c1ae0d021677784ac8cad69a33a8a1651d16e1432c5ceb972d22c582d9a4c9",
+    "kblock --family A --rank 2 --class 0 --cutoff 6 --format dot": "a9c1ae0d021677784ac8cad69a33a8a1651d16e1432c5ceb972d22c582d9a4c9",
+    "kblock --family B --rank 2 --class A1 --cutoff 5 --kernel so-odd --hbar 1.0 --format json": "2e06aef7448d528b9de327de93a9bf220f1edbe888d7ef4a78225d8206eb405d",
+    "kblock --family B --rank 2 --class A1 --cutoff 5 --kernel so-odd --hbar 1.0 --format csv": "ae1aaf39bbd5a566a75ef7ac4a148eaf40d4d165e8da490825a3fc91c1638a52",
+    "kblock --family B --rank 2 --class A1 --cutoff 5 --kernel so-odd --hbar 1.0 --format text": "2c7ab3cd0f3d8686fd3f8b7c95a287016ab29fa7eee4a93671de99dae824f73f",
+    "kblock --family B --rank 2 --class A1 --cutoff 5 --kernel so-odd --hbar 1.0 --format dot": "2c7ab3cd0f3d8686fd3f8b7c95a287016ab29fa7eee4a93671de99dae824f73f",
+    "kblock --family A --rank 1 --class 0 --cutoff 3/2 --format json": "ba64c876f7a4c32e7373e0f0a1320e85b048b9de8eae17d772eeaedd375d5461",
+    "kblock --family A --rank 1 --class 0 --cutoff 3/2 --format csv": "09a26f89628c71ef862d7bbb72c80c90b0a8a71f0dc4c56bc0e5fc35d47256b1",
+    "kblock --family A --rank 1 --class 0 --cutoff 3/2 --format text": "65d1e8af1debed23bda6ab40c8014220678d182fc432097c116ea4f9f1c72237",
+    "kblock --family A --rank 1 --class 0 --cutoff 3/2 --format dot": "65d1e8af1debed23bda6ab40c8014220678d182fc432097c116ea4f9f1c72237",
+    "pq --family C --rank 2 --kernel so-odd --format json": "2d9a9f39344ae02a81cbae384a56e65afe2dfcdd4e73bc80d9e8e39a2ebaf177",
+    "pq --family C --rank 2 --kernel so-odd --format csv": "4b37603c76d70937c468bb626092a9e398d16c9451f984d1635b37cc4066bf18",
+    "pq --family C --rank 2 --kernel so-odd --format text": "3fac11ae0ced3ef61ecda09f8963bf086c8b535e73f3a8c3ab28a380bb675b9a",
+    "pq --family C --rank 2 --kernel so-odd --format dot": "3fac11ae0ced3ef61ecda09f8963bf086c8b535e73f3a8c3ab28a380bb675b9a",
+    "pq --family B --rank 2 --kernel {kernel} --format json": "faebf5c56f334cedb688d9abcfd4218a5de716bf202d135811cf994b7ed2f026",
+    "pq --family B --rank 2 --kernel {kernel} --format csv": "1481c15e779fafe2f05dc5a5371026994ad7131ec81e91d3129b889b23e7e98d",
+    "pq --family B --rank 2 --kernel {kernel} --format text": "a89e6c5d12ef04ca9f18ebde99452ba8c0f6000eca6a02f19667df27011d1ca5",
+    "pq --family B --rank 2 --kernel {kernel} --format dot": "a89e6c5d12ef04ca9f18ebde99452ba8c0f6000eca6a02f19667df27011d1ca5",
+    "gammax --family C --rank 2 --kernel so-odd --point A=1/4,0 --format json": "3f1a6a6ef5e3530bd9b06242b1c8a855f93b8969611f2b576a3115b3e233fe8e",
+    "gammax --family C --rank 2 --kernel so-odd --point A=1/4,0 --format csv": "156bb3fa5fcafc08d4d2245699d86f53a7e258c8fcf5201e1c0d0bae9f445c75",
+    "gammax --family C --rank 2 --kernel so-odd --point A=1/4,0 --format text": "156bb3fa5fcafc08d4d2245699d86f53a7e258c8fcf5201e1c0d0bae9f445c75",
+    "gammax --family C --rank 2 --kernel so-odd --point A=1/4,0 --format dot": "156bb3fa5fcafc08d4d2245699d86f53a7e258c8fcf5201e1c0d0bae9f445c75",
+    "gammax --family D --rank 4 --point A=1/3,0,1/2,0 --format json": "e2432a3b4996a9ca4e267facbeb3f21529c74d956baeb4d5383b3cb4c4e23ef6",
+    "gammax --family D --rank 4 --point A=1/3,0,1/2,0 --format csv": "d3e6392cbab8fd8f008e0f255f5962cf0691eb0a997c2542cffc0d536cb7ae0a",
+    "gammax --family D --rank 4 --point A=1/3,0,1/2,0 --format text": "d3e6392cbab8fd8f008e0f255f5962cf0691eb0a997c2542cffc0d536cb7ae0a",
+    "gammax --family D --rank 4 --point A=1/3,0,1/2,0 --format dot": "d3e6392cbab8fd8f008e0f255f5962cf0691eb0a997c2542cffc0d536cb7ae0a",
+    "verify --group SU(3) --format json": "73b7b92d325572d2c7f4aa58b4a993d6c2da30c50dbdefd767645372ce4f4577",
+    "verify --group SU(3) --format csv": "73b7b92d325572d2c7f4aa58b4a993d6c2da30c50dbdefd767645372ce4f4577",
+    "verify --group SU(3) --format text": "73b7b92d325572d2c7f4aa58b4a993d6c2da30c50dbdefd767645372ce4f4577",
+    "verify --group SU(3) --format dot": "73b7b92d325572d2c7f4aa58b4a993d6c2da30c50dbdefd767645372ce4f4577",
+    "coeffs --family A --rank 2 --class Z9": "8615b506dda7f12978f6c563ca454675cd909f62c15fcebce52320d3cf3fbb2a",
+    "coeffs --family B --rank 1 --class 0": "34b9d79f35cd2fa72a18c9e97ed7c850e092694dac2fd4b0805fff5be7a43631",
+    "gammax --family A --rank 2 --point A=oops": "a64218187f1176624ca284752bcc7176eb739f649fd622d5bc8f7c93a1dddc79",
+    "coeffs --family A --rank 2 --class 0 --kernel /nonexistent/kernel.txt": "0cf692ec0e7d6dc30bd68a74f24023f17c35c21d2decc157f317a690495ef3b9",
+    "nonsense": "ff9188731c2c0a858af56601f2603e2ce6765b35c559b77f5308b9f8c2411e8d",
+    "kblock --family A --rank 1 --class 0": "1b1d7b400e3eb4a25dc5946b3d3465c3656df4ddd2ab30d51072affe5f23bc9d",
+    "verify --group Nope": "fb1ff8203a982a055ec14f08e176d44e36fde2f1dd0d66c8dedeb06cb70fc2b9",
+    "hasse --family B --rank 2": "6ce80d9c7771ace44d5357af42d5b320997cbe8dae4e9da33794026dacecac5c",
+    "coeffs --family A --rank 1 --class 0 --format csv --out {out}": "e7f222d1df55b789ccb9f903593fc8297d058086b8495757f1965f6644c7af00",
+}
+
+
+@pytest.mark.parametrize("cmd", list(DIGESTS))
+def test_output_matches_recorded_digest(cmd, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal
+    assert digest(cmd, capsys) == DIGESTS[cmd]
+
+
+def test_matrix_covers_every_command_and_format():
+    want = [f"{c} --format {f}" for c in COMMANDS for f in FORMATS] + EXTRA
+    assert list(DIGESTS) == want

@@ -14,7 +14,7 @@ from weylstrat.costrat import (
 )
 from weylstrat.relcoeff import coeff_table
 from weylstrat.repthy import dominant_labels_within, dominant_weight_system
-from weylstrat.subsys import SubsystemClass, RootSubsystem, build_poset, canonical_key, enumerate_classes
+from weylstrat.subsys import SubsystemClass, RootSubsystem, build_poset, enumerate_classes
 from conftest import system
 
 
@@ -65,7 +65,6 @@ def test_d_representative_independence():
         cls.label,
         tuple(rs.roots[w.perm[rs.root_index(b)]] for b in cls.base),
         RootSubsystem(moved, cls.representative.closed, cls.label),
-        canonical_key(wg, moved),
     )
     assert d_coeffs(rs, wg, coeff_table(rs, wg, alt)).entries == base
 
@@ -127,7 +126,7 @@ def test_k_block_su2():
 
 def test_norm_ratio():
     rs, _, _ = tables_of("A", 1)
-    cfg = HbarConfig(hbar=1.0, dim_g=3)
+    cfg = HbarConfig(hbar=1.0)
     val, exp = norm_ratio(rs, cfg, (2,), (2,))
     assert val == 1.0 and exp == 0
     v1, e1 = norm_ratio(rs, cfg, (2,), (0,))
@@ -136,7 +135,7 @@ def test_norm_ratio():
     assert v1 * v2 == pytest.approx(1.0)
     assert v1 == pytest.approx(math.exp(2.0))
     with pytest.raises(ValueError):
-        HbarConfig(hbar=0.0, dim_g=3)
+        HbarConfig(hbar=0.0)
 
 
 def test_vanishing_system_su2():

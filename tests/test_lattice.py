@@ -51,7 +51,7 @@ def test_kernel_validation_and_file(tmp_path):
     ident = tmp_path / "ident.txt"
     ident.write_text("1 0\n0 1\n")
     rs, wg = system("C", 2)
-    ratios = pq_map(rs, wg, kernel_from_file(str(ident)))
+    ratios = pq_map(rs, kernel_from_file(str(ident)))
     assert all((r.p, r.q) == (1, 1) for r in ratios)
     empty = tmp_path / "empty.txt"
     empty.write_text("\n")
@@ -69,14 +69,14 @@ def test_pq_requires_coprime():
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("B", 3)])
 def test_simply_connected_all_ones(family, rank):
     rs, wg = system(family, rank)
-    ratios = pq_map(rs, wg, kernel_preset(rs, "sc"))
+    ratios = pq_map(rs, kernel_preset(rs, "sc"))
     assert all((r.p, r.q) == (1, 1) for r in ratios)
 
 
 def test_so5_ratios_with_brute_force_oracle():
     rs, wg = system("C", 2)
     kernel = kernel_preset(rs, "so-odd")
-    ratios = pq_map(rs, wg, kernel)
+    ratios = pq_map(rs, kernel)
     for i in range(len(rs.roots)):
         expected = (1, 2) if rs.root_norms[i] == 2 else (1, 1)
         assert (ratios[i].p, ratios[i].q) == expected
@@ -90,7 +90,7 @@ def test_so5_ratios_with_brute_force_oracle():
                 vals.add(k1 * kernel.rows[0][j0] + k2 * kernel.rows[1][j0])
         positive = sorted(v for v in vals if v > 0)
         gen = positive[0]
-        got = pq_ratio(rs, wg, kernel, rs.simple_roots[j0])
+        got = pq_ratio(rs, kernel, rs.simple_roots[j0])
         assert Q(got.p, got.q) == gen
         # generated lattice really is gen * Z within the scan window
         assert all(v % gen == 0 for v in vals)
@@ -98,7 +98,7 @@ def test_so5_ratios_with_brute_force_oracle():
 
 def test_pq_constant_on_length_classes():
     rs, wg = system("B", 3)
-    ratios = pq_map(rs, wg, kernel_preset(rs, "so-odd"))
+    ratios = pq_map(rs, kernel_preset(rs, "so-odd"))
     by_norm = {}
     for i, r in enumerate(ratios):
         by_norm.setdefault(rs.root_norms[i], set()).add((r.p, r.q))
@@ -107,7 +107,7 @@ def test_pq_constant_on_length_classes():
 
 def test_gamma_x_identity_is_full():
     rs, wg = system("C", 2)
-    ratios = pq_map(rs, wg, kernel_preset(rs, "sc"))
+    ratios = pq_map(rs, kernel_preset(rs, "sc"))
     sub = gamma_x(rs, ratios, TorusPoint.make([0, 0]))
     assert sub.root_indices == frozenset(range(len(rs.roots)))
 
@@ -115,8 +115,8 @@ def test_gamma_x_identity_is_full():
 def test_spin5_so5_worked_example():
     rs, wg = system("C", 2)
     classes = {c.label: c for c in enumerate_classes(rs, wg)}
-    sc_ratios = pq_map(rs, wg, kernel_preset(rs, "sc"))
-    so_ratios = pq_map(rs, wg, kernel_preset(rs, "so-odd"))
+    sc_ratios = pq_map(rs, kernel_preset(rs, "sc"))
+    so_ratios = pq_map(rs, kernel_preset(rs, "so-odd"))
     # X = half of the long simple coroot step: fixes exactly the long roots
     gx = gamma_x(rs, sc_ratios, TorusPoint.make([0, Q(1, 2)]))
     assert gx.root_indices == classes["C1+C1"].representative.root_indices
@@ -141,7 +141,7 @@ def _random_point(rng, rank):
 def test_simply_connected_probes_are_closed(family, rank):
     rng = random.Random(5)
     rs, wg = system(family, rank)
-    ratios = pq_map(rs, wg, kernel_preset(rs, "sc"))
+    ratios = pq_map(rs, kernel_preset(rs, "sc"))
     for _ in range(60):
         sub = gamma_x(rs, ratios, _random_point(rng, rank))
         assert sub.closed
@@ -151,7 +151,7 @@ def test_gamma_x_equivariance():
     # coroot coordinates transform by the transposed label matrix of the inverse
     rng = random.Random(9)
     rs, wg = system("C", 2)
-    ratios = pq_map(rs, wg, kernel_preset(rs, "so-odd"))
+    ratios = pq_map(rs, kernel_preset(rs, "so-odd"))
     n = rs.rank
     for _ in range(40):
         pt = _random_point(rng, n)
