@@ -18,7 +18,9 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import costrat, relcoeff, verify as verify_mod
-from .lattice import ExpKernel, TorusPoint, gamma_x, kernel_from_file, kernel_preset, pq_map
+from .lattice import (
+    ExpKernel, TorusPoint, check_kernel, gamma_x, kernel_from_file, kernel_preset, pq_map,
+)
 from .rootsys import LieType, RootSystem, build_root_system
 from .subsys import SubsystemClass, are_conjugate, build_poset, enumerate_classes, poset_to_dot
 from .weyl import WeylGroup, generate_group
@@ -53,7 +55,7 @@ def _kernel(rs, spec: str) -> Optional[ExpKernel]:
         return None  # all ratios are 1; the pipeline skips scaling entirely
     if spec == "so-odd":
         return kernel_preset(rs, "so-odd")
-    return kernel_from_file(spec)
+    return check_kernel(rs, kernel_from_file(spec))
 
 
 def _class_table(args):

@@ -40,8 +40,8 @@ class HbarConfig:
     hbar: float
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise ValueError("hbar must be finite and positive")
 
 
 def d_coeffs(rs: RootSystem, wg: WeylGroup, table: CoeffTable) -> DCoeffTable:

@@ -17,7 +17,7 @@ from fractions import Fraction as Q
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .rootsys import RootSystem, Vector
+from .rootsys import RootSystem, Vector, _invert_rational
 from .subsys import RootSubsystem, _closed
 
 
@@ -105,6 +105,21 @@ def kernel_from_file(path: str) -> ExpKernel:
     if not rows:
         raise ValueError(f"no matrix rows found in {path}")
     return ExpKernel(tuple(rows))
+
+
+def check_kernel(rs: RootSystem, kernel: ExpKernel) -> ExpKernel:
+    """The kernel itself, once its rank is rs.rank and it contains the coroot lattice.
+
+    The coroot lattice lies inside the kernel exactly when each simple coroot
+    (a row of the identity) is an integral combination of the rows of R, that
+    is when R^-1 is integral.
+    """
+    if kernel.rank != rs.rank:
+        raise ValueError(f"kernel has rank {kernel.rank}, but {rs.lie_type} has rank {rs.rank}")
+    inverse = _invert_rational([list(r) for r in kernel.rows])
+    if any(x.denominator != 1 for row in inverse for x in row):
+        raise ValueError("kernel does not contain the coroot lattice (R^-1 is not integral)")
+    return kernel
 
 
 # -- p/q ratios ---------------------------------------------------------------

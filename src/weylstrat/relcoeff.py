@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .lattice import PQRatio
 from .rootsys import Labels, RootSystem
 from .subsys import SubsystemClass
-from .weyl import WeylGroup
+from .weyl import WeylElement, WeylGroup
 from . import repthy
 
 
@@ -86,14 +86,12 @@ def subset_sums(
     return WeightedSum(entries)
 
 
-def symmetrize(wg: WeylGroup, stabilizer, v: WeightedSum) -> WeightedSum:
-    """Sum of V over one representative per right coset of the setwise stabilizer."""
-    reps = wg.coset_representatives(stabilizer)
+def symmetrize(reps: Iterable[WeylElement], v: WeightedSum) -> WeightedSum:
+    """Sum of w(V) over one w per left coset of Stab(S), for a Stab(S)-invariant V."""
     out = WeightedSum()
     for w in reps:
-        inv = wg.inverse(w)
         for key, val in v.entries.items():
-            out.add(inv.apply_labels(key), val)
+            out.add(w.apply_labels(key), val)
     return out
 
 
@@ -122,15 +120,17 @@ def coeff_table(
 ) -> CoeffTable:
     """Reduced coefficients of the class relation in the normalized character basis.
 
-    Folds the symmetrized subset-sum map through the shifted dominant
-    representative of each support point; a support point contributes to the
+    Symmetrizes the complement's subset-sum map over the cosets of the members'
+    setwise stabilizer, one per image in their W-orbit (so the stabilizer order
+    is |W| over the orbit size), then folds it through the shifted dominant
+    representative of each support point: a support point contributes to the
     unique dominant weight whose shifted orbit passes through it.
     """
     members = cls.representative.root_indices
     complement = [i for i in range(len(rs.roots)) if i not in members]
     v = subset_sums(rs, complement, ratios)
-    stab = wg.setwise_stabilizer(members)
-    vt = symmetrize(wg, stab, v)
+    reps = wg.coset_representatives(members)
+    vt = symmetrize(reps.values(), v)
 
     acc: Dict[Labels, int] = {}
     for key, val in vt.entries.items():
@@ -143,7 +143,7 @@ def coeff_table(
         lam = tuple(d - 1 for d in dom)
         acc[lam] = acc.get(lam, 0) + sign * val
     entries = {k: v for k, v in sorted(acc.items()) if v}
-    return CoeffTable(cls.label, entries, len(stab))
+    return CoeffTable(cls.label, entries, len(wg) // len(reps))
 
 
 def identity_value(rs: RootSystem, wg: WeylGroup, table: CoeffTable) -> int:

@@ -83,12 +83,7 @@ def is_closed(rs: RootSystem, sub: RootSubsystem) -> bool:
 
 def canonical_key(wg: WeylGroup, indices: FrozenSet[int]) -> Tuple[int, ...]:
     """Lexicographically minimal sorted index set over the W-orbit."""
-    best = None
-    for e in wg.elements:
-        img = tuple(sorted(e.perm[i] for i in indices))
-        if best is None or img < best:
-            best = img
-    return best if best is not None else ()
+    return min(tuple(sorted(img)) for img in wg.coset_representatives(indices))
 
 
 # -- class enumeration -------------------------------------------------------
@@ -218,11 +213,8 @@ def are_conjugate(
     s1, s2 = sub1.root_indices, sub2.root_indices
     if len(s1) != len(s2) or _norm_counter(wg.rs, s1) != _norm_counter(wg.rs, s2):
         return False, None
-    target = frozenset(s2)
-    for e in wg.elements:
-        if frozenset(e.perm[i] for i in s1) == target:
-            return True, e
-    return False, None
+    w = wg.coset_representatives(s1).get(frozenset(s2))
+    return w is not None, w
 
 
 def class_leq(wg: WeylGroup, cls1: SubsystemClass, cls2: SubsystemClass) -> bool:
@@ -234,10 +226,7 @@ def class_leq(wg: WeylGroup, cls1: SubsystemClass, cls2: SubsystemClass) -> bool
     c1, c2 = _norm_counter(wg.rs, s1), _norm_counter(wg.rs, s2)
     if any(c1[k] > c2[k] for k in c1):
         return False
-    for e in wg.elements:
-        if all(e.perm[i] in s2 for i in s1):
-            return True
-    return False
+    return any(img <= s2 for img in wg.coset_representatives(s1))
 
 
 def build_poset(wg: WeylGroup, classes: Sequence[SubsystemClass]) -> ClassPoset:

@@ -1,14 +1,19 @@
 """Weyl groups as permutations of the root index set.
 
 Elements carry the induced integer matrix on Dynkin labels, so the linear
-action on arbitrary weights stays exact and cheap. Groups at rank <= 5 are
-small enough (|W| <= a few thousand) to enumerate and store completely.
+action on arbitrary weights stays exact and cheap. The whole group is
+enumerated and stored, so set-up time and memory grow with |W|: 23040
+elements at D6, 46080 at B6 and C6.
+
+Cosets of a setwise stabilizer are never built as sets of elements: the left
+cosets w*Stab(S) correspond one-to-one with the images w(S) in the W-orbit of
+the root index set S, and `WeylGroup.coset_representatives` walks that orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .rootsys import Labels, RootSystem, Vector
 
@@ -28,11 +33,9 @@ def _mat_vec(m: IntMatrix, v: Sequence[int]) -> Labels:
 
 @dataclass(frozen=True)
 class WeylElement:
-    index: int
     perm: Tuple[int, ...]
     sign: int
     label_mat: IntMatrix
-    length: int
 
     def apply_labels(self, labels: Sequence[int]) -> Labels:
         return _mat_vec(self.label_mat, labels)
@@ -56,36 +59,21 @@ class WeylGroup:
 
         ident = tuple(range(nroots))
         ident_mat = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-        elements = [WeylElement(0, ident, 1, ident_mat, 0)]
-        lookup: Dict[Tuple[int, ...], int] = {ident: 0}
-        frontier = [0]
+        self.identity = WeylElement(ident, 1, ident_mat)
+        lookup: Dict[Tuple[int, ...], WeylElement] = {ident: self.identity}
+        frontier = [self.identity]
         while frontier:
             nxt = []
-            for ei in frontier:
-                e = elements[ei]
-                for gi in range(n):
-                    gp = gen_perms[gi]
+            for e in frontier:
+                for gp, gm in zip(gen_perms, gen_mats):
                     perm = tuple(gp[p] for p in e.perm)
-                    if perm in lookup:
-                        continue
-                    idx = len(elements)
-                    elements.append(
-                        WeylElement(
-                            idx,
-                            perm,
-                            -e.sign,
-                            _mat_mul(gen_mats[gi], e.label_mat),
-                            e.length + 1,
-                        )
-                    )
-                    lookup[perm] = idx
-                    nxt.append(idx)
+                    if perm not in lookup:
+                        lookup[perm] = WeylElement(perm, -e.sign, _mat_mul(gm, e.label_mat))
+                        nxt.append(lookup[perm])
             frontier = nxt
-        self.elements: List[WeylElement] = elements
+        self.elements: List[WeylElement] = list(lookup.values())
         self._lookup = lookup
-        self.identity = elements[0]
-        self.generators: List[WeylElement] = [elements[lookup[p]] for p in gen_perms]
-        self._inverse_index = [lookup[_invert_perm(e.perm)] for e in elements]
+        self.generators: List[WeylElement] = [lookup[p] for p in gen_perms]
         # highest-weight labels -> repthy.WeightSystem, filled by dominant_weight_system
         self.weight_systems: dict = {}
 
@@ -94,13 +82,13 @@ class WeylGroup:
 
     def compose(self, a: WeylElement, b: WeylElement) -> WeylElement:
         """The element a*b acting as: apply b first, then a."""
-        return self.elements[self._lookup[tuple(a.perm[p] for p in b.perm)]]
+        return self._lookup[tuple(a.perm[p] for p in b.perm)]
 
     def inverse(self, a: WeylElement) -> WeylElement:
-        return self.elements[self._inverse_index[a.index]]
+        return self._lookup[_invert_perm(a.perm)]
 
     def reflection(self, root_index: int) -> WeylElement:
-        return self.elements[self._lookup[self.rs.reflection_perms()[root_index]]]
+        return self._lookup[self.rs.reflection_perms()[root_index]]
 
     # -- orbits and dominance ------------------------------------------------
 
@@ -158,23 +146,29 @@ class WeylGroup:
             e for e in self.elements if frozenset(e.perm[i] for i in target) == target
         ]
 
-    def coset_representatives(self, subgroup: Sequence[WeylElement]) -> List[WeylElement]:
-        """Minimal-length representatives of the right cosets (subgroup)*w."""
-        sub = list(subgroup)
-        ids = {e.index for e in sub}
-        for a in sub:
-            for b in sub:
-                if self.compose(a, b).index not in ids:
-                    raise ValueError("element list is not closed under composition")
-        if len(self) % len(sub):
-            raise ValueError("element list is not a subgroup (order does not divide |W|)")
-        reps = []
-        seen = set()
-        for e in self.elements:  # BFS order, so first hit per coset has minimal length
-            key = min(self.compose(h, e).perm for h in sub)
-            if key not in seen:
-                seen.add(key)
-                reps.append(e)
+    def coset_representatives(
+        self, root_indices: Iterable[int]
+    ) -> Dict[FrozenSet[int], WeylElement]:
+        """The W-orbit of the index set S, each image w(S) mapped to one such w.
+
+        The images are in bijection with the left cosets w*Stab(S), so there
+        are |W| / |Stab(S)| of them. The walk is breadth-first under the simple
+        reflections and keeps the first element to reach each image; its BFS
+        depth is the least length in its coset, so every stored w is a
+        minimal-length coset representative.
+        """
+        start = frozenset(root_indices)
+        reps = {start: self.identity}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for img in frontier:
+                for g in self.generators:
+                    moved = frozenset(g.perm[i] for i in img)
+                    if moved not in reps:
+                        reps[moved] = self.compose(g, reps[img])
+                        nxt.append(moved)
+            frontier = nxt
         return reps
 
 

@@ -116,15 +116,23 @@ def test_usage_errors(tmp_path, capsys):
     # each of these is one "error:" line on stderr, never a traceback
     undefined = tmp_path / "undefined.txt"
     undefined.write_text("1/0 0\n0 1\n")
+    rank3 = tmp_path / "rank3.txt"
+    rank3.write_text("1 0 0\n0 1 0\n0 0 1\n")
+    doubled = tmp_path / "doubled.txt"  # misses the coroot lattice
+    doubled.write_text("2 0\n0 2\n")
     pq = ["pq", "--family", "C", "--rank", "2"]
     kblock = ["kblock", "--family", "A", "--rank", "1", "--class", "0"]
     for argv in [
         pq + ["--kernel", str(undefined)],
+        pq + ["--kernel", str(rank3)],
+        pq + ["--kernel", str(doubled)],
         pq + ["--kernel", str(tmp_path)],
         pq + ["--out", str(tmp_path)],
         kblock + ["--cutoff", "1/0"],
         kblock + ["--cutoff", "-3"],
         kblock + ["--cutoff", "5", "--hbar", "0"],
+        kblock + ["--cutoff", "5", "--hbar", "nan"],
+        kblock + ["--cutoff", "5", "--hbar", "inf"],
     ]:
         assert run(argv) == 2, argv
         err = capsys.readouterr().err

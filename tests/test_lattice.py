@@ -8,6 +8,7 @@ from weylstrat.lattice import (
     ExpKernel,
     PQRatio,
     TorusPoint,
+    check_kernel,
     gamma_x,
     kernel_from_file,
     kernel_preset,
@@ -57,6 +58,21 @@ def test_kernel_validation_and_file(tmp_path):
     empty.write_text("\n")
     with pytest.raises(ValueError):
         kernel_from_file(str(empty))
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4)]
+)
+def test_presets_pass_kernel_checks(family, rank):
+    rs, _ = system(family, rank)
+    presets = ["sc", "so-odd"] if family == "B" or rank == 2 else ["sc"]
+    for name in presets:
+        kernel = kernel_preset(rs, name)
+        assert check_kernel(rs, kernel) is kernel
+        # and each generator pairs integrally with every simple root: K lies in the coweights
+        for row in kernel.rows:
+            for i in range(rank):
+                assert sum(row[j] * rs.cartan[j][i] for j in range(rank)).denominator == 1
 
 
 def test_pq_requires_coprime():

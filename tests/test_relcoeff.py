@@ -1,6 +1,8 @@
+import functools
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylstrat.relcoeff import (
     WeightedSum,
@@ -95,7 +97,7 @@ def test_signed_total_and_negation_symmetry():
 def test_symmetrize_full_stabilizer_is_identity():
     rs, wg, classes = classes_of("A", 1)
     v = subset_sums(rs, [0, 1])
-    vt = symmetrize(wg, wg.setwise_stabilizer([]), v)
+    vt = symmetrize(wg.coset_representatives([]).values(), v)
     assert vt == v
 
 
@@ -103,8 +105,9 @@ def test_symmetrize_point_mass_at_zero():
     rs, wg, classes = classes_of("A", 2)
     v = WeightedSum({(0, 0): 3})
     i = rs.simple_indices[0]
-    stab = wg.setwise_stabilizer({i, rs.negative_index(i)})
-    vt = symmetrize(wg, stab, v)
+    pair = {i, rs.negative_index(i)}
+    stab = wg.setwise_stabilizer(pair)
+    vt = symmetrize(wg.coset_representatives(pair).values(), v)
     assert vt.entries == {(0, 0): 3 * (len(wg) // len(stab))}
 
 
@@ -115,7 +118,7 @@ def test_symmetrize_matches_full_group_sum():
     complement = [i for i in range(len(rs.roots)) if i not in members]
     v = subset_sums(rs, complement)
     stab = wg.setwise_stabilizer(members)
-    vt = symmetrize(wg, stab, v)
+    vt = symmetrize(wg.coset_representatives(members).values(), v)
     # |W_Gamma| * reduced sum equals the unreduced sum over all of W
     full = WeightedSum()
     for w in wg.elements:
@@ -182,19 +185,44 @@ def test_unreduced_double_sum_oracle(family, rank):
         assert {k: t.stabilizer_order * v for k, v in t.entries.items()} == expected, cls.label
 
 
+def moved_class(rs, cls, w):
+    """The same class with its base and representative moved by w."""
+    moved = frozenset(w.perm[i] for i in cls.representative.root_indices)
+    return SubsystemClass(
+        cls.label,
+        tuple(rs.roots[w.perm[rs.root_index(b)]] for b in cls.base),
+        RootSubsystem(moved, cls.representative.closed, cls.label),
+    )
+
+
 def test_representative_independence():
     rs, wg, classes = classes_of("C", 2)
     for label in ["A1", "C1", "D2"]:
         cls = classes[label]
         base = coeff_table(rs, wg, cls).entries
         for w in (wg.elements[3], wg.elements[-1]):
-            moved = frozenset(w.perm[i] for i in cls.representative.root_indices)
-            alt = SubsystemClass(
-                cls.label,
-                tuple(rs.roots[w.perm[rs.root_index(b)]] for b in cls.base),
-                RootSubsystem(moved, cls.representative.closed, cls.label),
-            )
-            assert coeff_table(rs, wg, alt).entries == base
+            assert coeff_table(rs, wg, moved_class(rs, cls, w)).entries == base
+
+
+@functools.cache
+def table_of(family, rank, label):
+    rs, wg, classes = classes_of(family, rank)
+    return coeff_table(rs, wg, classes[label])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3)]),
+    st.data(),
+)
+def test_representative_independence_property(group, data):
+    rs, wg, classes = classes_of(*group)
+    label = data.draw(st.sampled_from(sorted(classes)), label="class")
+    w = wg.elements[data.draw(st.integers(0, len(wg) - 1), label="w")]
+    base = table_of(*group, label)
+    moved = coeff_table(rs, wg, moved_class(rs, classes[label], w))
+    assert moved.entries == base.entries
+    assert moved.stabilizer_order == base.stabilizer_order
 
 
 def test_a_family_outer_symmetry():

@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from weylstrat.rootsys import vec_add, vec_neg
 from weylstrat.subsys import (
     RootSubsystem,
+    SubsystemClass,
     are_conjugate,
     build_poset,
     canonical_key,
@@ -150,6 +152,49 @@ def test_brute_force_class_enumeration_rank_two():
         assert set(orbits) == ours
         closed_flags = sorted(is_closed(rs, RootSubsystem(s, True)) for s in orbits.values())
         assert closed_flags == sorted(c.representative.closed for c in classes.values())
+
+
+# -- |W| scans as oracles for the orbit-walk versions ---------------------------
+
+
+def scan_canonical_key(wg, indices):
+    return min(tuple(sorted(w.perm[i] for i in indices)) for w in wg.elements)
+
+
+def scan_conjugate(wg, s1, s2):
+    return any(frozenset(w.perm[i] for i in s1) == s2 for w in wg.elements)
+
+
+def scan_leq(wg, s1, s2):
+    return any(all(w.perm[i] in s2 for i in s1) for w in wg.elements)
+
+
+RANK_AT_MOST_4 = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+                  ("C", 2), ("C", 3), ("C", 4), ("D", 4)]
+
+
+@pytest.mark.parametrize("family,rank", RANK_AT_MOST_4)
+def test_orbit_walk_matches_full_scans(family, rank):
+    rs, wg, classes = classes_by_label(family, rank)
+    # each class twice: its representative and a moved copy, so conjugate pairs differ
+    w = random.Random(rank).choice(wg.elements)
+    subs = []
+    for c in classes.values():
+        members = c.representative.root_indices
+        moved = frozenset(w.perm[i] for i in members)
+        subs += [RootSubsystem(members, c.representative.closed, c.label),
+                 RootSubsystem(moved, c.representative.closed, c.label)]
+    for sub in subs:
+        assert canonical_key(wg, sub.root_indices) == scan_canonical_key(wg, sub.root_indices)
+    for sub1, sub2 in itertools.product(subs, repeat=2):
+        s1, s2 = sub1.root_indices, sub2.root_indices
+        ok, mover = are_conjugate(wg, sub1, sub2)
+        assert ok == scan_conjugate(wg, s1, s2) == (sub1.label == sub2.label)
+        if ok:
+            assert frozenset(mover.perm[i] for i in s1) == s2
+        cls1 = SubsystemClass(sub1.label, (), sub1)
+        cls2 = SubsystemClass(sub2.label, (), sub2)
+        assert class_leq(wg, cls1, cls2) == scan_leq(wg, s1, s2), (sub1.label, sub2.label)
 
 
 def test_class_leq_basics():

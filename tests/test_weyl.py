@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from weylstrat.rootsys import vec_neg, vec_scale
+from weylstrat.subsys import enumerate_classes
 from weylstrat.weyl import expected_group_order
 from conftest import system
 
@@ -112,15 +113,42 @@ def test_setwise_stabilizer():
 
 def test_coset_representatives():
     rs, wg = system("A", 2)
-    assert wg.coset_representatives(wg.elements) == [wg.identity]
-    assert len(wg.coset_representatives([wg.identity])) == len(wg)
+    everything = frozenset(range(len(rs.roots)))
+    assert wg.coset_representatives(everything) == {everything: wg.identity}
+    assert wg.coset_representatives([]) == {frozenset(): wg.identity}
     i = rs.simple_indices[0]
-    stab = wg.setwise_stabilizer({i, rs.negative_index(i)})
-    reps = wg.coset_representatives(stab)
+    assert len(wg.coset_representatives({i})) == len(wg)  # trivial stabilizer in A2
+    pair = frozenset({i, rs.negative_index(i)})
+    reps = wg.coset_representatives(pair)
     assert len(reps) == 3
-    assert wg.identity in reps
-    # pairwise distinct right cosets
-    cosets = [frozenset(wg.compose(h, r).index for h in stab) for r in reps]
+    assert reps[pair] is wg.identity
+    for img, w in reps.items():
+        assert frozenset(w.perm[k] for k in pair) == img
+    # pairwise distinct left cosets of the stabilizer
+    stab = wg.setwise_stabilizer(pair)
+    cosets = [frozenset(wg.compose(w, h).perm for h in stab) for w in reps.values()]
     assert len(set(cosets)) == 3
-    with pytest.raises(ValueError):
-        wg.coset_representatives([wg.generators[0]])  # not closed
+
+
+def inversion_count(rs, w):
+    """Positive roots that w sends to negative roots: the length of w."""
+    return sum(w.perm[p] >= rs.num_positive for p in range(rs.num_positive))
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+def test_coset_representatives_against_full_scan(family):
+    # every coset of every class representative at rank 5, against a scan of all of W
+    rs, wg = system(family, 5)
+    lengths = {w.perm: inversion_count(rs, w) for w in wg.elements}
+    for cls in enumerate_classes(rs, wg):
+        members = cls.representative.root_indices
+        reps = wg.coset_representatives(members)
+        assert len(reps) * len(wg.setwise_stabilizer(members)) == len(wg), cls.label
+        shortest = {}
+        for w in wg.elements:
+            img = frozenset(w.perm[i] for i in members)
+            shortest[img] = min(shortest.get(img, len(rs.roots)), lengths[w.perm])
+        assert set(reps) == set(shortest), cls.label
+        for img, w in reps.items():
+            assert frozenset(w.perm[i] for i in members) == img, cls.label
+            assert lengths[w.perm] == shortest[img], cls.label
