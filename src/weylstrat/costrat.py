@@ -96,6 +96,8 @@ def k_block(
 ) -> KBlock:
     """All normalized entries with both shifted norms within the cutoff."""
     cutoff = Q(cutoff_norm_sq)
+    # an integer scaled norm exceeds norm_den * cutoff iff it exceeds its floor
+    scaled_cutoff = math.floor(cutoff * rs.norm_den)
     columns = repthy.dominant_labels_within(rs, lambda s: s <= cutoff)
     entries: Dict[Tuple[Labels, Labels], Q] = {}
     incomplete: Set[Labels] = set()
@@ -108,7 +110,7 @@ def k_block(
                 dom, sign, regular = wg.dominant_data(shifted)
                 if not regular:
                     continue
-                if rs.labels_norm_sq(dom) > cutoff:
+                if rs.scaled_norm(dom) > scaled_cutoff:
                     incomplete.add(lam)
                     continue
                 row = tuple(x - 1 for x in dom)

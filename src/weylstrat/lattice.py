@@ -108,17 +108,26 @@ def kernel_from_file(path: str) -> ExpKernel:
 
 
 def check_kernel(rs: RootSystem, kernel: ExpKernel) -> ExpKernel:
-    """The kernel itself, once its rank is rs.rank and it contains the coroot lattice.
+    """The kernel itself, once its rank is rs.rank and it lies between coroots and coweights.
 
     The coroot lattice lies inside the kernel exactly when each simple coroot
     (a row of the identity) is an integral combination of the rows of R, that
-    is when R^-1 is integral.
+    is when R^-1 is integral. The kernel lies inside the coweight lattice
+    exactly when every simple root pairs integrally with every generator:
+    sum_j R[a][j] * <alpha_i, alpha_j^vee> is entry (a, i) of R times
+    rs.cartan, so R * cartan must be integral.
     """
     if kernel.rank != rs.rank:
         raise ValueError(f"kernel has rank {kernel.rank}, but {rs.lie_type} has rank {rs.rank}")
     inverse = _invert_rational([list(r) for r in kernel.rows])
     if any(x.denominator != 1 for row in inverse for x in row):
         raise ValueError("kernel does not contain the coroot lattice (R^-1 is not integral)")
+    for row in kernel.rows:
+        for i in range(rs.rank):
+            if sum(r * c[i] for r, c in zip(row, rs.cartan)).denominator != 1:
+                raise ValueError(
+                    "kernel is not inside the coweight lattice (R * cartan is not integral)"
+                )
     return kernel
 
 

@@ -1,15 +1,19 @@
 """Weight systems, multiplicities, and tensor-product bookkeeping.
 
-Dominant weight systems are computed with Freudenthal's recursion in exact
-rationals; the recursion always resolves to positive integers. The tau / T
-machinery handles the shifted-orbit sums behind the K-matrix entries; the
-transcendental norm prefactors never enter here.
+Dominant weight systems are computed with Freudenthal's recursion, exactly
+and entirely in integers: norms are the root system's scaled integer norms
+(norm_den * ||l||^2), pairings with roots are integral, and root-lattice
+membership of lambda - mu is divisibility of the scaled inverse Cartan
+coordinates by cartan_den. The recursion always resolves to positive
+integers. The tau / T machinery handles the shifted-orbit sums behind the
+K-matrix entries; the transcendental norm prefactors never enter here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from operator import mul
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .rootsys import Labels, RootSystem
@@ -62,8 +66,8 @@ def _root_coords(rs: RootSystem, lab: Sequence[int]) -> List[Q]:
     return [sum(inv[i][j] * lab[j] for j in range(n)) for i in range(n)]
 
 
-def _pairing_labels_root(rs: RootSystem, lab: Sequence[int], p: int) -> Q:
-    return sum(l * k for l, k in zip(lab, rs.komega[p]))
+def _pairing_labels_root(rs: RootSystem, lab: Sequence[int], p: int) -> int:
+    return sum(map(mul, lab, rs.komega[p]))
 
 
 def dominant_weight_system(rs: RootSystem, wg: WeylGroup, highest: Sequence[int]) -> WeightSystem:
@@ -78,15 +82,17 @@ def dominant_weight_system(rs: RootSystem, wg: WeylGroup, highest: Sequence[int]
     if cached is not None:
         return cached
 
-    n = rs.rank
-    lam_shift_sq = rs.labels_norm_sq([l + 1 for l in lam])
-    lam_sq = rs.labels_norm_sq(lam)
-    candidates = dominant_labels_within(rs, lambda s: s <= lam_shift_sq)
+    den = rs.norm_den
+    lam_shift_sq = rs.scaled_norm([l + 1 for l in lam])
+    lam_sq = rs.scaled_norm(lam)
+    bound = Q(lam_shift_sq, den)
+    candidates = dominant_labels_within(rs, lambda s: s <= bound)
     members: List[Tuple[int, Labels]] = []
     for mu in candidates:
-        coords = _root_coords(rs, [a - b for a, b in zip(lam, mu)])
-        if all(c.denominator == 1 and c >= 0 for c in coords):
-            members.append((int(sum(c for c in coords)), mu))
+        diff = [a - b for a, b in zip(lam, mu)]
+        coords = [sum(map(mul, row, diff)) for row in rs.scaled_cartan_inverse]
+        if all(c >= 0 and c % rs.cartan_den == 0 for c in coords):
+            members.append((sum(coords) // rs.cartan_den, mu))
     members.sort()
 
     mult: Dict[Labels, int] = {}
@@ -94,24 +100,25 @@ def dominant_weight_system(rs: RootSystem, wg: WeylGroup, highest: Sequence[int]
         if height == 0:
             mult[mu] = 1
             continue
-        total = Q(0)
+        total = 0
         for p in range(rs.num_positive):
             rl = rs.root_labels(p)
-            j = 1
+            nu = mu
             while True:
-                nu = tuple(m + j * r for m, r in zip(mu, rl))
-                if rs.labels_norm_sq(nu) > lam_sq:
+                nu = tuple(m + r for m, r in zip(nu, rl))
+                if rs.scaled_norm(nu) > lam_sq:
                     break
                 dom, _sign, _reg = wg.dominant_data(nu)
                 m_nu = mult.get(dom, 0)
                 if m_nu:
                     total += m_nu * _pairing_labels_root(rs, nu, p)
-                j += 1
-        denom = lam_shift_sq - rs.labels_norm_sq([m + 1 for m in mu])
-        m_mu = 2 * total / denom
-        if m_mu.denominator != 1 or m_mu <= 0:
-            raise AssertionError(f"Freudenthal gave non-integer multiplicity {m_mu} at {mu}")
-        mult[mu] = int(m_mu)
+        gap = lam_shift_sq - rs.scaled_norm([m + 1 for m in mu])
+        m_mu, rem = divmod(2 * den * total, gap)
+        if rem or m_mu <= 0:
+            raise AssertionError(
+                f"Freudenthal gave non-integer multiplicity {Q(2 * den * total, gap)} at {mu}"
+            )
+        mult[mu] = m_mu
 
     ws = wg.weight_systems[lam] = WeightSystem(lam, mult)
     return ws
@@ -124,9 +131,11 @@ def weyl_dim(rs: RootSystem, labels: Sequence[int]) -> int:
         raise ValueError(f"{labels} is not dominant")
     shifted = [l + 1 for l in lam]
     ones = [1] * rs.rank
-    out = Q(1)
+    num = den = 1
     for p in range(rs.num_positive):
-        out *= _pairing_labels_root(rs, shifted, p) / _pairing_labels_root(rs, ones, p)
+        num *= _pairing_labels_root(rs, shifted, p)
+        den *= _pairing_labels_root(rs, ones, p)
+    out = Q(num, den)
     assert out.denominator == 1
     return int(out)
 

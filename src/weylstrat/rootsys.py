@@ -4,6 +4,12 @@ Families A, B, C, D are realized in orthonormal coordinates (A_n inside the
 trace-zero hyperplane of an (n+1)-dimensional space, B/C/D in n dimensions).
 The bilinear form is scaled so that short roots have squared length 2; this
 normalization cancels in every reduced coefficient downstream.
+
+Norms in label space are exact scaled integers: `gram` is the integer matrix
+norm_den * k(omega_i, omega_j), so `scaled_norm` never leaves int, and
+`labels_norm_sq` turns it into a `Fraction` only at the API edge. The pairings
+`komega` of fundamental weights with positive roots, and `cartan_den` times
+the inverse Cartan matrix, are integer matrices too.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import lcm
+from operator import mul
 from typing import List, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
@@ -133,14 +141,18 @@ class RootSystem:
             )
             for i in range(n)
         ]
-        # Gram matrix k(omega_i, omega_j) for norms in label space
-        self.fund_gram: List[List[Q]] = [
-            [self.pairing(a, b) for b in self._fund_weights] for a in self._fund_weights
-        ]
-        # komega[p][i] = k(omega_i, alpha_p) over the positive roots
-        self.komega: List[List[Q]] = [
-            [self.pairing(w, a) for w in self._fund_weights] for a in positives
-        ]
+        # scaled_cartan_inverse = cartan_den * cartan_inverse, integral
+        self.cartan_den: int = lcm(*(x.denominator for row in self.cartan_inverse for x in row))
+        self.scaled_cartan_inverse: List[List[int]] = _scaled(self.cartan_inverse, self.cartan_den)
+        # gram = norm_den * k(omega_i, omega_j), the form in label space
+        fund_gram = [[self.pairing(a, b) for b in self._fund_weights] for a in self._fund_weights]
+        self.norm_den: int = lcm(*(x.denominator for row in fund_gram for x in row))
+        self.gram: List[List[int]] = _scaled(fund_gram, self.norm_den)
+        # komega[p][i] = k(omega_i, alpha_p) over the positive roots; integral
+        # because k(alpha, alpha) / 2 is 1 or 2 and <omega_i, alpha^vee> is integral
+        komega = [[self.pairing(w, a) for w in self._fund_weights] for a in positives]
+        assert all(x.denominator == 1 for row in komega for x in row)
+        self.komega: List[List[int]] = _scaled(komega, 1)
         self._reflection_perms: List[Tuple[int, ...]] = [
             tuple(self.index[self.reflect(a, b)] for b in self.roots) for a in self.roots
         ]
@@ -179,10 +191,12 @@ class RootSystem:
     def fundamental_weights(self) -> List[Vector]:
         return self._fund_weights
 
+    def scaled_norm(self, labels: Sequence[int]) -> int:
+        """norm_den * ||l||^2 of a label vector; an int for integer labels."""
+        return sum(l * sum(map(mul, row, labels)) for l, row in zip(labels, self.gram) if l)
+
     def labels_norm_sq(self, labels: Sequence) -> Q:
-        g = self.fund_gram
-        n = self.rank
-        return sum(labels[i] * g[i][j] * labels[j] for i in range(n) for j in range(n))
+        return Q(self.scaled_norm(labels), self.norm_den)
 
     def root_labels(self, i: int) -> Labels:
         return self._root_labels[i]
@@ -252,6 +266,11 @@ def _sum_vecs(vecs: Sequence[Vector], dim: int) -> Vector:
         for k, a in enumerate(v):
             out[k] += a
     return tuple(out)
+
+
+def _scaled(mat: List[List[Q]], den: int) -> List[List[int]]:
+    """den * mat, for a den that clears every denominator."""
+    return [[int(x * den) for x in row] for row in mat]
 
 
 def _invert_rational(mat: List[List[Q]]) -> List[List[Q]]:

@@ -5,6 +5,10 @@ action on arbitrary weights stays exact and cheap. The whole group is
 enumerated and stored, so set-up time and memory grow with |W|: 23040
 elements at D6, 46080 at B6 and C6.
 
+Orbits and dominant representatives of label vectors never touch those
+matrices: a simple reflection s_i is applied sparsely, negating l_i and
+changing l_j only at the Dynkin neighbours j of i.
+
 Cosets of a setwise stabilizer are never built as sets of elements: the left
 cosets w*Stab(S) correspond one-to-one with the images w(S) in the W-orbit of
 the root index set S, and `WeylGroup.coset_representatives` walks that orbit.
@@ -13,6 +17,7 @@ the root index set S, and `WeylGroup.coset_representatives` walks that orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .rootsys import Labels, RootSystem, Vector
@@ -28,7 +33,7 @@ def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def _mat_vec(m: IntMatrix, v: Sequence[int]) -> Labels:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,11 @@ class WeylGroup:
                 m[j][i] -= rs.cartan[j][i]
             gen_mats.append(tuple(tuple(row) for row in m))
         self.generator_mats = gen_mats
+        # s_i on labels, sparsely: l_i -> -l_i, l_j -> l_j - cartan[j][i] * l_i at neighbours j
+        self._neighbours: List[List[Tuple[int, int]]] = [
+            [(j, rs.cartan[j][i]) for j in range(n) if j != i and rs.cartan[j][i]]
+            for i in range(n)
+        ]
 
         ident = tuple(range(nroots))
         ident_mat = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
@@ -92,6 +102,15 @@ class WeylGroup:
 
     # -- orbits and dominance ------------------------------------------------
 
+    def _reflect(self, i: int, labels: Sequence[int]) -> Labels:
+        """s_i applied to a label vector."""
+        out = list(labels)
+        li = out[i]
+        out[i] = -li
+        for j, c in self._neighbours[i]:
+            out[j] -= c * li
+        return tuple(out)
+
     def orbit_labels(self, labels: Sequence[int]) -> List[Labels]:
         start = tuple(labels)
         seen = {start}
@@ -99,11 +118,12 @@ class WeylGroup:
         while frontier:
             nxt = []
             for lab in frontier:
-                for m in self.generator_mats:
-                    img = _mat_vec(m, lab)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
+                for i, li in enumerate(lab):
+                    if li:  # s_i fixes lab when l_i = 0
+                        img = self._reflect(i, lab)
+                        if img not in seen:
+                            seen.add(img)
+                            nxt.append(img)
             frontier = nxt
         return sorted(seen)
 
@@ -119,10 +139,12 @@ class WeylGroup:
         cur = tuple(labels)
         sign = 1
         while True:
-            i = next((j for j, l in enumerate(cur) if l < 0), None)
-            if i is None:
-                return cur, sign, all(l != 0 for l in cur)
-            cur = _mat_vec(self.generator_mats[i], cur)
+            for i, l in enumerate(cur):
+                if l < 0:
+                    break
+            else:
+                return cur, sign, 0 not in cur
+            cur = self._reflect(i, cur)
             sign = -sign
 
     def dominant_representative(self, x: Vector) -> Tuple[Vector, WeylElement]:
@@ -133,7 +155,7 @@ class WeylGroup:
             i = next((j for j, l in enumerate(cur) if l < 0), None)
             if i is None:
                 return self.rs.from_labels(cur), w
-            cur = _mat_vec(self.generator_mats[i], cur)
+            cur = self._reflect(i, cur)
             w = self.compose(self.generators[i], w)
 
     # -- subgroups and cosets ------------------------------------------------

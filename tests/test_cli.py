@@ -120,12 +120,18 @@ def test_usage_errors(tmp_path, capsys):
     rank3.write_text("1 0 0\n0 1 0\n0 0 1\n")
     doubled = tmp_path / "doubled.txt"  # misses the coroot lattice
     doubled.write_text("2 0\n0 2\n")
+    third = tmp_path / "third.txt"  # outside the coweight lattice of A2
+    third.write_text("1/3 0\n0 1\n")
+    so5 = tmp_path / "so5.txt"  # SO(5) in the C2 numbering, outside B2's coweights
+    so5.write_text("1/2 0\n0 1\n")
     pq = ["pq", "--family", "C", "--rank", "2"]
     kblock = ["kblock", "--family", "A", "--rank", "1", "--class", "0"]
     for argv in [
         pq + ["--kernel", str(undefined)],
         pq + ["--kernel", str(rank3)],
         pq + ["--kernel", str(doubled)],
+        ["pq", "--family", "A", "--rank", "2", "--kernel", str(third)],
+        ["pq", "--family", "B", "--rank", "2", "--kernel", str(so5)],
         pq + ["--kernel", str(tmp_path)],
         pq + ["--out", str(tmp_path)],
         kblock + ["--cutoff", "1/0"],

@@ -18,7 +18,7 @@ import pytest
 
 from weylstrat.cli import run
 
-# README's SO(5) example kernel, for the --kernel FILE path
+# README's SO(5) example kernel, in the C2 numbering, for the --kernel FILE path
 KERNEL = "# SO(5): half step along the short coroot\n1/2 0\n0 1\n"
 
 FORMATS = ("json", "csv", "text", "dot")
@@ -33,7 +33,7 @@ COMMANDS = [
     "kblock --family B --rank 2 --class A1 --cutoff 5 --kernel so-odd --hbar 1.0",
     "kblock --family A --rank 1 --class 0 --cutoff 3/2",
     "pq --family C --rank 2 --kernel so-odd",
-    "pq --family B --rank 2 --kernel {kernel}",
+    "pq --family C --rank 2 --kernel {kernel}",
     "gammax --family C --rank 2 --kernel so-odd --point A=1/4,0",
     "gammax --family D --rank 4 --point A=1/3,0,1/2,0",
     "verify --group SU(3)",
@@ -113,10 +113,10 @@ DIGESTS = {
     "pq --family C --rank 2 --kernel so-odd --format csv": "4b37603c76d70937c468bb626092a9e398d16c9451f984d1635b37cc4066bf18",
     "pq --family C --rank 2 --kernel so-odd --format text": "3fac11ae0ced3ef61ecda09f8963bf086c8b535e73f3a8c3ab28a380bb675b9a",
     "pq --family C --rank 2 --kernel so-odd --format dot": "3fac11ae0ced3ef61ecda09f8963bf086c8b535e73f3a8c3ab28a380bb675b9a",
-    "pq --family B --rank 2 --kernel {kernel} --format json": "faebf5c56f334cedb688d9abcfd4218a5de716bf202d135811cf994b7ed2f026",
-    "pq --family B --rank 2 --kernel {kernel} --format csv": "1481c15e779fafe2f05dc5a5371026994ad7131ec81e91d3129b889b23e7e98d",
-    "pq --family B --rank 2 --kernel {kernel} --format text": "a89e6c5d12ef04ca9f18ebde99452ba8c0f6000eca6a02f19667df27011d1ca5",
-    "pq --family B --rank 2 --kernel {kernel} --format dot": "a89e6c5d12ef04ca9f18ebde99452ba8c0f6000eca6a02f19667df27011d1ca5",
+    "pq --family C --rank 2 --kernel {kernel} --format json": "fb42f80ae9395699438a0b0f7e16fb9bafbb33f2e970bad0c2d6940a8200e1a8",
+    "pq --family C --rank 2 --kernel {kernel} --format csv": "4b37603c76d70937c468bb626092a9e398d16c9451f984d1635b37cc4066bf18",
+    "pq --family C --rank 2 --kernel {kernel} --format text": "3fac11ae0ced3ef61ecda09f8963bf086c8b535e73f3a8c3ab28a380bb675b9a",
+    "pq --family C --rank 2 --kernel {kernel} --format dot": "3fac11ae0ced3ef61ecda09f8963bf086c8b535e73f3a8c3ab28a380bb675b9a",
     "gammax --family C --rank 2 --kernel so-odd --point A=1/4,0 --format json": "3f1a6a6ef5e3530bd9b06242b1c8a855f93b8969611f2b576a3115b3e233fe8e",
     "gammax --family C --rank 2 --kernel so-odd --point A=1/4,0 --format csv": "156bb3fa5fcafc08d4d2245699d86f53a7e258c8fcf5201e1c0d0bae9f445c75",
     "gammax --family C --rank 2 --kernel so-odd --point A=1/4,0 --format text": "156bb3fa5fcafc08d4d2245699d86f53a7e258c8fcf5201e1c0d0bae9f445c75",

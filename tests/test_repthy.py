@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylstrat.repthy import (
     _root_coords,
@@ -92,13 +93,17 @@ def test_weight_system_small():
         dominant_weight_system(rs2, wg2, (-1, 0))
 
 
-@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("B", 2)])
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("A", 3), ("B", 3), ("D", 4)],
+)
 def test_freudenthal_matches_kostant(family, rank):
     rs, wg = system(family, rank)
+    top = 4 if rank < 3 else 2
     lams = [
         l
-        for l in itertools.product(range(5), repeat=rank)
-        if sum(l) <= 4
+        for l in itertools.product(range(top + 1), repeat=rank)
+        if sum(l) <= top
     ]
     for lam in lams:
         ws = dominant_weight_system(rs, wg, lam)
@@ -112,6 +117,26 @@ def test_weight_system_total_dimension():
         ws = dominant_weight_system(rs, wg, lam)
         total = sum(len(wg.orbit_labels(mu)) * m for mu, m in ws.dominant_entries.items())
         assert total == weyl_dim(rs, lam)
+
+
+@st.composite
+def small_dominant(draw):
+    family, rank = draw(st.sampled_from([("A", 4), ("A", 5), ("B", 4), ("C", 4), ("D", 5)]))
+    lam = draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank).filter(
+        lambda l: sum(l) <= 3
+    ))
+    return family, rank, tuple(lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_dominant())
+def test_weight_system_dimension_property(case):
+    # ranks with no golden data: the orbits of the dominant weights fill the irrep
+    family, rank, lam = case
+    rs, wg = system(family, rank)
+    ws = dominant_weight_system(rs, wg, lam)
+    total = sum(len(wg.orbit_labels(mu)) * m for mu, m in ws.dominant_entries.items())
+    assert total == weyl_dim(rs, lam)
 
 
 def test_weyl_dim_values():

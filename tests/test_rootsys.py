@@ -1,10 +1,18 @@
+import functools
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from weylstrat.rootsys import LieType, expected_root_count, vec_neg, vec_scale
-from conftest import system
+from weylstrat.rootsys import (
+    LieType,
+    build_root_system,
+    expected_root_count,
+    vec_neg,
+    vec_scale,
+)
+from conftest import RANK_SIX_TYPES, system
 
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -45,6 +53,48 @@ def test_roots_have_uniform_sign_coordinates(family, rank):
         coords = _root_coords(rs, rs.root_labels(i))
         assert all(c.denominator == 1 for c in coords)
         assert all(c >= 0 for c in coords) or all(c <= 0 for c in coords)
+
+
+@functools.cache
+def root_system(family, rank):
+    """The root system alone: no Weyl group, which is large at rank 6."""
+    return build_root_system(LieType(family, rank))
+
+
+@st.composite
+def typed_labels(draw):
+    family, rank = draw(st.sampled_from(RANK_SIX_TYPES))
+    labels = draw(st.lists(st.integers(-30, 30), min_size=rank, max_size=rank))
+    return family, rank, tuple(labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(typed_labels())
+def test_scaled_norm_matches_vector_pairing(case):
+    # the oracle goes through coordinate vectors, so it never reads rs.gram
+    family, rank, labels = case
+    rs = root_system(family, rank)
+    v = rs.from_labels(labels)
+    exact = rs.pairing(v, v)
+    scaled = rs.scaled_norm(labels)
+    assert type(scaled) is int
+    assert scaled == rs.norm_den * exact
+    assert rs.labels_norm_sq(labels) == exact
+
+
+@pytest.mark.parametrize("family,rank", RANK_SIX_TYPES)
+def test_integer_forms(family, rank):
+    rs = root_system(family, rank)
+    odd = rank % 2
+    assert rs.norm_den == {"A": rank + 1, "B": 1 + odd, "C": 1, "D": 2 + 2 * odd}[family]
+    for row, scaled in zip(rs.cartan_inverse, rs.scaled_cartan_inverse):
+        assert [Q(x, rs.cartan_den) for x in scaled] == row
+        assert all(type(x) is int for x in scaled)
+    weights = rs.fundamental_weights()
+    for p in range(rs.num_positive):
+        pairings = [rs.pairing(w, rs.roots[p]) for w in weights]
+        assert rs.komega[p] == pairings
+        assert all(type(x) is int for x in rs.komega[p])
 
 
 def test_rank_bounds_rejected():

@@ -3,10 +3,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from weylstrat.rootsys import vec_neg, vec_scale
+from weylstrat.rootsys import LieType, build_root_system, vec_neg, vec_scale
 from weylstrat.subsys import enumerate_classes
-from weylstrat.weyl import expected_group_order
-from conftest import system
+from weylstrat.weyl import expected_group_order, generate_group
+from conftest import RANK_SIX_TYPES, system
 
 
 @pytest.mark.parametrize(
@@ -100,6 +100,56 @@ def test_dominant_data_regularity():
     assert not regular
     dom, sign, regular = wg.dominant_data((-1, -2))
     assert regular and all(x > 0 for x in dom)
+
+
+def dense_reflect(wg, i, labels):
+    """s_i through its dense label matrix: the oracle for the sparse reflection."""
+    return tuple(sum(a * b for a, b in zip(row, labels)) for row in wg.generator_mats[i])
+
+
+def dense_dominant(wg, labels):
+    """(dominant image, word length, regular) by dense simple reflections."""
+    cur, length = tuple(labels), 0
+    while True:
+        i = next((j for j, l in enumerate(cur) if l < 0), None)
+        if i is None:
+            return cur, length, all(l != 0 for l in cur)
+        cur, length = dense_reflect(wg, i, cur), length + 1
+
+
+def dense_orbit(wg, labels):
+    seen, frontier = {tuple(labels)}, [tuple(labels)]
+    while frontier:
+        nxt = []
+        for lab in frontier:
+            for i in range(len(lab)):
+                img = dense_reflect(wg, i, lab)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
+@pytest.mark.parametrize("family,rank", RANK_SIX_TYPES)
+def test_sparse_reflections_match_dense_matrices(family, rank):
+    # a fresh group, not the shared cache: B6 and C6 hold 46080 elements each
+    rs = build_root_system(LieType(family, rank))
+    wg = generate_group(rs)
+    rng = random.Random(rank * 31 + ord(family))
+    points = [tuple(rng.randint(-5, 5) for _ in range(rank)) for _ in range(25)]
+    for lab in points:
+        for i in range(rank):
+            assert wg._reflect(i, lab) == dense_reflect(wg, i, lab)
+        dom, length, regular = dense_dominant(wg, lab)
+        assert wg.dominant_data(lab) == (dom, (-1) ** length, regular), lab
+        d, w = wg.dominant_representative(rs.from_labels(lab))
+        assert rs.to_labels(d) == dom
+        assert w.apply_labels(lab) == dom and w.sign == (-1) ** length
+    # orbits of the fundamental weights and of one two-node weight stay small at rank 6
+    units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    for lab in units + [tuple(a + b for a, b in zip(units[0], units[-1]))]:
+        assert wg.orbit_labels(lab) == sorted(dense_orbit(wg, lab)), lab
 
 
 def test_setwise_stabilizer():
