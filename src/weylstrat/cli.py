@@ -58,13 +58,12 @@ def _kernel(rs, spec: str) -> Optional[ExpKernel]:
     return check_kernel(rs, kernel_from_file(spec))
 
 
-def _class_table(args):
-    """The type, its Weyl group, the --class and its C table under --kernel."""
-    rs, wg = _build(args)
+def _class_table(args, rs: RootSystem, wg: WeylGroup):
+    """The --class of the type and its C table under --kernel."""
     cls = _find_class(enumerate_classes(rs, wg), args.cls)
     kernel = _kernel(rs, args.kernel)
     ratios = None if kernel is None else pq_map(rs, kernel)
-    return rs, wg, cls, relcoeff.coeff_table(rs, wg, cls, ratios)
+    return cls, relcoeff.coeff_table(rs, wg, cls, ratios)
 
 
 def _root_ratios(rs, spec: str):
@@ -146,7 +145,8 @@ def cmd_hasse(args) -> int:
 
 
 def _emit_coeffs(args, with_d: bool) -> int:
-    rs, wg, cls, table = _class_table(args)
+    rs, wg = _build(args)
+    cls, table = _class_table(args, rs, wg)
     _warn_non_integers(table.entries, f"class {cls.label}")
     columns = ["c_over_n"]
     lams = set(table.entries)
@@ -196,8 +196,11 @@ def cmd_kblock(args) -> int:
     if cutoff < 0:
         raise UsageError(f"--cutoff must be non-negative, got {args.cutoff}")
     cfg = None if args.hbar is None else costrat.HbarConfig(args.hbar)
-    rs, wg, cls, table = _class_table(args)
-    block = costrat.k_block(rs, wg, costrat.d_coeffs(rs, wg, table), cutoff**2)
+    rs, wg = _build(args)
+    norm_sq = cutoff**2
+    columns = costrat.kblock_columns(rs, norm_sq)  # before the tables, which may take long
+    cls, table = _class_table(args, rs, wg)
+    block = costrat.k_block(rs, wg, costrat.d_coeffs(rs, wg, table), norm_sq, columns)
     entries = []
     for (row, col), v in sorted(block.entries.items()):
         e = {"lambda_row": list(row), "lambda_col": list(col), "value": str(v)}

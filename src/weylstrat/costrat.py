@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .relcoeff import CoeffTable
 from .rootsys import Labels, RootSystem
@@ -91,14 +91,39 @@ def k_entry(
     return total
 
 
-def k_block(
-    rs: RootSystem, wg: WeylGroup, dtable: DCoeffTable, cutoff_norm_sq: Q
-) -> KBlock:
-    """All normalized entries with both shifted norms within the cutoff."""
+# kblock_columns refuses a cutoff that admits more columns than this
+MAX_COLUMNS = 20_000
+
+
+def kblock_columns(rs: RootSystem, cutoff_norm_sq: Q) -> List[Labels]:
+    """The columns of a K block: every dominant l with ||l + delta||^2 <= cutoff.
+
+    Raises ValueError past MAX_COLUMNS columns, having evaluated at most about
+    2 * rank * MAX_COLUMNS norms, however large the cutoff.
+    """
     cutoff = Q(cutoff_norm_sq)
+    columns = repthy.dominant_labels_within(rs, lambda s: s <= cutoff, limit=MAX_COLUMNS)
+    if len(columns) > MAX_COLUMNS:
+        raise ValueError(f"norm cutoff too large: more than {MAX_COLUMNS} K-block columns")
+    return columns
+
+
+def k_block(
+    rs: RootSystem,
+    wg: WeylGroup,
+    dtable: DCoeffTable,
+    cutoff_norm_sq: Q,
+    columns: Optional[List[Labels]] = None,
+) -> KBlock:
+    """All normalized entries with both shifted norms within the cutoff.
+
+    columns, when the caller already holds them, are kblock_columns(rs, cutoff_norm_sq).
+    """
+    cutoff = Q(cutoff_norm_sq)
+    if columns is None:
+        columns = kblock_columns(rs, cutoff)
     # an integer scaled norm exceeds norm_den * cutoff iff it exceeds its floor
     scaled_cutoff = math.floor(cutoff * rs.norm_den)
-    columns = repthy.dominant_labels_within(rs, lambda s: s <= cutoff)
     entries: Dict[Tuple[Labels, Labels], Q] = {}
     incomplete: Set[Labels] = set()
     for lam in columns:

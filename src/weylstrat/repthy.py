@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import mul
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .rootsys import Labels, RootSystem
 from .weyl import WeylGroup
@@ -26,11 +26,16 @@ class WeightSystem:
     dominant_entries: Dict[Labels, int]
 
 
-def dominant_labels_within(rs: RootSystem, accept: Callable[[Q], bool]) -> List[Labels]:
+def dominant_labels_within(
+    rs: RootSystem, accept: Callable[[Q], bool], limit: Optional[int] = None
+) -> List[Labels]:
     """Dominant label vectors l with accept(||l + delta||^2) true.
 
     Relies on the norm being strictly increasing in every label, so a failing
-    prefix (padded with zeros) rules out all of its extensions.
+    prefix (padded with zeros) rules out all of its extensions. With a limit,
+    the walk stops at the (limit + 1)-th vector found, so a longer result only
+    says that there are more than limit; every accepted prefix has a vector
+    below it, so the walk evaluates at most about 2 * rank * (limit + 1) norms.
     """
     n = rs.rank
     out: List[Labels] = []
@@ -39,20 +44,22 @@ def dominant_labels_within(rs: RootSystem, accept: Callable[[Q], bool]) -> List[
         padded = prefix + [0] * (n - len(prefix))
         return rs.labels_norm_sq([p + 1 for p in padded])
 
-    def rec(prefix: List[int]):
+    def rec(prefix: List[int]) -> bool:
+        """Collect the extensions of prefix; False once the limit is passed."""
         if len(prefix) == n:
             out.append(tuple(prefix))
-            return
+            return limit is None or len(out) <= limit
         v = 0
         while True:
             prefix.append(v)
-            if accept(shifted_norm_sq(prefix)):
-                rec(prefix)
+            if not accept(shifted_norm_sq(prefix)):
                 prefix.pop()
-                v += 1
-            else:
-                prefix.pop()
-                break
+                return True
+            going = rec(prefix)
+            prefix.pop()
+            if not going:
+                return False
+            v += 1
 
     if accept(shifted_norm_sq([])):
         rec([])

@@ -8,8 +8,10 @@ normalization cancels in every reduced coefficient downstream.
 Norms in label space are exact scaled integers: `gram` is the integer matrix
 norm_den * k(omega_i, omega_j), so `scaled_norm` never leaves int, and
 `labels_norm_sq` turns it into a `Fraction` only at the API edge. The pairings
-`komega` of fundamental weights with positive roots, and `cartan_den` times
-the inverse Cartan matrix, are integer matrices too.
+`komega` of fundamental weights with positive roots, the coroot labels
+`coroot_labels` of every root, and `cartan_den` times the inverse Cartan
+matrix, are integer matrices too, and the reflection permutations are computed
+on the integer root coordinates.
 """
 
 from __future__ import annotations
@@ -130,6 +132,8 @@ class RootSystem:
         self._root_labels: List[Labels] = [
             tuple(int(l) for l in self._labels_exact(a)) for a in self.roots
         ]
+        # Dynkin labels are linear and tell roots apart
+        self.label_index: dict = {l: i for i, l in enumerate(self._root_labels)}
         self.cartan_inverse: List[List[Q]] = _invert_rational(
             [[Q(c) for c in row] for row in self.cartan]
         )
@@ -153,9 +157,13 @@ class RootSystem:
         komega = [[self.pairing(w, a) for w in self._fund_weights] for a in positives]
         assert all(x.denominator == 1 for row in komega for x in row)
         self.komega: List[List[int]] = _scaled(komega, 1)
-        self._reflection_perms: List[Tuple[int, ...]] = [
-            tuple(self.index[self.reflect(a, b)] for b in self.roots) for a in self.roots
+        # coroot_labels[r][i] = <omega_i, alpha_r^vee> = 2 k(omega_i, alpha_r) / k(alpha_r, alpha_r)
+        coroots = [
+            tuple(2 * k // int(norm) for k in row)
+            for row, norm in zip(self.komega, self.root_norms)
         ]
+        self.coroot_labels: List[Labels] = coroots + [tuple(-c for c in row) for row in coroots]
+        self._reflection_perms: List[Tuple[int, ...]] = _reflection_perms(self.roots)
 
     # -- form and conversions ------------------------------------------------
 
@@ -258,6 +266,25 @@ class RootSystem:
         if v not in self.index:
             raise ValueError(f"named root kind {kind} is not defined for {self.lie_type}")
         return v
+
+
+def _reflection_perms(roots: Sequence[Vector]) -> List[Tuple[int, ...]]:
+    """s_a(b) = b - (2 (a, b) / (a, a)) a as root index permutations, in integers.
+
+    Every root has integer coordinates and 2 (a, b) / (a, a) is a Cartan
+    integer, so the floor division is exact; the form scale cancels.
+    """
+    vecs = [tuple(map(int, a)) for a in roots]
+    index = {a: i for i, a in enumerate(vecs)}
+    perms = []
+    for a in vecs:
+        aa = sum(map(mul, a, a))
+        perm = []
+        for b in vecs:
+            c = 2 * sum(map(mul, a, b)) // aa
+            perm.append(index[tuple(y - c * x for x, y in zip(a, b))])
+        perms.append(tuple(perm))
+    return perms
 
 
 def _sum_vecs(vecs: Sequence[Vector], dim: int) -> Vector:

@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from .rootsys import RootSystem, Vector, vec_add, vec_neg
+from .rootsys import RootSystem, Vector, vec_neg
 from .weyl import WeylElement, WeylGroup
 
 
@@ -67,11 +68,10 @@ def span_subsystem(rs: RootSystem, base: Sequence[Vector]) -> RootSubsystem:
 
 
 def _closed(rs: RootSystem, indices: FrozenSet[int]) -> bool:
-    roots = rs.roots
-    idx = rs.index
+    # labels are linear, so a + b is a root iff its labels are those of a root
+    labels, idx = rs.root_labels, rs.label_index
     for a, b in itertools.combinations(indices, 2):
-        s = vec_add(roots[a], roots[b])
-        k = idx.get(s)
+        k = idx.get(tuple(map(add, labels(a), labels(b))))
         if k is not None and k not in indices:
             return False
     return True

@@ -1,9 +1,11 @@
 """Weyl groups as permutations of the root index set.
 
-Elements carry the induced integer matrix on Dynkin labels, so the linear
-action on arbitrary weights stays exact and cheap. The whole group is
-enumerated and stored, so set-up time and memory grow with |W|: 23040
-elements at D6, 46080 at B6 and C6.
+A group keeps only its simple reflections; its order comes from the closed
+formula per family. Elements are composed on demand as root permutations, and
+the integer matrix of an element on Dynkin labels is read off its permutation
+when first asked for: row j holds the coroot labels of w^-1(alpha_j). Nothing
+enumerates W except `elements`, built on first use for `setwise_stabilizer`
+(23040 elements at D6, 46080 at B6 and C6).
 
 Orbits and dominant representatives of label vectors never touch those
 matrices: a simple reflection s_i is applied sparsely, negating l_i and
@@ -16,20 +18,14 @@ the root index set S, and `WeylGroup.coset_representatives` walks that orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .rootsys import Labels, RootSystem, Vector
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
-
-
-def _mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
 
 
 def _mat_vec(m: IntMatrix, v: Sequence[int]) -> Labels:
@@ -40,7 +36,13 @@ def _mat_vec(m: IntMatrix, v: Sequence[int]) -> Labels:
 class WeylElement:
     perm: Tuple[int, ...]
     sign: int
-    label_mat: IntMatrix
+    rs: RootSystem = field(compare=False, repr=False)
+
+    @cached_property
+    def label_mat(self) -> IntMatrix:
+        """The action on Dynkin labels: <w(l), alpha_j^vee> = <l, (w^-1 alpha_j)^vee>."""
+        rows = self.rs.coroot_labels
+        return tuple(rows[self.perm.index(s)] for s in self.rs.simple_indices)
 
     def apply_labels(self, labels: Sequence[int]) -> Labels:
         return _mat_vec(self.label_mat, labels)
@@ -50,55 +52,47 @@ class WeylGroup:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         n = rs.rank
-        nroots = len(rs.roots)
         refl = rs.reflection_perms()
-        gen_perms = [refl[i] for i in rs.simple_indices]
-        # label action of s_i:  l_j -> l_j - l_i * cartan[j][i]
-        gen_mats: List[IntMatrix] = []
-        for i in range(n):
-            m = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-            for j in range(n):
-                m[j][i] -= rs.cartan[j][i]
-            gen_mats.append(tuple(tuple(row) for row in m))
-        self.generator_mats = gen_mats
         # s_i on labels, sparsely: l_i -> -l_i, l_j -> l_j - cartan[j][i] * l_i at neighbours j
         self._neighbours: List[List[Tuple[int, int]]] = [
             [(j, rs.cartan[j][i]) for j in range(n) if j != i and rs.cartan[j][i]]
             for i in range(n)
         ]
-
-        ident = tuple(range(nroots))
-        ident_mat = tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-        self.identity = WeylElement(ident, 1, ident_mat)
-        lookup: Dict[Tuple[int, ...], WeylElement] = {ident: self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for gp, gm in zip(gen_perms, gen_mats):
-                    perm = tuple(gp[p] for p in e.perm)
-                    if perm not in lookup:
-                        lookup[perm] = WeylElement(perm, -e.sign, _mat_mul(gm, e.label_mat))
-                        nxt.append(lookup[perm])
-            frontier = nxt
-        self.elements: List[WeylElement] = list(lookup.values())
-        self._lookup = lookup
-        self.generators: List[WeylElement] = [lookup[p] for p in gen_perms]
+        self.identity = WeylElement(tuple(range(len(rs.roots))), 1, rs)
+        self.generators: List[WeylElement] = [
+            WeylElement(refl[i], -1, rs) for i in rs.simple_indices
+        ]
         # highest-weight labels -> repthy.WeightSystem, filled by dominant_weight_system
         self.weight_systems: dict = {}
 
     def __len__(self):
-        return len(self.elements)
+        return expected_group_order(self.rs)
+
+    @cached_property
+    def elements(self) -> List[WeylElement]:
+        """All of W, breadth-first from the identity under left multiplication by s_i."""
+        seen = {self.identity.perm: self.identity}
+        frontier = [self.identity]
+        while frontier:
+            nxt = []
+            for e in frontier:
+                for g in self.generators:
+                    w = self.compose(g, e)
+                    if w.perm not in seen:
+                        seen[w.perm] = w
+                        nxt.append(w)
+            frontier = nxt
+        return list(seen.values())
 
     def compose(self, a: WeylElement, b: WeylElement) -> WeylElement:
         """The element a*b acting as: apply b first, then a."""
-        return self._lookup[tuple(a.perm[p] for p in b.perm)]
+        return WeylElement(tuple(map(a.perm.__getitem__, b.perm)), a.sign * b.sign, self.rs)
 
     def inverse(self, a: WeylElement) -> WeylElement:
-        return self._lookup[_invert_perm(a.perm)]
+        return WeylElement(_invert_perm(a.perm), a.sign, self.rs)
 
     def reflection(self, root_index: int) -> WeylElement:
-        return self._lookup[self.rs.reflection_perms()[root_index]]
+        return WeylElement(self.rs.reflection_perms()[root_index], -1, self.rs)
 
     # -- orbits and dominance ------------------------------------------------
 
@@ -161,6 +155,7 @@ class WeylGroup:
     # -- subgroups and cosets ------------------------------------------------
 
     def setwise_stabilizer(self, root_indices: Iterable[int]) -> List[WeylElement]:
+        """Every element mapping the index set onto itself, by a scan of all of W."""
         target = frozenset(root_indices)
         if not target:
             return list(self.elements)
@@ -202,7 +197,7 @@ def _invert_perm(perm: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 def generate_group(rs: RootSystem) -> WeylGroup:
-    """Enumerate the full Weyl group by closure over the simple reflections."""
+    """The Weyl group of rs, held as its simple reflections."""
     return WeylGroup(rs)
 
 

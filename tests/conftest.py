@@ -21,3 +21,43 @@ def system(family, rank):
 @pytest.fixture
 def sys_of():
     return system
+
+
+def tuple_count_oracle(family, n):
+    """Count admissible factor tuples straight from the constraints."""
+
+    def multisets(min_entry, bound):
+        # nondecreasing tuples with entries >= min_entry and sum <= bound
+        out = [()]
+        def rec(prefix, lo, left):
+            for v in range(lo, left + 1):
+                out.append(prefix + (v,))
+                rec(prefix + (v,), v, left - v)
+        rec((), min_entry, bound)
+        return out
+
+    count = 0
+    if family == "A":
+        for i in multisets(1, n + 1):
+            if sum(i) + len(i) - 1 <= n:
+                count += 1
+        return count
+    for i in multisets(1, n):
+        if sum(i) + len(i) > n:
+            continue
+        left_i = n - sum(i) - len(i)
+        for j in multisets(2, left_i):
+            left_j = left_i - sum(j)
+            if family == "D":
+                count += 1
+            else:
+                count += len(multisets(1, left_j))
+    return count
+
+
+def word_element(wg, rng, length):
+    """The product of `length` random simple reflections, without enumerating W."""
+    w = wg.identity
+    for _ in range(length):
+        w = wg.compose(rng.choice(wg.generators), w)
+    return w

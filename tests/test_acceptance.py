@@ -13,7 +13,7 @@ from weylstrat.lattice import TorusPoint, gamma_x, kernel_preset, pq_map
 from weylstrat.subsys import build_poset, enumerate_classes
 from weylstrat.verify import computed_tables, load_corpus, normalize_label, verify_group
 
-from conftest import system
+from conftest import system, tuple_count_oracle
 from test_relcoeff import exhaustive_subset_sums, unreduced_coefficients
 from test_repthy import kostant_multiplicity, su2_char_product, su2_decompose
 from test_subsys import EXPECTED_EDGES
@@ -70,38 +70,6 @@ def test_criterion_2_worked_example():
     report(2, "rank-one worked example", ok)
 
 
-def _tuple_count_oracle(family, n):
-    """Count admissible factor tuples straight from the constraints."""
-
-    def multisets(min_entry, bound):
-        # nondecreasing tuples with entries >= min_entry and sum <= bound
-        out = [()]
-        def rec(prefix, lo, left):
-            for v in range(lo, left + 1):
-                out.append(prefix + (v,))
-                rec(prefix + (v,), v, left - v)
-        rec((), min_entry, bound)
-        return out
-
-    count = 0
-    if family == "A":
-        for i in multisets(1, n + 1):
-            if sum(i) + len(i) - 1 <= n:
-                count += 1
-        return count
-    for i in multisets(1, n):
-        if sum(i) + len(i) > n:
-            continue
-        left_i = n - sum(i) - len(i)
-        for j in multisets(2, left_i):
-            left_j = left_i - sum(j)
-            if family == "D":
-                count += 1
-            else:
-                count += len(multisets(1, left_j))
-    return count
-
-
 def test_criterion_3_classification_counts():
     details = []
     ok = True
@@ -111,7 +79,7 @@ def test_criterion_3_classification_counts():
     for family, rank in cases:
         rs, wg = system(family, rank)
         classes = enumerate_classes(rs, wg)
-        expected = _tuple_count_oracle(family, rank)
+        expected = tuple_count_oracle(family, rank)
         ok &= len(classes) == expected
         details.append(f"{family}{rank}:{len(classes)}")
         for c in classes:

@@ -105,6 +105,15 @@ def test_kblock(capsys):
     capsys.readouterr()
 
 
+def test_kblock_rank_six_cutoff_near_delta(capsys):
+    # ||delta||^2 = 55 at D6, so the cutoff 8 (64) admits the column 0 alone
+    argv = ["kblock", "--family", "D", "--rank", "6", "--class", "D6", "--cutoff", "8",
+            "--format", "json"]
+    assert run(argv) == 0
+    payload = json.loads(out_of(capsys))
+    assert {tuple(e["lambda_col"]) for e in payload["entries"]} == {(0,) * 6}
+
+
 def test_usage_errors(tmp_path, capsys):
     assert run(["coeffs", "--family", "A", "--rank", "2", "--class", "Z9"]) == 2
     assert run(["coeffs", "--family", "B", "--rank", "1", "--class", "0"]) == 2
@@ -139,6 +148,8 @@ def test_usage_errors(tmp_path, capsys):
         kblock + ["--cutoff", "5", "--hbar", "0"],
         kblock + ["--cutoff", "5", "--hbar", "nan"],
         kblock + ["--cutoff", "5", "--hbar", "inf"],
+        kblock + ["--cutoff", "1e400"],
+        ["kblock", "--family", "A", "--rank", "3", "--class", "0", "--cutoff", "10000"],
     ]:
         assert run(argv) == 2, argv
         err = capsys.readouterr().err

@@ -1,13 +1,16 @@
 import math
+from fractions import Fraction as Q
 
 import pytest
 
 from weylstrat.costrat import (
+    MAX_COLUMNS,
     HbarConfig,
     d_coeffs,
     is_stable,
     k_block,
     k_entry,
+    kblock_columns,
     norm_ratio,
     orbit_shifts,
     vanishing_system,
@@ -15,7 +18,7 @@ from weylstrat.costrat import (
 from weylstrat.relcoeff import coeff_table
 from weylstrat.repthy import dominant_labels_within, dominant_weight_system
 from weylstrat.subsys import SubsystemClass, RootSubsystem, build_poset, enumerate_classes
-from conftest import system
+from conftest import RANK_SIX_TYPES, system
 
 
 def tables_of(family, rank):
@@ -122,6 +125,59 @@ def test_k_block_su2():
             diff = lam2[0] - lam[0]
             assert block.entries[(lam2, lam)] == d.entries[(abs(diff),)]
     assert (8,) in block.incomplete_rows
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 3), ("B", 2), ("C", 3), ("D", 4)])
+def test_limited_walk_stops_past_the_limit(family, rank):
+    rs, _ = system(family, rank)
+    for radius in [0, 1, Q(5, 2), 4, 7]:
+        cutoff = Q(radius) ** 2
+        full = dominant_labels_within(rs, lambda s: s <= cutoff)
+        for limit in sorted({0, 1, 5, len(full) - 1, len(full), len(full) + 3} - {-1}):
+            part = dominant_labels_within(rs, lambda s: s <= cutoff, limit=limit)
+            if len(full) <= limit:
+                assert part == full
+            else:
+                assert len(part) == limit + 1 and set(part) <= set(full)
+
+
+@pytest.mark.parametrize("family,rank", RANK_SIX_TYPES)
+def test_limited_walk_ends_without_a_norm_bound(family, rank):
+    rs, _ = system(family, rank)
+    calls = 0
+
+    def accept_all(_norm_sq):
+        nonlocal calls
+        calls += 1
+        return True
+
+    assert len(dominant_labels_within(rs, accept_all, limit=100)) == 101
+    assert calls <= 2 * rank * 102
+
+
+def test_kblock_columns_budget():
+    rs, wg, classes = tables_of("A", 1)
+    # at A1, ||l + delta||^2 = (l + 1)^2 / 2: the cutoff m^2 / 2 admits exactly m columns
+    assert kblock_columns(rs, Q(MAX_COLUMNS**2, 2)) == [(l,) for l in range(MAX_COLUMNS)]
+    with pytest.raises(ValueError, match="cutoff too large"):
+        kblock_columns(rs, Q((MAX_COLUMNS + 1) ** 2, 2))
+    d = d_coeffs(rs, wg, coeff_table(rs, wg, classes["0"]))
+    with pytest.raises(ValueError, match="cutoff too large"):
+        k_block(rs, wg, d, Q(10) ** 800)
+    cutoff = Q(100)
+    block = k_block(rs, wg, d, cutoff)
+    assert len(block.entries) > 0
+    assert k_block(rs, wg, d, cutoff, kblock_columns(rs, cutoff)) == block
+
+
+@pytest.mark.parametrize("family,rank", RANK_SIX_TYPES)
+def test_cutoffs_near_delta_are_admitted(family, rank):
+    rs, _ = system(family, rank)
+    delta_sq = rs.labels_norm_sq(rs.delta_labels)
+    assert kblock_columns(rs, delta_sq) == [(0,) * rank]
+    fundamentals = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    wider = kblock_columns(rs, max(rs.labels_norm_sq([l + 1 for l in w]) for w in fundamentals))
+    assert set(fundamentals) <= set(wider)
 
 
 def test_norm_ratio():

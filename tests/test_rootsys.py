@@ -97,6 +97,18 @@ def test_integer_forms(family, rank):
         assert all(type(x) is int for x in rs.komega[p])
 
 
+@pytest.mark.parametrize("family,rank", RANK_SIX_TYPES)
+def test_reflection_perms_match_fraction_reflections(family, rank):
+    # the integer permutations against rs.reflect on Fraction coordinates
+    rs = root_system(family, rank)
+    for a, perm in zip(rs.roots, rs.reflection_perms()):
+        assert perm == tuple(rs.index[rs.reflect(a, b)] for b in rs.roots), a
+    weights = rs.fundamental_weights()
+    for a, row in zip(rs.roots, rs.coroot_labels):
+        assert row == tuple(2 * rs.pairing(w, a) / rs.pairing(a, a) for w in weights), a
+        assert all(type(x) is int for x in row)
+
+
 def test_rank_bounds_rejected():
     for family, rank in [("A", 0), ("B", 1), ("C", 1), ("D", 3), ("E", 6)]:
         with pytest.raises(ValueError):

@@ -1,12 +1,14 @@
+import functools
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+from weylstrat.relcoeff import coeff_table
 from weylstrat.rootsys import LieType, build_root_system, vec_neg, vec_scale
-from weylstrat.subsys import enumerate_classes
+from weylstrat.subsys import RootSubsystem, are_conjugate, build_poset, enumerate_classes
 from weylstrat.weyl import expected_group_order, generate_group
-from conftest import RANK_SIX_TYPES, system
+from conftest import RANK_SIX_TYPES, system, word_element
 
 
 @pytest.mark.parametrize(
@@ -16,7 +18,7 @@ from conftest import RANK_SIX_TYPES, system
 )
 def test_group_orders(family, rank, order):
     rs, wg = system(family, rank)
-    assert len(wg) == order == expected_group_order(rs)
+    assert len(wg.elements) == expected_group_order(rs) == order
 
 
 def test_sign_is_homomorphism():
@@ -57,7 +59,7 @@ def test_conjugation_relation(family, rank):
         for i in rs.simple_indices:
             lhs = wg.reflection(w.perm[i])
             rhs = wg.compose(w, wg.compose(wg.reflection(i), winv))
-            assert lhs is rhs
+            assert lhs == rhs
 
 
 def test_orbits():
@@ -102,9 +104,29 @@ def test_dominant_data_regularity():
     assert regular and all(x > 0 for x in dom)
 
 
+@functools.cache
+def generator_mats(rs):
+    """Dense label matrices of the simple reflections: l_j -> l_j - l_i * cartan[j][i]."""
+    n = rs.rank
+    return [
+        tuple(
+            tuple(int(r == c) - (rs.cartan[r][i] if c == i else 0) for c in range(n))
+            for r in range(n)
+        )
+        for i in range(n)
+    ]
+
+
+def mat_mul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
 def dense_reflect(wg, i, labels):
     """s_i through its dense label matrix: the oracle for the sparse reflection."""
-    return tuple(sum(a * b for a, b in zip(row, labels)) for row in wg.generator_mats[i])
+    return tuple(sum(a * b for a, b in zip(row, labels)) for row in generator_mats(wg.rs)[i])
 
 
 def dense_dominant(wg, labels):
@@ -133,9 +155,7 @@ def dense_orbit(wg, labels):
 
 @pytest.mark.parametrize("family,rank", RANK_SIX_TYPES)
 def test_sparse_reflections_match_dense_matrices(family, rank):
-    # a fresh group, not the shared cache: B6 and C6 hold 46080 elements each
-    rs = build_root_system(LieType(family, rank))
-    wg = generate_group(rs)
+    rs, wg = system(family, rank)
     rng = random.Random(rank * 31 + ord(family))
     points = [tuple(rng.randint(-5, 5) for _ in range(rank)) for _ in range(25)]
     for lab in points:
@@ -150,6 +170,52 @@ def test_sparse_reflections_match_dense_matrices(family, rank):
     units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
     for lab in units + [tuple(a + b for a, b in zip(units[0], units[-1]))]:
         assert wg.orbit_labels(lab) == sorted(dense_orbit(wg, lab)), lab
+
+
+@pytest.mark.parametrize("family,rank", RANK_SIX_TYPES)
+def test_composed_elements_match_dense_products(family, rank):
+    # random generator words, composed without enumerating W (46080 elements at B6 and C6)
+    rs, wg = system(family, rank)
+    mats = generator_mats(rs)
+    ident = tuple(tuple(int(r == c) for c in range(rank)) for r in range(rank))
+    rng = random.Random(rank * 17 + ord(family))
+    for _ in range(20):
+        word = [rng.randrange(rank) for _ in range(rng.randrange(1, 4 * rank))]
+        w, dense = wg.identity, ident
+        for i in word:
+            w = wg.compose(wg.generators[i], w)
+            dense = mat_mul(mats[i], dense)
+        assert w.label_mat == dense, word
+        assert w.sign == (-1) ** len(word), word
+        winv = wg.inverse(w)
+        assert wg.compose(w, winv) == wg.identity == wg.compose(winv, w)
+        assert mat_mul(winv.label_mat, dense) == ident
+    # a reflection's label matrix, column i = s_a(omega_i), against Fraction coordinates
+    weights = rs.fundamental_weights()
+    for r in rng.sample(range(len(rs.roots)), min(5, len(rs.roots))):
+        cols = [rs.to_labels(rs.reflect(rs.roots[r], x)) for x in weights]
+        assert wg.reflection(r).label_mat == tuple(zip(*cols)), r
+
+
+def test_pipeline_never_enumerates_w():
+    # a fresh D6 group (|W| = 23040): classes, poset, C tables and conjugacy use only
+    # the simple reflections, so the lazy `elements` list is never built
+    rs = build_root_system(LieType("D", 6))
+    wg = generate_group(rs)
+    assert len(wg) == 23040
+    classes = {c.label: c for c in enumerate_classes(rs, wg)}
+    poset = build_poset(wg, list(classes.values()))
+    assert poset.is_leq("D5", "D6") and not poset.is_leq("D4", "A5")
+    assert coeff_table(rs, wg, classes["D6"]).entries == {(0,) * 6: 1}
+    assert coeff_table(rs, wg, classes["D5"]).stabilizer_order == 2 * 1920
+    s1 = classes["D5"].representative
+    w = word_element(wg, random.Random(6), 15)
+    s2 = frozenset(w.perm[i] for i in s1.root_indices)
+    ok, mover = are_conjugate(wg, s1, RootSubsystem(s2, s1.closed))
+    assert ok and frozenset(mover.perm[i] for i in s1.root_indices) == s2
+    same_size = classes["D3+D3"].representative, classes["D4"].representative
+    assert are_conjugate(wg, *same_size) == (False, None)
+    assert "elements" not in vars(wg)
 
 
 def test_setwise_stabilizer():
