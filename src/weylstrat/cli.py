@@ -98,12 +98,6 @@ def _fmt_lambda(lam: Sequence[int]) -> str:
     return "".join(str(x) for x in lam) if all(0 <= x <= 9 for x in lam) else ",".join(map(str, lam))
 
 
-def _warn_non_integers(entries: Dict, context: str):
-    for lam, v in entries.items():
-        if Q(v).denominator != 1:
-            print(f"warning: non-integer coefficient {v} at {lam} in {context}", file=sys.stderr)
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -147,7 +141,6 @@ def cmd_hasse(args) -> int:
 def _emit_coeffs(args, with_d: bool) -> int:
     rs, wg = _build(args)
     cls, table = _class_table(args, rs, wg)
-    _warn_non_integers(table.entries, f"class {cls.label}")
     columns = ["c_over_n"]
     lams = set(table.entries)
     if with_d:

@@ -1,22 +1,23 @@
 """Signed subset sums and reduced character coefficients.
 
 The generating map V counts subsets of the complement of a subsystem by the
-parity-weighted number of ways their (ratio-scaled) root sums hit each weight;
-its coset symmetrization and a single signed fold over shifted dominant
-representatives yield the reduced coefficients, all in integer label
-arithmetic.
+parity-weighted number of ways their (ratio-scaled) root sums hit each weight.
+Its sum over the cosets of the stabilizer is W-invariant, so it is found by
+binning V over W-orbits and spreading each bin evenly over its orbit; a single
+signed fold over shifted dominant representatives then yields the reduced
+coefficients, all in integer label arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .lattice import PQRatio
 from .rootsys import Labels, RootSystem
 from .subsys import SubsystemClass
-from .weyl import WeylElement, WeylGroup
+from .weyl import WeylGroup
 from . import repthy
 
 
@@ -51,18 +52,17 @@ class CoeffTable:
     stabilizer_order: int
 
 
-def _key(values: Sequence) -> tuple:
-    return tuple(int(v) if isinstance(v, Q) and v.denominator == 1 else v for v in values)
-
-
 def _scaled_root_labels(
     rs: RootSystem, index: int, ratios: Optional[Sequence[PQRatio]]
-) -> tuple:
+) -> Labels:
+    """(q/p) times the root's labels; p = 1 once the kernel holds every simple coroot."""
     lab = rs.root_labels(index)
     if ratios is None:
         return lab
     r = ratios[index]
-    return _key([Q(r.q, r.p) * l for l in lab])
+    if r.p != 1:
+        raise ValueError(f"ratio {r.p}/{r.q}: the kernel does not contain the coroot lattice")
+    return tuple(r.q * l for l in lab)
 
 
 def subset_sums(
@@ -86,12 +86,25 @@ def subset_sums(
     return WeightedSum(entries)
 
 
-def symmetrize(reps: Iterable[WeylElement], v: WeightedSum) -> WeightedSum:
-    """Sum of w(V) over one w per left coset of Stab(S), for a Stab(S)-invariant V."""
+def symmetrize(wg: WeylGroup, n_cosets: int, v: WeightedSum) -> WeightedSum:
+    """Sum of w(V) over one w per left coset of Stab(S), for a Stab(S)-invariant V.
+
+    The sum is W-invariant: n_cosets * O(mu) / |W.mu| on each orbit W.mu, where
+    O(mu) sums V over the orbit. With one coset, V itself is W-invariant.
+    """
+    if n_cosets == 1:
+        return v
+    bins: Dict[Labels, int] = {}
+    for key, val in v.entries.items():
+        mu = wg.dominant_data(key)[0]
+        bins[mu] = bins.get(mu, 0) + val
     out = WeightedSum()
-    for w in reps:
-        for key, val in v.entries.items():
-            out.add(w.apply_labels(key), val)
+    for mu, total in bins.items():
+        if total:
+            orbit = wg.orbit_labels(mu)
+            share, rem = divmod(n_cosets * total, len(orbit))
+            assert rem == 0, (mu, n_cosets * total, len(orbit))
+            out.entries.update(dict.fromkeys(orbit, share))
     return out
 
 
@@ -121,29 +134,28 @@ def coeff_table(
     """Reduced coefficients of the class relation in the normalized character basis.
 
     Symmetrizes the complement's subset-sum map over the cosets of the members'
-    setwise stabilizer, one per image in their W-orbit (so the stabilizer order
-    is |W| over the orbit size), then folds it through the shifted dominant
-    representative of each support point: a support point contributes to the
-    unique dominant weight whose shifted orbit passes through it.
+    setwise stabilizer, which are as many as the images in their W-orbit (so
+    the stabilizer order is |W| over the orbit size), by W-orbit bins. It then
+    folds the result through the shifted dominant representative of each
+    support point: a support point contributes to the unique dominant weight
+    whose shifted orbit passes through it. Ratios must have p = 1, as under
+    every kernel that `lattice.check_kernel` accepts; otherwise ValueError.
     """
     members = cls.representative.root_indices
     complement = [i for i in range(len(rs.roots)) if i not in members]
     v = subset_sums(rs, complement, ratios)
-    reps = wg.coset_representatives(members)
-    vt = symmetrize(reps.values(), v)
+    n_cosets = len(wg.coset_representatives(members))
+    vt = symmetrize(wg, n_cosets, v)
 
     acc: Dict[Labels, int] = {}
     for key, val in vt.entries.items():
-        shifted = tuple(k + 1 for k in key)
-        if any(isinstance(x, Q) for x in shifted):
-            continue  # off the character lattice; cannot meet a shifted dominant orbit
-        dom, sign, regular = wg.dominant_data(shifted)
+        dom, sign, regular = wg.dominant_data(tuple(k + 1 for k in key))
         if not regular:
             continue
         lam = tuple(d - 1 for d in dom)
         acc[lam] = acc.get(lam, 0) + sign * val
     entries = {k: v for k, v in sorted(acc.items()) if v}
-    return CoeffTable(cls.label, entries, len(wg) // len(reps))
+    return CoeffTable(cls.label, entries, len(wg) // n_cosets)
 
 
 def identity_value(rs: RootSystem, wg: WeylGroup, table: CoeffTable) -> int:

@@ -8,10 +8,9 @@ normalization cancels in every reduced coefficient downstream.
 Norms in label space are exact scaled integers: `gram` is the integer matrix
 norm_den * k(omega_i, omega_j), so `scaled_norm` never leaves int, and
 `labels_norm_sq` turns it into a `Fraction` only at the API edge. The pairings
-`komega` of fundamental weights with positive roots, the coroot labels
-`coroot_labels` of every root, and `cartan_den` times the inverse Cartan
-matrix, are integer matrices too, and the reflection permutations are computed
-on the integer root coordinates.
+`komega` of fundamental weights with positive roots and `cartan_den` times the
+inverse Cartan matrix are integer matrices too, and the reflection
+permutations are computed on the integer root coordinates.
 """
 
 from __future__ import annotations
@@ -157,12 +156,6 @@ class RootSystem:
         komega = [[self.pairing(w, a) for w in self._fund_weights] for a in positives]
         assert all(x.denominator == 1 for row in komega for x in row)
         self.komega: List[List[int]] = _scaled(komega, 1)
-        # coroot_labels[r][i] = <omega_i, alpha_r^vee> = 2 k(omega_i, alpha_r) / k(alpha_r, alpha_r)
-        coroots = [
-            tuple(2 * k // int(norm) for k in row)
-            for row, norm in zip(self.komega, self.root_norms)
-        ]
-        self.coroot_labels: List[Labels] = coroots + [tuple(-c for c in row) for row in coroots]
         self._reflection_perms: List[Tuple[int, ...]] = _reflection_perms(self.roots)
 
     # -- form and conversions ------------------------------------------------

@@ -217,24 +217,31 @@ def are_conjugate(
     return w is not None, w
 
 
+def _may_fit(rs: RootSystem, s1: FrozenSet[int], s2: FrozenSet[int]) -> bool:
+    """Whether s2 has at least as many roots of each length as s1, so an image could fit."""
+    if len(s1) > len(s2):
+        return False
+    c1, c2 = _norm_counter(rs, s1), _norm_counter(rs, s2)
+    return all(c1[k] <= c2[k] for k in c1)
+
+
 def class_leq(wg: WeylGroup, cls1: SubsystemClass, cls2: SubsystemClass) -> bool:
     """True iff some Weyl image of cls1's representative lies inside cls2's."""
     s1 = cls1.representative.root_indices
     s2 = cls2.representative.root_indices
-    if len(s1) > len(s2):
-        return False
-    c1, c2 = _norm_counter(wg.rs, s1), _norm_counter(wg.rs, s2)
-    if any(c1[k] > c2[k] for k in c1):
-        return False
-    return any(img <= s2 for img in wg.coset_representatives(s1))
+    return _may_fit(wg.rs, s1, s2) and any(img <= s2 for img in wg.coset_representatives(s1))
 
 
 def build_poset(wg: WeylGroup, classes: Sequence[SubsystemClass]) -> ClassPoset:
+    """The order of class_leq, walking each class's W-orbit once."""
     classes = sorted(classes, key=lambda c: (len(c), c.label))
     leq: Dict[Tuple[str, str], bool] = {}
     for c1 in classes:
+        s1 = c1.representative.root_indices
+        orbit = wg.coset_representatives(s1)  # always needed: c1 passes the prefilter for c1
         for c2 in classes:
-            leq[(c1.label, c2.label)] = class_leq(wg, c1, c2)
+            s2 = c2.representative.root_indices
+            leq[(c1.label, c2.label)] = _may_fit(wg.rs, s1, s2) and any(img <= s2 for img in orbit)
     for c1 in classes:
         for c2 in classes:
             if c1.label != c2.label and leq[(c1.label, c2.label)] and leq[(c2.label, c1.label)]:

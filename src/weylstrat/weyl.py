@@ -1,15 +1,13 @@
 """Weyl groups as permutations of the root index set.
 
 A group keeps only its simple reflections; its order comes from the closed
-formula per family. Elements are composed on demand as root permutations, and
-the integer matrix of an element on Dynkin labels is read off its permutation
-when first asked for: row j holds the coroot labels of w^-1(alpha_j). Nothing
-enumerates W except `elements`, built on first use for `setwise_stabilizer`
-(23040 elements at D6, 46080 at B6 and C6).
+formula per family. Elements are composed on demand as signed root
+permutations. Nothing enumerates W except `elements`, built on first use for
+`setwise_stabilizer` (23040 elements at D6, 46080 at B6 and C6).
 
-Orbits and dominant representatives of label vectors never touch those
-matrices: a simple reflection s_i is applied sparsely, negating l_i and
-changing l_j only at the Dynkin neighbours j of i.
+W acts on Dynkin labels only through its simple reflections: s_i is applied
+sparsely, negating l_i and changing l_j only at the Dynkin neighbours j of i.
+Orbits and dominant representatives of label vectors are walks of those.
 
 Cosets of a setwise stabilizer are never built as sets of elements: the left
 cosets w*Stab(S) correspond one-to-one with the images w(S) in the W-orbit of
@@ -18,34 +16,17 @@ the root index set S, and `WeylGroup.coset_representatives` walks that orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .rootsys import Labels, RootSystem, Vector
-
-IntMatrix = Tuple[Tuple[int, ...], ...]
-
-
-def _mat_vec(m: IntMatrix, v: Sequence[int]) -> Labels:
-    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 @dataclass(frozen=True)
 class WeylElement:
     perm: Tuple[int, ...]
     sign: int
-    rs: RootSystem = field(compare=False, repr=False)
-
-    @cached_property
-    def label_mat(self) -> IntMatrix:
-        """The action on Dynkin labels: <w(l), alpha_j^vee> = <l, (w^-1 alpha_j)^vee>."""
-        rows = self.rs.coroot_labels
-        return tuple(rows[self.perm.index(s)] for s in self.rs.simple_indices)
-
-    def apply_labels(self, labels: Sequence[int]) -> Labels:
-        return _mat_vec(self.label_mat, labels)
 
 
 class WeylGroup:
@@ -58,9 +39,9 @@ class WeylGroup:
             [(j, rs.cartan[j][i]) for j in range(n) if j != i and rs.cartan[j][i]]
             for i in range(n)
         ]
-        self.identity = WeylElement(tuple(range(len(rs.roots))), 1, rs)
+        self.identity = WeylElement(tuple(range(len(rs.roots))), 1)
         self.generators: List[WeylElement] = [
-            WeylElement(refl[i], -1, rs) for i in rs.simple_indices
+            WeylElement(refl[i], -1) for i in rs.simple_indices
         ]
         # highest-weight labels -> repthy.WeightSystem, filled by dominant_weight_system
         self.weight_systems: dict = {}
@@ -86,13 +67,13 @@ class WeylGroup:
 
     def compose(self, a: WeylElement, b: WeylElement) -> WeylElement:
         """The element a*b acting as: apply b first, then a."""
-        return WeylElement(tuple(map(a.perm.__getitem__, b.perm)), a.sign * b.sign, self.rs)
+        return WeylElement(tuple(map(a.perm.__getitem__, b.perm)), a.sign * b.sign)
 
     def inverse(self, a: WeylElement) -> WeylElement:
-        return WeylElement(_invert_perm(a.perm), a.sign, self.rs)
+        return WeylElement(_invert_perm(a.perm), a.sign)
 
     def reflection(self, root_index: int) -> WeylElement:
-        return WeylElement(self.rs.reflection_perms()[root_index], -1, self.rs)
+        return WeylElement(self.rs.reflection_perms()[root_index], -1)
 
     # -- orbits and dominance ------------------------------------------------
 

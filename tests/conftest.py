@@ -1,4 +1,5 @@
 import functools
+from operator import mul
 
 import pytest
 
@@ -61,3 +62,28 @@ def word_element(wg, rng, length):
     for _ in range(length):
         w = wg.compose(rng.choice(wg.generators), w)
     return w
+
+
+@functools.cache
+def coroot_labels(rs):
+    """<omega_i, a^vee> = 2 k(omega_i, a) / k(a, a) for every root a, in Fraction arithmetic."""
+    weights = rs.fundamental_weights()
+    return [tuple(2 * rs.pairing(w, a) / rs.pairing(a, a) for w in weights) for a in rs.roots]
+
+
+@functools.cache
+def label_mat(rs, w):
+    """The dense matrix of w on Dynkin labels: <w(l), alpha_j^vee> = <l, (w^-1 alpha_j)^vee>.
+
+    Row j holds the coroot labels of w^-1(alpha_j), the root at index
+    w.perm.index(simple_indices[j]).
+    """
+    rows = coroot_labels(rs)
+    mat = tuple(rows[w.perm.index(s)] for s in rs.simple_indices)
+    assert all(x.denominator == 1 for row in mat for x in row)
+    return tuple(tuple(int(x) for x in row) for row in mat)
+
+
+def apply_labels(rs, w, labels):
+    """w applied to a label vector through its dense matrix."""
+    return tuple(sum(map(mul, row, labels)) for row in label_mat(rs, w))

@@ -13,7 +13,7 @@ from weylstrat.lattice import TorusPoint, gamma_x, kernel_preset, pq_map
 from weylstrat.subsys import build_poset, enumerate_classes
 from weylstrat.verify import computed_tables, load_corpus, normalize_label, verify_group
 
-from conftest import system, tuple_count_oracle
+from conftest import apply_labels, system, tuple_count_oracle
 from test_relcoeff import exhaustive_subset_sums, unreduced_coefficients
 from test_repthy import kostant_multiplicity, su2_char_product, su2_decompose
 from test_subsys import EXPECTED_EDGES
@@ -230,7 +230,7 @@ def test_criterion_8_stable_k_rows():
                 on_orbit = {}
                 for mu, dval in d.entries.items():
                     for w in wg.elements:
-                        mu2 = w.apply_labels(mu)
+                        mu2 = apply_labels(rs, w, mu)
                         lam2 = tuple(a + b for a, b in zip(lam, mu2))
                         if all(x >= 0 for x in lam2):
                             on_orbit[lam2] = dval

@@ -17,7 +17,7 @@ from weylstrat.lattice import (
     smith_normal_form,
 )
 from weylstrat.subsys import enumerate_classes
-from conftest import system
+from conftest import label_mat, system
 
 
 def test_presets():
@@ -73,6 +73,21 @@ def test_presets_pass_kernel_checks(family, rank):
         for row in kernel.rows:
             for i in range(rank):
                 assert sum(row[j] * rs.cartan[j][i] for j in range(rank)).denominator == 1
+
+
+@pytest.mark.parametrize("family,rank", [("B", 2), ("B", 3), ("B", 4), ("C", 2)])
+def test_kernels_containing_coroots_give_p_one(family, rank, tmp_path):
+    # each simple coroot lies in K, so 1 is in every projection lattice (p/q)Z
+    rs, _ = system(family, rank)
+    kernels = [kernel_preset(rs, name) for name in ("sc", "so-odd")]
+    if family == "C":
+        so5 = tmp_path / "so5.txt"
+        so5.write_text("# SO(5) in the C2 numbering (first simple root short)\n1/2 0\n0 1\n")
+        kernels.append(check_kernel(rs, kernel_from_file(str(so5))))
+    for kernel in kernels:
+        assert all(r.p == 1 for r in pq_map(rs, kernel))
+    # not vacuous: the SO(2n+1) kernel gives q = 2 on some roots
+    assert {r.q for r in pq_map(rs, kernels[1])} == {1, 2}
 
 
 def test_pq_requires_coprime():
@@ -172,7 +187,7 @@ def test_gamma_x_equivariance():
     for _ in range(40):
         pt = _random_point(rng, n)
         w = wg.elements[rng.randrange(len(wg))]
-        m = wg.inverse(w).label_mat
+        m = label_mat(rs, wg.inverse(w))
         wa = tuple(sum(m[r][c] * pt.a_coords[r] for r in range(n)) for c in range(n))
         wb = tuple(sum(m[r][c] * pt.b_coords[r] for r in range(n)) for c in range(n))
         lhs = gamma_x(rs, ratios, TorusPoint.make(wa, wb)).root_indices

@@ -1,5 +1,6 @@
 import functools
 from fractions import Fraction as Q
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,9 @@ from weylstrat.relcoeff import (
     subset_sums,
     symmetrize,
 )
+from weylstrat.lattice import PQRatio
 from weylstrat.subsys import SubsystemClass, enumerate_classes, RootSubsystem
-from conftest import system
+from conftest import apply_labels, label_mat, system
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -45,11 +47,41 @@ def unreduced_coefficients(rs, wg, cls):
         shifted = tuple(l + 1 for l in lam)
         total = 0
         for w2 in wg.elements:
-            point = tuple(x - 1 for x in w2.apply_labels(shifted))
+            point = tuple(x - 1 for x in apply_labels(rs, w2, shifted))
             for w1 in wg.elements:
-                total += w2.sign * v.get(w1.apply_labels(point), 0)
+                total += w2.sign * v.get(apply_labels(rs, w1, point), 0)
         if total:
             out[lam] = total
+    return out
+
+
+def dense_symmetrize(rs, reps, v):
+    """Sum of w(V) over the coset representatives, each through its dense label matrix.
+
+    An image M(key) = sum_i key_i * (column i of M) is packed as one integer,
+    its coordinates the balanced base-`base` digits; `half` bounds every
+    coordinate, so unpacking is exact.
+    """
+    mats = [label_mat(rs, w) for w in reps]
+    half = max(abs(x) for m in mats for row in m for x in row) * max(
+        sum(map(abs, key)) for key in v
+    )
+    base = 2 * half + 1
+    packed = {}
+    for m in mats:
+        cols = [sum(m[j][i] * base**j for j in range(rs.rank)) for i in range(rs.rank)]
+        for key, val in v.items():
+            img = sum(map(mul, key, cols))
+            packed[img] = packed.get(img, 0) + val
+    out = {}
+    for x, val in packed.items():
+        if val:
+            labels = []
+            for _ in range(rs.rank):
+                d = (x + half) % base - half
+                labels.append(d)
+                x = (x - d) // base
+            out[tuple(labels)] = val
     return out
 
 
@@ -97,7 +129,7 @@ def test_signed_total_and_negation_symmetry():
 def test_symmetrize_full_stabilizer_is_identity():
     rs, wg, classes = classes_of("A", 1)
     v = subset_sums(rs, [0, 1])
-    vt = symmetrize(wg.coset_representatives([]).values(), v)
+    vt = symmetrize(wg, len(wg.coset_representatives([])), v)
     assert vt == v
 
 
@@ -107,25 +139,59 @@ def test_symmetrize_point_mass_at_zero():
     i = rs.simple_indices[0]
     pair = {i, rs.negative_index(i)}
     stab = wg.setwise_stabilizer(pair)
-    vt = symmetrize(wg.coset_representatives(pair).values(), v)
+    vt = symmetrize(wg, len(wg.coset_representatives(pair)), v)
     assert vt.entries == {(0, 0): 3 * (len(wg) // len(stab))}
 
 
-def test_symmetrize_matches_full_group_sum():
-    rs, wg, classes = classes_of("A", 2)
-    cls = classes["A1"]
-    members = cls.representative.root_indices
-    complement = [i for i in range(len(rs.roots)) if i not in members]
-    v = subset_sums(rs, complement)
-    stab = wg.setwise_stabilizer(members)
-    vt = symmetrize(wg.coset_representatives(members).values(), v)
-    # |W_Gamma| * reduced sum equals the unreduced sum over all of W
-    full = WeightedSum()
-    for w in wg.elements:
-        inv = wg.inverse(w)
-        for key, val in v.entries.items():
-            full.add(inv.apply_labels(key), val)
-    assert {k: len(stab) * val for k, val in vt.entries.items()} == full.entries
+@pytest.mark.parametrize(
+    "family,rank,only",
+    [(f, r, None) for f, lo in [("A", 1), ("B", 2), ("C", 2), ("D", 4)] for r in range(lo, 5)]
+    + [("D", 5, "A1+A1")],
+)
+def test_symmetrize_matches_full_group_sum(family, rank, only):
+    # the orbit bins against the dense per-coset sum (D5 A1+A1: 60 cosets, 180k keys)
+    rs, wg, classes = classes_of(family, rank)
+    for cls in classes.values() if only is None else [classes[only]]:
+        members = cls.representative.root_indices
+        complement = [i for i in range(len(rs.roots)) if i not in members]
+        v = subset_sums(rs, complement)
+        reps = wg.coset_representatives(members)
+        vt = symmetrize(wg, len(reps), v)
+        assert vt.entries == dense_symmetrize(rs, reps.values(), v.entries), cls.label
+        if len(wg) > 48:
+            continue
+        # |W_Gamma| * reduced sum equals the unreduced sum over all of W
+        stab = wg.setwise_stabilizer(members)
+        full = WeightedSum()
+        for w in wg.elements:
+            inv = wg.inverse(w)
+            for key, val in v.entries.items():
+                full.add(apply_labels(rs, inv, key), val)
+        assert {k: len(stab) * val for k, val in vt.entries.items()} == full.entries, cls.label
+
+
+@functools.cache
+def symmetrized_of(family, rank, label):
+    rs, wg, classes = classes_of(family, rank)
+    members = classes[label].representative.root_indices
+    v = subset_sums(rs, [i for i in range(len(rs.roots)) if i not in members])
+    return symmetrize(wg, len(wg.coset_representatives(members)), v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4)]),
+    st.data(),
+)
+def test_symmetrized_map_is_w_invariant(group, data):
+    # vt(s_i nu) = vt(nu), with s_i through its dense matrix, on and around the support
+    rs, wg, classes = classes_of(*group)
+    vt = symmetrized_of(*group, data.draw(st.sampled_from(sorted(classes)), label="class"))
+    point = data.draw(st.sampled_from(sorted(vt.entries)), label="support point")
+    shift = data.draw(st.tuples(*[st.integers(-2, 2)] * rs.rank), label="shift")
+    nu = tuple(map(sum, zip(point, shift)))
+    i = data.draw(st.integers(0, rs.rank - 1), label="i")
+    assert vt.value(apply_labels(rs, wg.generators[i], nu)) == vt.value(nu)
 
 
 # -- candidate enumeration -----------------------------------------------------------
@@ -193,6 +259,14 @@ def moved_class(rs, cls, w):
         tuple(rs.roots[w.perm[rs.root_index(b)]] for b in cls.base),
         RootSubsystem(moved, cls.representative.closed, cls.label),
     )
+
+
+def test_coeff_table_rejects_ratios_with_p_above_one():
+    # p = 1 under every kernel containing the coroot lattice; 2/1 is refused, not rounded
+    rs, wg, classes = classes_of("B", 2)
+    ratios = [PQRatio(2, 1)] * len(rs.roots)
+    with pytest.raises(ValueError, match="coroot lattice"):
+        coeff_table(rs, wg, classes["A1"], ratios)
 
 
 def test_representative_independence():

@@ -12,7 +12,7 @@ from weylstrat.repthy import (
     tensor_coeff,
     weyl_dim,
 )
-from conftest import system
+from conftest import apply_labels, system
 
 
 # -- independent oracles -------------------------------------------------------
@@ -46,7 +46,7 @@ def kostant_multiplicity(rs, wg, lam, mu):
     total = 0
     shifted = tuple(l + 1 for l in lam)
     for w in wg.elements:
-        v = w.apply_labels(shifted)
+        v = apply_labels(rs, w, shifted)
         target = tuple(a - (b + 1) for a, b in zip(v, mu))
         total += w.sign * kostant_partition(rs, target)
     return total

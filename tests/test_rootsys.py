@@ -12,7 +12,7 @@ from weylstrat.rootsys import (
     vec_neg,
     vec_scale,
 )
-from conftest import RANK_SIX_TYPES, system
+from conftest import RANK_SIX_TYPES, coroot_labels, system
 
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -103,10 +103,14 @@ def test_reflection_perms_match_fraction_reflections(family, rank):
     rs = root_system(family, rank)
     for a, perm in zip(rs.roots, rs.reflection_perms()):
         assert perm == tuple(rs.index[rs.reflect(a, b)] for b in rs.roots), a
-    weights = rs.fundamental_weights()
-    for a, row in zip(rs.roots, rs.coroot_labels):
-        assert row == tuple(2 * rs.pairing(w, a) / rs.pairing(a, a) for w in weights), a
-        assert all(type(x) is int for x in row)
+    # the Fraction coroot labels behind the dense label-matrix oracle of the tests
+    rows = coroot_labels(rs)
+    assert all(x.denominator == 1 for row in rows for x in row)
+    assert [rows[s] for s in rs.simple_indices] == [
+        tuple(int(i == j) for i in range(rank)) for j in range(rank)
+    ]
+    for i, row in enumerate(rows):
+        assert rows[rs.negative_index(i)] == tuple(-x for x in row)
 
 
 def test_rank_bounds_rejected():

@@ -210,6 +210,19 @@ def test_class_leq_basics():
     assert not class_leq(wg, classes["A2"], classes["A1+A1"])
 
 
+@pytest.mark.parametrize(
+    "family,rank", [(f, r) for f, lo in [("A", 1), ("B", 2), ("C", 2), ("D", 4)] for r in range(lo, 6)]
+)
+def test_build_poset_matches_class_leq(family, rank):
+    # one orbit walk per class in build_poset gives the same order as class_leq per pair
+    rs, wg, classes = classes_by_label(family, rank)
+    poset = build_poset(wg, list(classes.values()))
+    assert poset.leq == {
+        (c1.label, c2.label): class_leq(wg, c1, c2)
+        for c1, c2 in itertools.product(classes.values(), repeat=2)
+    }
+
+
 EXPECTED_EDGES = {
     ("A", 1): {("0", "A1")},
     ("A", 2): {("0", "A1"), ("A1", "A2")},
