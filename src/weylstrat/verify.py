@@ -78,6 +78,9 @@ def computed_tables(
     rs = build_root_system(LieType(family, rank))
     wg = generate_group(rs)
     classes = {c.label: c for c in enumerate_classes(rs, wg)}
+    for label in class_labels:
+        if normalize_label(label) not in classes:
+            raise ValueError(f"{label!r} is not a subsystem class of {rs.lie_type}")
     out = {}
     for label in class_labels:
         ct = coeff_table(rs, wg, classes[normalize_label(label)])
@@ -141,8 +144,31 @@ def _inverse_permute(lam: Sequence[int], perm: Tuple[int, ...]) -> Labels:
     return tuple(lam[dst] for dst in perm)
 
 
+def _check_corpus(data) -> None:
+    """ValueError unless data has the keys, types and sizes of one group's corpus."""
+    keys = {"group": str, "family": str, "rank": int, "classes": list, "rows": list}
+    if type(data) is not dict or any(type(data.get(k)) is not t for k, t in keys.items()) or any(
+        type(label) is not str for label in data["classes"]
+    ):
+        raise ValueError("corpus must be an object with string group and family, integer "
+                         "rank, a list of class-label strings and a list of rows")
+    rank, n_classes = data["rank"], len(data["classes"])
+    for row in data["rows"]:
+        lam, values = (row.get("lambda"), row.get("values")) if type(row) is dict else (None, None)
+        if type(lam) is not list or len(lam) != rank or any(type(x) is not int for x in lam):
+            raise ValueError(f"corpus row lambda {lam!r} is not a list of {rank} integers")
+        pairs_ok = type(values) is list and len(values) == n_classes and all(
+            type(pair) is list and len(pair) == 2 and all(v is None or type(v) is str for v in pair)
+            for pair in values
+        )
+        if not pairs_ok:
+            raise ValueError(f"corpus row {lam} needs one [c, d] pair of strings or nulls "
+                             f"for each of the {n_classes} classes")
+
+
 def verify_group(data: dict) -> Tuple[List[Mismatch], Tuple[int, ...]]:
     """Diff one group's tables; returns mismatches and the fork permutation used."""
+    _check_corpus(data)
     group = data["group"]
     family, rank = data["family"], data["rank"]
     corpus_rows = {tuple(r["lambda"]): r["values"] for r in data["rows"]}

@@ -185,6 +185,35 @@ def test_verify_detects_injected_fault(tmp_path, capsys):
     assert "expected=999" in out and "got=15" in out
 
 
+def _corpus_shapes():
+    su3 = load_corpus("SU(3)")[0]
+
+    def edited(edit):
+        data = json.loads(json.dumps(su3))
+        edit(data)
+        return data
+
+    return {
+        "empty object": {},
+        "top-level list": [su3],
+        "row without values": edited(lambda d: d["rows"][0].pop("values")),
+        "class of another rank": edited(lambda d: d.update(classes=["0", "A5"])),
+        "values shorter than classes": edited(lambda d: d["rows"][1]["values"].pop()),
+        "lambda of the wrong length": edited(lambda d: d["rows"][0]["lambda"].append(0)),
+    }
+
+
+@pytest.mark.parametrize("shape", list(_corpus_shapes()))
+def test_verify_rejects_malformed_corpus(shape, tmp_path, capsys):
+    # exit 1 means only "verification mismatch": a bad file is one error line and exit 2
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(_corpus_shapes()[shape]))
+    assert run(["verify", "--corpus", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+
 def test_label_normalization():
     assert normalize_label("B1+A1") == "A1+B1"
     assert normalize_label("C1+D2") == "D2+C1"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -14,8 +15,8 @@ from weylstrat.lattice import (
     kernel_preset,
     pq_map,
     pq_ratio,
-    smith_normal_form,
 )
+from weylstrat.rootsys import _invert_rational
 from weylstrat.subsys import enumerate_classes
 from conftest import label_mat, system
 
@@ -195,36 +196,58 @@ def test_gamma_x_equivariance():
         assert lhs == rhs
 
 
-def test_smith_normal_form_random():
-    rng = random.Random(2)
-    for _ in range(60):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        a = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        s, d, t = smith_normal_form([r[:] for r in a])
-        # D = S A T, off-diagonal zero, transforms unimodular
-        sat = _mat_mul(_mat_mul(s, a), t)
-        assert sat == d
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert d[i][j] == 0
-        assert abs(_det(s)) == 1 and abs(_det(t)) == 1
+def _sweep_kernels(rs, count, seed):
+    """Seeded kernels R = M * (fundamental coweight rows) that check_kernel accepts."""
+    rng = random.Random(seed)
+    n = rs.rank
+    kept = []
+    for _ in range(2000):
+        m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        rows = tuple(
+            tuple(sum(m[i][k] * rs.cartan_inverse[k][j] for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+        try:
+            kept.append(check_kernel(rs, ExpKernel(rows)))
+        except ValueError:
+            continue
+        if len(kept) == count:
+            break
+    return kept
 
 
-def _mat_mul(a, b):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
-def _det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    out = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        out += (-1) ** j * m[0][j] * _det(minor)
-    return out
+@pytest.mark.parametrize(
+    "family,rank", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3)]
+)
+def test_pq_map_matches_brute_force_on_random_kernels(family, rank):
+    rs, _ = system(family, rank)
+    kernels = _sweep_kernels(rs, 6, seed=11)
+    assert len(kernels) == 6
+    # some kept lattice lies strictly between the coroots and the coweights
+    assert any(x.denominator != 1 for k in kernels for row in k.rows for x in row)
+    ratios = [pq_map(rs, k) for k in kernels]
+    # q > 1 needs every root to pair evenly with a^vee, which only B_n and C2 allow
+    has_q = any(r.q > 1 for rk in ratios for r in rk)
+    assert has_q == (family == "B" or (family, rank) == ("C", 2))
+    for kernel, rk in zip(kernels, ratios):
+        by_norm = {}
+        for i, r in enumerate(rk):
+            by_norm.setdefault(rs.root_norms[i], set()).add((r.p, r.q))
+        assert all(len(v) == 1 for v in by_norm.values())
+        # independent oracle: the t with k R = t e_j over a window of integral k. Each
+        # e_j lies in K, so the generator t <= 1 has k = t * (row j of R^-1) in the window.
+        den = math.lcm(*(x.denominator for row in kernel.rows for x in row))
+        scaled = [[int(x * den) for x in row] for row in kernel.rows]
+        inverse = _invert_rational([list(row) for row in kernel.rows])
+        bound = max(6, *(int(abs(x)) for row in inverse for x in row))
+        found = [set() for _ in range(rank)]
+        for k in itertools.product(range(-bound, bound + 1), repeat=rank):
+            v = [sum(ki * row[j] for ki, row in zip(k, scaled)) for j in range(rank)]
+            nonzero = [j for j in range(rank) if v[j]]
+            if len(nonzero) == 1:
+                found[nonzero[0]].add(Q(v[nonzero[0]], den))
+        for j in range(rank):
+            gen = min(t for t in found[j] if t > 0)
+            got = rk[rs.root_index(rs.simple_roots[j])]
+            assert Q(got.p, got.q) == gen
+            assert all(t % gen == 0 for t in found[j])
