@@ -1,5 +1,10 @@
 """Costratification data: D coefficient tables and normalized K-matrix blocks.
 
+D tables are read off the symmetrized subset-sum map that gives the C table
+(`CoeffTable.dominant_values`); no weight system is computed for them.
+Freudenthal's recursion (`repthy.dominant_weight_system`) serves only
+`repthy.tensor_coeff` and the test oracles.
+
 All K entries are stored in normalized form (the ratio of character norms is
 divided out), which keeps every table exact and independent of hbar; the
 transcendental factor is reinstated on demand by norm_ratio.
@@ -45,13 +50,31 @@ class HbarConfig:
 
 
 def d_coeffs(rs: RootSystem, wg: WeylGroup, table: CoeffTable) -> DCoeffTable:
-    """Accumulate coefficient-weighted multiplicities over the table's weight systems."""
-    acc: Dict[Labels, Q] = {}
-    for lam, c in table.entries.items():
-        ws = repthy.dominant_weight_system(rs, wg, lam)
-        for mu, m in ws.dominant_entries.items():
-            acc[mu] = acc.get(mu, Q(0)) + Q(c) * m
-    return DCoeffTable(table.class_label, dict(sorted(acc.items())))
+    """D(mu) = sum of c_lambda * m_lambda(mu) over the table, at every dominant mu below it.
+
+    The symmetrized map is the character sum of c_lambda * chi_lambda, so D(mu)
+    is its value at mu, kept by coeff_table. The keys, zeros included, are the
+    dominant weights of the table irreps: the dominant mu with lambda - mu in
+    the positive root cone for some lambda of the table. Every such mu is
+    reached from lambda by steps down positive roots through dominant weights
+    (Stembridge, "The partial order of dominant weights", 1998), so a
+    breadth-first walk finds them.
+    """
+    steps = [rs.root_labels(p) for p in range(rs.num_positive)]
+    below = set(table.entries)
+    frontier = list(below)
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for step in steps:
+                nu = tuple(a - b for a, b in zip(mu, step))
+                if min(nu) >= 0 and nu not in below:
+                    below.add(nu)
+                    nxt.append(nu)
+        frontier = nxt
+    values = table.dominant_values
+    assert below.issuperset(values), "symmetrized map is not the table's character sum"
+    return DCoeffTable(table.class_label, {mu: Q(values.get(mu, 0)) for mu in sorted(below)})
 
 
 def orbit_shifts(rs: RootSystem, wg: WeylGroup, dtable: DCoeffTable) -> List[Labels]:

@@ -5,7 +5,9 @@ parity-weighted number of ways their (ratio-scaled) root sums hit each weight.
 Its sum over the cosets of the stabilizer is W-invariant, so it is found by
 binning V over W-orbits and spreading each bin evenly over its orbit; a single
 signed fold over shifted dominant representatives then yields the reduced
-coefficients, all in integer label arithmetic.
+coefficients, all in integer label arithmetic. The same fold keeps the values
+of the symmetrized map at dominant weights: they are the D table (see
+`costrat.d_coeffs`), so no weight system is ever computed here.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ class CoeffTable:
     class_label: str
     entries: Dict[Labels, int]
     stabilizer_order: int
+    # the non-zero values of the symmetrized map at dominant weights
+    dominant_values: Dict[Labels, int]
 
 
 def _scaled_root_labels(
@@ -65,12 +69,20 @@ def _scaled_root_labels(
     return tuple(r.q * l for l in lab)
 
 
+# subset_sums refuses a map whose support passes this many weights
+MAX_SUPPORT = 2_000_000
+
+
 def subset_sums(
     rs: RootSystem,
     complement: Sequence[int],
     ratios: Optional[Sequence[PQRatio]] = None,
 ) -> WeightedSum:
-    """Fold the complement roots one at a time instead of walking 2^n subsets."""
+    """Fold the complement roots one at a time instead of walking 2^n subsets.
+
+    Raises ValueError as soon as the support passes MAX_SUPPORT weights, so
+    the map never holds more than about twice that many.
+    """
     entries: Dict[tuple, int] = {tuple(0 for _ in range(rs.rank)): 1}
     for idx in complement:
         shift = _scaled_root_labels(rs, idx, ratios)
@@ -83,6 +95,8 @@ def subset_sums(
             else:
                 new.pop(moved, None)
         entries = new
+        if len(entries) > MAX_SUPPORT:
+            raise ValueError(f"subset-sum support too large: more than {MAX_SUPPORT} weights")
     return WeightedSum(entries)
 
 
@@ -138,8 +152,10 @@ def coeff_table(
     the stabilizer order is |W| over the orbit size), by W-orbit bins. It then
     folds the result through the shifted dominant representative of each
     support point: a support point contributes to the unique dominant weight
-    whose shifted orbit passes through it. Ratios must have p = 1, as under
-    every kernel that `lattice.check_kernel` accepts; otherwise ValueError.
+    whose shifted orbit passes through it. On the way it keeps the map's
+    values at dominant weights, which are exactly the support points whose
+    shifted image is already strictly dominant. Ratios must have p = 1, as
+    under every kernel that `lattice.check_kernel` accepts; otherwise ValueError.
     """
     members = cls.representative.root_indices
     complement = [i for i in range(len(rs.roots)) if i not in members]
@@ -148,14 +164,18 @@ def coeff_table(
     vt = symmetrize(wg, n_cosets, v)
 
     acc: Dict[Labels, int] = {}
+    dominant: Dict[Labels, int] = {}
     for key, val in vt.entries.items():
-        dom, sign, regular = wg.dominant_data(tuple(k + 1 for k in key))
+        shifted = tuple(k + 1 for k in key)
+        dom, sign, regular = wg.dominant_data(shifted)
         if not regular:
             continue
+        if dom == shifted:  # key + delta strictly dominant: key itself is dominant
+            dominant[key] = val
         lam = tuple(d - 1 for d in dom)
         acc[lam] = acc.get(lam, 0) + sign * val
     entries = {k: v for k, v in sorted(acc.items()) if v}
-    return CoeffTable(cls.label, entries, len(wg) // n_cosets)
+    return CoeffTable(cls.label, entries, len(wg) // n_cosets, dominant)
 
 
 def identity_value(rs: RootSystem, wg: WeylGroup, table: CoeffTable) -> int:

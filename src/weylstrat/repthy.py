@@ -1,6 +1,8 @@
 """Weight systems, multiplicities, and tensor-product bookkeeping.
 
-Dominant weight systems are computed with Freudenthal's recursion, exactly
+Dominant weight systems serve `tensor_coeff` (and the tests' oracles); D
+tables never need them, since `costrat.d_coeffs` reads D off the symmetrized
+subset-sum map. They are computed with Freudenthal's recursion, exactly
 and entirely in integers: norms are the root system's scaled integer norms
 (norm_den * ||l||^2), pairings with roots are integral, and root-lattice
 membership of lambda - mu is divisibility of the scaled inverse Cartan

@@ -153,10 +153,14 @@ def _check_corpus(data) -> None:
         raise ValueError("corpus must be an object with string group and family, integer "
                          "rank, a list of class-label strings and a list of rows")
     rank, n_classes = data["rank"], len(data["classes"])
+    seen = set()
     for row in data["rows"]:
         lam, values = (row.get("lambda"), row.get("values")) if type(row) is dict else (None, None)
         if type(lam) is not list or len(lam) != rank or any(type(x) is not int for x in lam):
             raise ValueError(f"corpus row lambda {lam!r} is not a list of {rank} integers")
+        if tuple(lam) in seen:
+            raise ValueError(f"corpus row lambda {lam} appears more than once")
+        seen.add(tuple(lam))
         pairs_ok = type(values) is list and len(values) == n_classes and all(
             type(pair) is list and len(pair) == 2 and all(v is None or type(v) is str for v in pair)
             for pair in values

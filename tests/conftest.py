@@ -1,8 +1,10 @@
 import functools
+from fractions import Fraction as Q
 from operator import mul
 
 import pytest
 
+from weylstrat.repthy import dominant_weight_system
 from weylstrat.rootsys import LieType, build_root_system
 from weylstrat.weyl import generate_group
 
@@ -87,3 +89,12 @@ def label_mat(rs, w):
 def apply_labels(rs, w, labels):
     """w applied to a label vector through its dense matrix."""
     return tuple(sum(map(mul, row, labels)) for row in label_mat(rs, w))
+
+
+def freudenthal_d_entries(rs, wg, table):
+    """D table as sum of c_lambda * m_lambda(mu) over Freudenthal weight systems, keys sorted."""
+    acc = {}
+    for lam, c in table.entries.items():
+        for mu, m in dominant_weight_system(rs, wg, lam).dominant_entries.items():
+            acc[mu] = acc.get(mu, Q(0)) + Q(c) * m
+    return dict(sorted(acc.items()))

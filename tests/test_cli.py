@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from weylstrat import relcoeff, repthy
 from weylstrat.cli import run
 from weylstrat.verify import load_corpus, normalize_label
 
@@ -156,6 +157,29 @@ def test_usage_errors(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
+def test_subset_sum_support_budget(monkeypatch, capsys):
+    # A3 supports: 201 weights for class 0, 27 for A2. The budget shrinks so the
+    # refusal takes milliseconds; at full size it stops coeffs A8 --class A1
+    monkeypatch.setattr(relcoeff, "MAX_SUPPORT", 100)
+    assert run(["coeffs", "--family", "A", "--rank", "3", "--class", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: subset-sum support too large: more than 100 weights\n"
+    assert run(["coeffs", "--family", "A", "--rank", "3", "--class", "A2"]) == 0
+    assert out_of(capsys)
+
+
+def test_d_tables_need_no_weight_system(monkeypatch, capsys):
+    def refuse(*_args):
+        raise AssertionError("Freudenthal weight system on the D-table path")
+
+    monkeypatch.setattr(repthy, "dominant_weight_system", refuse)
+    assert run(["verify", "--group", "Spin(7)"]) == 0
+    assert out_of(capsys).strip().endswith("OK")
+    assert run(["kblock", "--family", "B", "--rank", "3", "--class", "A1", "--cutoff", "8"]) == 0
+    assert out_of(capsys)
+
+
 def test_rank_four_bc_supported_outside_corpus(capsys):
     # no golden data for these, but the commands still compute them
     assert run(["subsystems", "--family", "B", "--rank", "4", "--format", "json"]) == 0
@@ -193,6 +217,11 @@ def _corpus_shapes():
         edit(data)
         return data
 
+    def repeat_first_row(data):
+        # rows keyed by lambda would keep only the later, correct copy and pass
+        data["rows"].append(json.loads(json.dumps(data["rows"][0])))
+        data["rows"][0]["values"][0][0] = "999"
+
     return {
         "empty object": {},
         "top-level list": [su3],
@@ -200,6 +229,7 @@ def _corpus_shapes():
         "class of another rank": edited(lambda d: d.update(classes=["0", "A5"])),
         "values shorter than classes": edited(lambda d: d["rows"][1]["values"].pop()),
         "lambda of the wrong length": edited(lambda d: d["rows"][0]["lambda"].append(0)),
+        "repeated lambda": edited(repeat_first_row),
     }
 
 

@@ -29,6 +29,9 @@ COMMANDS = [
     "coeffs --family B --rank 2 --class 0 --kernel so-odd",
     "dcoeffs --family C --rank 3 --class C1+C2",
     "dcoeffs --family A --rank 1 --class full",
+    "dcoeffs --family A --rank 4 --class A1",
+    "dcoeffs --family D --rank 4 --class A1+A1",
+    "dcoeffs --family B --rank 3 --class A1 --kernel so-odd",
     "kblock --family A --rank 2 --class 0 --cutoff 6",
     "kblock --family B --rank 2 --class A1 --cutoff 5 --kernel so-odd --hbar 1.0",
     "kblock --family A --rank 1 --class 0 --cutoff 3/2",
@@ -97,6 +100,18 @@ DIGESTS = {
     "dcoeffs --family A --rank 1 --class full --format csv": "b64956175b05fede97dc16b9b6c1202ac46de7315b3ce8929f86535fd0529a1f",
     "dcoeffs --family A --rank 1 --class full --format text": "4ca029d25d2358521fc4475b76d249f2ae9c639fe7e27855699d322034ca9e7b",
     "dcoeffs --family A --rank 1 --class full --format dot": "4ca029d25d2358521fc4475b76d249f2ae9c639fe7e27855699d322034ca9e7b",
+    "dcoeffs --family A --rank 4 --class A1 --format json": "3caedcb18c5b6ba715f99f5b1441e46111cdd775639819882fc0d532c7b1243c",
+    "dcoeffs --family A --rank 4 --class A1 --format csv": "35062fea148b2b71c63ab366664f49e404312a7c1d738fc34a38b1ccaccc9ba8",
+    "dcoeffs --family A --rank 4 --class A1 --format text": "1b2eeae04e2c77b1d7227f516361e9ad3fdebe03b3ba290f34027aabac066094",
+    "dcoeffs --family A --rank 4 --class A1 --format dot": "1b2eeae04e2c77b1d7227f516361e9ad3fdebe03b3ba290f34027aabac066094",
+    "dcoeffs --family D --rank 4 --class A1+A1 --format json": "837e053111f79bdffa8b8a78eb976915e2299e821db80fb90ed2707a65692b82",
+    "dcoeffs --family D --rank 4 --class A1+A1 --format csv": "924eb89fb78d845bb54b8a2c4a25fbc95df64be77f9c58630edf05a8cec2fe4f",
+    "dcoeffs --family D --rank 4 --class A1+A1 --format text": "1f0a4fec850b7ef6a80ec2ed6753ec45b52c91ac63b8c6c5f8543223507d1bec",
+    "dcoeffs --family D --rank 4 --class A1+A1 --format dot": "1f0a4fec850b7ef6a80ec2ed6753ec45b52c91ac63b8c6c5f8543223507d1bec",
+    "dcoeffs --family B --rank 3 --class A1 --kernel so-odd --format json": "6747523d91be9c4466a2ca8dacfbbafe88d1984412627b4e4fbff965df4e390d",
+    "dcoeffs --family B --rank 3 --class A1 --kernel so-odd --format csv": "73525bf55525780a11a0f12ea5b61dfe0c11b32262a1641b6dd04ffac18b0d5c",
+    "dcoeffs --family B --rank 3 --class A1 --kernel so-odd --format text": "a9ec563d6f1e64f2fbd150bbe9acad2f527e6870d3052dac1a51659adf719f62",
+    "dcoeffs --family B --rank 3 --class A1 --kernel so-odd --format dot": "a9ec563d6f1e64f2fbd150bbe9acad2f527e6870d3052dac1a51659adf719f62",
     "kblock --family A --rank 2 --class 0 --cutoff 6 --format json": "84dc2bd27ccf6fb70b687a0ce6ce3c49e3897c826c39fb33e3eb654ab779b643",
     "kblock --family A --rank 2 --class 0 --cutoff 6 --format csv": "d0f9c082be20c81b64ecd130e018d3046eab72ecc30c19010031af058ede3c73",
     "kblock --family A --rank 2 --class 0 --cutoff 6 --format text": "a9c1ae0d021677784ac8cad69a33a8a1651d16e1432c5ceb972d22c582d9a4c9",

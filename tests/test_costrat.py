@@ -15,10 +15,11 @@ from weylstrat.costrat import (
     orbit_shifts,
     vanishing_system,
 )
+from weylstrat.lattice import kernel_preset, pq_map
 from weylstrat.relcoeff import coeff_table
 from weylstrat.repthy import dominant_labels_within, dominant_weight_system
 from weylstrat.subsys import SubsystemClass, RootSubsystem, build_poset, enumerate_classes
-from conftest import RANK_SIX_TYPES, system
+from conftest import RANK_SIX_TYPES, freudenthal_d_entries, system
 
 
 def tables_of(family, rank):
@@ -46,6 +47,22 @@ def test_spin7_d3_d_values():
     assert d.entries[(0, 0, 0)] == 8
     assert d.entries[(0, 1, 0)] == 2
     assert d.entries[(1, 0, 0)] == -4
+
+
+@pytest.mark.parametrize(
+    "family, rank, kernel",
+    [("A", r, "sc") for r in range(1, 5)]
+    + [(f, r, k) for f, r in [("B", 2), ("B", 3)] for k in ("sc", "so-odd")]
+    + [("C", 2, "sc"), ("C", 3, "sc"), ("D", 4, "sc")],
+)
+def test_d_table_matches_freudenthal(family, rank, kernel):
+    # the binned D table against the weight-system sum: values, zeros and key order
+    rs, wg, classes = tables_of(family, rank)
+    ratios = None if kernel == "sc" else pq_map(rs, kernel_preset(rs, kernel))
+    for label, cls in classes.items():
+        t = coeff_table(rs, wg, cls, ratios)
+        want = freudenthal_d_entries(rs, wg, t)
+        assert list(d_coeffs(rs, wg, t).entries.items()) == list(want.items()), label
 
 
 def test_d_support_is_union_of_weight_systems():
