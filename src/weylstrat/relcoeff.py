@@ -153,9 +153,8 @@ def coeff_table(
     folds the result through the shifted dominant representative of each
     support point: a support point contributes to the unique dominant weight
     whose shifted orbit passes through it. On the way it keeps the map's
-    values at dominant weights, which are exactly the support points whose
-    shifted image is already strictly dominant. Ratios must have p = 1, as
-    under every kernel that `lattice.check_kernel` accepts; otherwise ValueError.
+    values at its dominant support points. Ratios must have p = 1, as under
+    every kernel that `lattice.check_kernel` accepts; otherwise ValueError.
     """
     members = cls.representative.root_indices
     complement = [i for i in range(len(rs.roots)) if i not in members]
@@ -166,11 +165,10 @@ def coeff_table(
     acc: Dict[Labels, int] = {}
     dominant: Dict[Labels, int] = {}
     for key, val in vt.entries.items():
-        shifted = tuple(k + 1 for k in key)
-        dom, sign, regular = wg.dominant_data(shifted)
+        dom, sign, regular = wg.dominant_data(tuple(k + 1 for k in key))
         if not regular:
             continue
-        if dom == shifted:  # key + delta strictly dominant: key itself is dominant
+        if min(key) >= 0:
             dominant[key] = val
         lam = tuple(d - 1 for d in dom)
         acc[lam] = acc.get(lam, 0) + sign * val

@@ -80,16 +80,10 @@ def _pairing_labels_root(rs: RootSystem, lab: Sequence[int], p: int) -> int:
 
 
 def dominant_weight_system(rs: RootSystem, wg: WeylGroup, highest: Sequence[int]) -> WeightSystem:
-    """Dominant weights of the irrep with the given highest weight, with multiplicities.
-
-    Memoized in wg.weight_systems, so each irrep is computed once per type.
-    """
+    """Dominant weights of the irrep with the given highest weight, with multiplicities."""
     lam = tuple(int(l) for l in highest)
     if any(l < 0 for l in lam):
         raise ValueError(f"highest weight {lam} is not dominant")
-    cached = wg.weight_systems.get(lam)
-    if cached is not None:
-        return cached
 
     den = rs.norm_den
     lam_shift_sq = rs.scaled_norm([l + 1 for l in lam])
@@ -129,8 +123,7 @@ def dominant_weight_system(rs: RootSystem, wg: WeylGroup, highest: Sequence[int]
             )
         mult[mu] = m_mu
 
-    ws = wg.weight_systems[lam] = WeightSystem(lam, mult)
-    return ws
+    return WeightSystem(lam, mult)
 
 
 def weyl_dim(rs: RootSystem, labels: Sequence[int]) -> int:

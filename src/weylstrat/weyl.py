@@ -43,8 +43,6 @@ class WeylGroup:
         self.generators: List[WeylElement] = [
             WeylElement(refl[i], -1) for i in rs.simple_indices
         ]
-        # highest-weight labels -> repthy.WeightSystem, filled by dominant_weight_system
-        self.weight_systems: dict = {}
 
     def __len__(self):
         return expected_group_order(self.rs)

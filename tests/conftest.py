@@ -91,10 +91,16 @@ def apply_labels(rs, w, labels):
     return tuple(sum(map(mul, row, labels)) for row in label_mat(rs, w))
 
 
+@functools.lru_cache(maxsize=None)
+def weight_system(rs, wg, lam):
+    """dominant_weight_system, computed once per irrep of each shared system()."""
+    return dominant_weight_system(rs, wg, lam)
+
+
 def freudenthal_d_entries(rs, wg, table):
     """D table as sum of c_lambda * m_lambda(mu) over Freudenthal weight systems, keys sorted."""
     acc = {}
     for lam, c in table.entries.items():
-        for mu, m in dominant_weight_system(rs, wg, lam).dominant_entries.items():
+        for mu, m in weight_system(rs, wg, lam).dominant_entries.items():
             acc[mu] = acc.get(mu, Q(0)) + Q(c) * m
     return dict(sorted(acc.items()))
