@@ -149,9 +149,9 @@ def _emit_coeffs(args, with_d: bool) -> int:
         lams |= set(dt.entries)
     rows = []
     for lam in sorted(lams):
-        row = {"lambda": list(lam), "c_over_n": str(Q(table.entries.get(lam, 0)))}
+        row = {"lambda": list(lam), "c_over_n": str(table.entries.get(lam, 0))}
         if with_d:
-            row["d"] = str(dt.entries.get(lam, Q(0)))
+            row["d"] = str(dt.entries.get(lam, 0))
         rows.append(row)
     width = 2 * args.rank + 2
     csv_rows = chain(

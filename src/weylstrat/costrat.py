@@ -5,9 +5,12 @@ D tables are read off the symmetrized subset-sum map that gives the C table
 Freudenthal's recursion (`repthy.dominant_weight_system`) serves only
 `repthy.tensor_coeff` and the test oracles.
 
-All K entries are stored in normalized form (the ratio of character norms is
-divided out), which keeps every table exact and independent of hbar; the
-transcendental factor is reinstated on demand by norm_ratio.
+Column lambda of a K block is `repthy.shifted_fold` at lambda of the W-orbit
+points of the D table, each carrying its D value; the C table is column 0 of
+that block. All K entries are stored in normalized form (the ratio of
+character norms is divided out), which keeps every table an exact integer
+and independent of hbar; the transcendental factor is reinstated on demand
+by norm_ratio.
 """
 
 from __future__ import annotations
@@ -29,14 +32,14 @@ class DCoeffTable:
     """Reduced D coefficients, supported on the dominant weights of the table irreps."""
 
     class_label: str
-    entries: Dict[Labels, Q]
+    entries: Dict[Labels, int]
 
 
 @dataclass
 class KBlock:
     class_label: str
     cutoff_norm_sq: Q
-    entries: Dict[Tuple[Labels, Labels], Q]  # (row lambda', column lambda) -> value
+    entries: Dict[Tuple[Labels, Labels], int]  # (row lambda', column lambda) -> value
     incomplete_rows: Set[Labels] = field(default_factory=set)
 
 
@@ -74,7 +77,7 @@ def d_coeffs(rs: RootSystem, wg: WeylGroup, table: CoeffTable) -> DCoeffTable:
         frontier = nxt
     values = table.dominant_values
     assert below.issuperset(values), "symmetrized map is not the table's character sum"
-    return DCoeffTable(table.class_label, {mu: Q(values.get(mu, 0)) for mu in sorted(below)})
+    return DCoeffTable(table.class_label, {mu: values.get(mu, 0) for mu in sorted(below)})
 
 
 def orbit_shifts(rs: RootSystem, wg: WeylGroup, dtable: DCoeffTable) -> List[Labels]:
@@ -105,13 +108,10 @@ def k_entry(
     dtable: DCoeffTable,
     lam_row: Sequence[int],
     lam_col: Sequence[int],
-) -> Q:
-    """Normalized K entry: sum over the support of D times the orbit sign sum."""
-    total = Q(0)
-    for mu, d in dtable.entries.items():
-        if d:
-            total += d * repthy.orbit_sum_t(rs, wg, lam_col, lam_row, mu)
-    return total
+) -> int:
+    """Normalized K entry: row lam_row of the shifted fold of the D orbits at lam_col."""
+    points = repthy.orbit_points(wg, dtable.entries)
+    return repthy.shifted_fold(wg, points, lam_col).get(tuple(lam_row), 0)
 
 
 # kblock_columns refuses a cutoff that admits more columns than this
@@ -140,34 +140,24 @@ def k_block(
 ) -> KBlock:
     """All normalized entries with both shifted norms within the cutoff.
 
-    columns, when the caller already holds them, are kblock_columns(rs, cutoff_norm_sq).
+    A column is flagged incomplete when its fold lands on a row past the
+    cutoff, whether or not that row sums to zero. columns, when the caller
+    already holds them, are kblock_columns(rs, cutoff_norm_sq).
     """
     cutoff = Q(cutoff_norm_sq)
     if columns is None:
         columns = kblock_columns(rs, cutoff)
     # an integer scaled norm exceeds norm_den * cutoff iff it exceeds its floor
     scaled_cutoff = math.floor(cutoff * rs.norm_den)
-    entries: Dict[Tuple[Labels, Labels], Q] = {}
+    points = repthy.orbit_points(wg, dtable.entries)
+    entries: Dict[Tuple[Labels, Labels], int] = {}
     incomplete: Set[Labels] = set()
     for lam in columns:
-        for mu, d in dtable.entries.items():
-            if not d:
-                continue
-            for mu2 in wg.orbit_labels(mu):
-                shifted = tuple(a + b + 1 for a, b in zip(lam, mu2))
-                dom, sign, regular = wg.dominant_data(shifted)
-                if not regular:
-                    continue
-                if rs.scaled_norm(dom) > scaled_cutoff:
-                    incomplete.add(lam)
-                    continue
-                row = tuple(x - 1 for x in dom)
-                key = (row, lam)
-                val = entries.get(key, Q(0)) + sign * d
-                if val:
-                    entries[key] = val
-                else:
-                    entries.pop(key, None)
+        for row, val in repthy.shifted_fold(wg, points, lam).items():
+            if rs.scaled_norm([x + 1 for x in row]) > scaled_cutoff:
+                incomplete.add(lam)
+            elif val:
+                entries[(row, lam)] = val
     return KBlock(dtable.class_label, cutoff, entries, incomplete)
 
 
@@ -178,14 +168,20 @@ def norm_ratio(
     a = rs.labels_norm_sq([l + 1 for l in lam_num])
     b = rs.labels_norm_sq([l + 1 for l in lam_den])
     exponent = (a - b) / 2
-    return math.exp(cfg.hbar * float(exponent)), exponent
+    try:
+        ratio = math.exp(cfg.hbar * float(exponent))
+    except OverflowError:
+        ratio = math.inf
+    if ratio == math.inf:
+        raise ValueError(f"--hbar {cfg.hbar} overflows the norm ratio exp(hbar * {exponent})")
+    return ratio, exponent
 
 
 @dataclass(frozen=True)
 class VanishingRow:
     class_label: str
     lam: Labels
-    coefficients: Tuple[Tuple[Labels, Q], ...]
+    coefficients: Tuple[Tuple[Labels, int], ...]
 
 
 def vanishing_system(
@@ -210,7 +206,7 @@ def vanishing_system(
     rows: List[VanishingRow] = []
     for cls in excluded:
         block = k_block(rs, wg, dtables[cls.label], cutoff_norm_sq)
-        per_col: Dict[Labels, List[Tuple[Labels, Q]]] = {}
+        per_col: Dict[Labels, List[Tuple[Labels, int]]] = {}
         for (row, col), val in block.entries.items():
             per_col.setdefault(col, []).append((row, val))
         for lam in repthy.dominant_labels_within(rs, lambda s: s <= Q(cutoff_norm_sq)):

@@ -3,46 +3,22 @@
 The generating map V counts subsets of the complement of a subsystem by the
 parity-weighted number of ways their (ratio-scaled) root sums hit each weight.
 Its sum over the cosets of the stabilizer is W-invariant, so it is found by
-binning V over W-orbits and spreading each bin evenly over its orbit; a single
-signed fold over shifted dominant representatives then yields the reduced
-coefficients, all in integer label arithmetic. The same fold keeps the values
-of the symmetrized map at dominant weights: they are the D table (see
-`costrat.d_coeffs`), so no weight system is ever computed here.
+binning V over W-orbits and spreading each bin evenly over its orbit. The
+reduced coefficients are `repthy.shifted_fold` of that map at lambda = 0, all
+in integer label arithmetic. The map's values at dominant weights are the D
+table (see `costrat.d_coeffs`), so no weight system is ever computed here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction as Q
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 from .lattice import PQRatio
 from .rootsys import Labels, RootSystem
 from .subsys import SubsystemClass
 from .weyl import WeylGroup
 from . import repthy
-
-
-@dataclass
-class WeightedSum:
-    """Finitely supported integer-valued map on weight labels."""
-
-    entries: Dict[tuple, int] = field(default_factory=dict)
-
-    def add(self, key: tuple, value: int):
-        if not value:
-            return
-        new = self.entries.get(key, 0) + value
-        if new:
-            self.entries[key] = new
-        else:
-            del self.entries[key]
-
-    def value(self, key: tuple) -> int:
-        return self.entries.get(key, 0)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 @dataclass
@@ -77,7 +53,7 @@ def subset_sums(
     rs: RootSystem,
     complement: Sequence[int],
     ratios: Optional[Sequence[PQRatio]] = None,
-) -> WeightedSum:
+) -> Dict[Labels, int]:
     """Fold the complement roots one at a time instead of walking 2^n subsets.
 
     Raises ValueError as soon as the support passes MAX_SUPPORT weights, so
@@ -97,10 +73,10 @@ def subset_sums(
         entries = new
         if len(entries) > MAX_SUPPORT:
             raise ValueError(f"subset-sum support too large: more than {MAX_SUPPORT} weights")
-    return WeightedSum(entries)
+    return entries
 
 
-def symmetrize(wg: WeylGroup, n_cosets: int, v: WeightedSum) -> WeightedSum:
+def symmetrize(wg: WeylGroup, n_cosets: int, v: Dict[Labels, int]) -> Dict[Labels, int]:
     """Sum of w(V) over one w per left coset of Stab(S), for a Stab(S)-invariant V.
 
     The sum is W-invariant: n_cosets * O(mu) / |W.mu| on each orbit W.mu, where
@@ -109,34 +85,17 @@ def symmetrize(wg: WeylGroup, n_cosets: int, v: WeightedSum) -> WeightedSum:
     if n_cosets == 1:
         return v
     bins: Dict[Labels, int] = {}
-    for key, val in v.entries.items():
+    for key, val in v.items():
         mu = wg.dominant_data(key)[0]
         bins[mu] = bins.get(mu, 0) + val
-    out = WeightedSum()
+    out: Dict[Labels, int] = {}
     for mu, total in bins.items():
         if total:
             orbit = wg.orbit_labels(mu)
             share, rem = divmod(n_cosets * total, len(orbit))
             assert rem == 0, (mu, n_cosets * total, len(orbit))
-            out.entries.update(dict.fromkeys(orbit, share))
+            out.update(dict.fromkeys(orbit, share))
     return out
-
-
-def _le_sqrt_plus(a_sq: Q, m_sq: Q, b_sq: Q) -> bool:
-    """Exact test of sqrt(a_sq) <= sqrt(m_sq) + sqrt(b_sq)."""
-    r = a_sq - m_sq - b_sq
-    if r <= 0:
-        return True
-    return r * r <= 4 * m_sq * b_sq
-
-
-def candidate_dominants(rs: RootSystem, max_support_norm_sq: Q) -> List[Labels]:
-    """Dominant labels with ||l + delta|| <= M + ||delta||, M^2 the given bound."""
-    delta_sq = rs.labels_norm_sq(rs.delta_labels)
-    m_sq = Q(max_support_norm_sq)
-    return repthy.dominant_labels_within(
-        rs, lambda s: _le_sqrt_plus(s, m_sq, delta_sq)
-    )
 
 
 def coeff_table(
@@ -149,12 +108,12 @@ def coeff_table(
 
     Symmetrizes the complement's subset-sum map over the cosets of the members'
     setwise stabilizer, which are as many as the images in their W-orbit (so
-    the stabilizer order is |W| over the orbit size), by W-orbit bins. It then
-    folds the result through the shifted dominant representative of each
-    support point: a support point contributes to the unique dominant weight
-    whose shifted orbit passes through it. On the way it keeps the map's
-    values at its dominant support points. Ratios must have p = 1, as under
-    every kernel that `lattice.check_kernel` accepts; otherwise ValueError.
+    the stabilizer order is |W| over the orbit size), by W-orbit bins. The
+    coefficients are the shifted fold of the result at lambda = 0: a support
+    point contributes to the unique dominant weight whose shifted orbit passes
+    through it. The table also keeps the map's values at its dominant support
+    points. Ratios must have p = 1, as under every kernel that
+    `lattice.check_kernel` accepts; otherwise ValueError.
     """
     members = cls.representative.root_indices
     complement = [i for i in range(len(rs.roots)) if i not in members]
@@ -162,17 +121,9 @@ def coeff_table(
     n_cosets = len(wg.coset_representatives(members))
     vt = symmetrize(wg, n_cosets, v)
 
-    acc: Dict[Labels, int] = {}
-    dominant: Dict[Labels, int] = {}
-    for key, val in vt.entries.items():
-        dom, sign, regular = wg.dominant_data(tuple(k + 1 for k in key))
-        if not regular:
-            continue
-        if min(key) >= 0:
-            dominant[key] = val
-        lam = tuple(d - 1 for d in dom)
-        acc[lam] = acc.get(lam, 0) + sign * val
-    entries = {k: v for k, v in sorted(acc.items()) if v}
+    folded = repthy.shifted_fold(wg, vt.items(), (0,) * rs.rank)
+    entries = {k: v for k, v in sorted(folded.items()) if v}
+    dominant = {k: v for k, v in vt.items() if min(k) >= 0}
     return CoeffTable(cls.label, entries, len(wg) // n_cosets, dominant)
 
 

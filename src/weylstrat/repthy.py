@@ -7,8 +7,9 @@ and entirely in integers: norms are the root system's scaled integer norms
 (norm_den * ||l||^2), pairings with roots are integral, and root-lattice
 membership of lambda - mu is divisibility of the scaled inverse Cartan
 coordinates by cartan_den. The recursion always resolves to positive
-integers. The tau / T machinery handles the shifted-orbit sums behind the
-K-matrix entries; the transcendental norm prefactors never enter here.
+integers. `shifted_fold` is the one shifted Weyl-orbit sum (the Brauer-Klimyk
+rule) behind C tables, K blocks, K entries and tensor multiplicities; the
+transcendental norm prefactors never enter here.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .rootsys import Labels, RootSystem
 from .weyl import WeylGroup
@@ -142,24 +143,26 @@ def weyl_dim(rs: RootSystem, labels: Sequence[int]) -> int:
     return int(out)
 
 
-def tau(
-    rs: RootSystem, wg: WeylGroup, lam: Sequence[int], lam2: Sequence[int], mu: Sequence[int]
-) -> int:
-    """Sign of the unique w with w(lam + mu + delta) = lam2 + delta, else 0."""
-    v = tuple(a + b + 1 for a, b in zip(lam, mu))
-    dom, sign, regular = wg.dominant_data(v)
-    if not regular:
-        return 0
-    if dom != tuple(l + 1 for l in lam2):
-        return 0
-    return sign
+def orbit_points(wg: WeylGroup, dominant: Dict[Labels, int]) -> List[Tuple[Labels, int]]:
+    """(nu, c) for every nu in the W-orbit of each dominant mu with non-zero value c."""
+    return [(nu, c) for mu, c in dominant.items() if c for nu in wg.orbit_labels(mu)]
 
 
-def orbit_sum_t(
-    rs: RootSystem, wg: WeylGroup, lam: Sequence[int], lam2: Sequence[int], mu: Sequence[int]
-) -> int:
-    """T(mu) = sum of tau over the Weyl orbit of the dominant weight mu."""
-    return sum(tau(rs, wg, lam, lam2, mu2) for mu2 in wg.orbit_labels(mu))
+def shifted_fold(
+    wg: WeylGroup, points: Iterable[Tuple[Labels, int]], lam: Sequence[int]
+) -> Dict[Labels, int]:
+    """Sum c * sign(w) on the dominant w(lam + nu + delta) - delta over the (nu, c) in points.
+
+    Singular shifts drop out. Every row that a regular shift lands on is a
+    key, with its sum even when that sum is zero.
+    """
+    out: Dict[Labels, int] = {}
+    for nu, c in points:
+        dom, sign, regular = wg.dominant_data(tuple(a + b + 1 for a, b in zip(lam, nu)))
+        if regular:
+            row = tuple(d - 1 for d in dom)
+            out[row] = out.get(row, 0) + sign * c
+    return out
 
 
 def tensor_coeff(
@@ -167,9 +170,7 @@ def tensor_coeff(
 ) -> int:
     """Multiplicity of the irrep lam2 inside (irrep lam_fac) tensor (irrep lam)."""
     ws = dominant_weight_system(rs, wg, lam_fac)
-    total = sum(
-        m * orbit_sum_t(rs, wg, lam, lam2, mu) for mu, m in ws.dominant_entries.items()
-    )
+    total = shifted_fold(wg, orbit_points(wg, ws.dominant_entries), lam).get(tuple(lam2), 0)
     if total < 0:
         raise AssertionError("negative tensor multiplicity")
     return total

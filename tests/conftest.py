@@ -104,3 +104,31 @@ def freudenthal_d_entries(rs, wg, table):
         for mu, m in weight_system(rs, wg, lam).dominant_entries.items():
             acc[mu] = acc.get(mu, Q(0)) + Q(c) * m
     return dict(sorted(acc.items()))
+
+
+def k_block_oracle(rs, wg, dtable, cutoff_norm_sq, columns):
+    """K-block entries and incomplete columns, folding one orbit contribution at a time.
+
+    A contribution landing past the cutoff flags its column; the entries sum
+    in Fraction arithmetic and drop a key whose sum returns to zero.
+    """
+    entries, incomplete = {}, set()
+    for lam in columns:
+        for mu, d in dtable.entries.items():
+            if not d:
+                continue
+            for mu2 in wg.orbit_labels(mu):
+                shifted = tuple(a + b + 1 for a, b in zip(lam, mu2))
+                dom, sign, regular = wg.dominant_data(shifted)
+                if not regular:
+                    continue
+                if rs.labels_norm_sq(dom) > cutoff_norm_sq:
+                    incomplete.add(lam)
+                    continue
+                key = (tuple(x - 1 for x in dom), lam)
+                val = entries.get(key, Q(0)) + sign * Q(d)
+                if val:
+                    entries[key] = val
+                else:
+                    entries.pop(key, None)
+    return entries, incomplete

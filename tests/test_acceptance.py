@@ -128,7 +128,7 @@ def test_criterion_5_brute_force_oracles():
         for cls in enumerate_classes(rs, wg):
             members = cls.representative.root_indices
             complement = [i for i in range(len(rs.roots)) if i not in members]
-            ok_a &= relcoeff.subset_sums(rs, complement).entries == exhaustive_subset_sums(
+            ok_a &= relcoeff.subset_sums(rs, complement) == exhaustive_subset_sums(
                 rs, complement
             )
     # (b) reduced x stabilizer order vs the unreduced double Weyl sum

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +153,11 @@ def test_usage_errors(tmp_path, capsys):
         kblock + ["--cutoff", "5", "--hbar", "inf"],
         kblock + ["--cutoff", "1e400"],
         ["kblock", "--family", "A", "--rank", "3", "--class", "0", "--cutoff", "10000"],
+        # a norm ratio exp(hbar * exponent) past the largest float
+        ["kblock", "--family", "B", "--rank", "2", "--class", "0", "--cutoff", "16",
+         "--kernel", "so-odd", "--hbar", "10"],
+        kblock + ["--cutoff", "5", "--hbar", "1e300"],
+        kblock + ["--cutoff", "5", "--hbar", "1e308"],  # hbar * exponent is inf itself
     ]:
         assert run(argv) == 2, argv
         err = capsys.readouterr().err
@@ -258,3 +265,19 @@ def test_out_file(tmp_path, capsys):
                 "--format", "csv", "--out", str(target)]) == 0
     assert target.read_bytes() == b"lambda_1,c_over_n\r\n0,3\r\n2,-1\r\n"
     assert out_of(capsys) == ""
+
+
+def readme_cli_examples():
+    """Every `weylstrat ...` line of the README's CLI block, optional [...] parts kept."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [l for l in block.splitlines() if l.startswith("weylstrat ")]
+    return [shlex.split(l.replace("[", "").replace("]", ""), comments=True)[1:] for l in lines]
+
+
+def test_readme_cli_examples(capsys):
+    examples = readme_cli_examples()
+    assert len(examples) == 8
+    for argv in examples:
+        assert run(argv) == 0, argv
+        assert out_of(capsys), argv

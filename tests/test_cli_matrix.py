@@ -35,6 +35,10 @@ COMMANDS = [
     "kblock --family A --rank 2 --class 0 --cutoff 6",
     "kblock --family B --rank 2 --class A1 --cutoff 5 --kernel so-odd --hbar 1.0",
     "kblock --family A --rank 1 --class 0 --cutoff 3/2",
+    # rank 3 and 4 blocks, each with a "possibly incomplete" line
+    "kblock --family D --rank 4 --class A1+A1 --cutoff 6",
+    "kblock --family C --rank 3 --class C1+C2 --cutoff 8 --hbar 0.5",
+    "kblock --family B --rank 3 --class A1 --cutoff 7 --kernel so-odd",
     "pq --family C --rank 2 --kernel so-odd",
     "pq --family C --rank 2 --kernel {kernel}",
     "gammax --family C --rank 2 --kernel so-odd --point A=1/4,0",
@@ -124,6 +128,18 @@ DIGESTS = {
     "kblock --family A --rank 1 --class 0 --cutoff 3/2 --format csv": "09a26f89628c71ef862d7bbb72c80c90b0a8a71f0dc4c56bc0e5fc35d47256b1",
     "kblock --family A --rank 1 --class 0 --cutoff 3/2 --format text": "65d1e8af1debed23bda6ab40c8014220678d182fc432097c116ea4f9f1c72237",
     "kblock --family A --rank 1 --class 0 --cutoff 3/2 --format dot": "65d1e8af1debed23bda6ab40c8014220678d182fc432097c116ea4f9f1c72237",
+    "kblock --family D --rank 4 --class A1+A1 --cutoff 6 --format json": "771bc42383143d0f79b4c47cab4d8b614f3e6ffbb4b3f4450ba7f62703b57fb1",
+    "kblock --family D --rank 4 --class A1+A1 --cutoff 6 --format csv": "64fa7633bee0486ba895ece79fa70ace3f1b8edcb2f974c2c052e8b0068824bb",
+    "kblock --family D --rank 4 --class A1+A1 --cutoff 6 --format text": "3d4df7b153f56c07c9910ec5e9f9aa693a57ebc6af414316e6e234147db7968d",
+    "kblock --family D --rank 4 --class A1+A1 --cutoff 6 --format dot": "3d4df7b153f56c07c9910ec5e9f9aa693a57ebc6af414316e6e234147db7968d",
+    "kblock --family C --rank 3 --class C1+C2 --cutoff 8 --hbar 0.5 --format json": "013c1d53d20c7814db2fc725ba20dcb1aed62bae2e2c0ae301201f8b242112e7",
+    "kblock --family C --rank 3 --class C1+C2 --cutoff 8 --hbar 0.5 --format csv": "56e47dfdae0b5fd6552396f91fc0ee6864a545609d787a80f68cd920d9048f78",
+    "kblock --family C --rank 3 --class C1+C2 --cutoff 8 --hbar 0.5 --format text": "34d27d830ffed9997c2ce2ea55a49571ae0860b822c075ddd5928922ae536270",
+    "kblock --family C --rank 3 --class C1+C2 --cutoff 8 --hbar 0.5 --format dot": "34d27d830ffed9997c2ce2ea55a49571ae0860b822c075ddd5928922ae536270",
+    "kblock --family B --rank 3 --class A1 --cutoff 7 --kernel so-odd --format json": "b832715ce1e0e600c84d0b4d001ec183024dec5b1b21054655fa1d7e73a11315",
+    "kblock --family B --rank 3 --class A1 --cutoff 7 --kernel so-odd --format csv": "0c84b8b2a70efc52d1baacaa501743be2fae3e13bbf097f263c1f7862b8f999c",
+    "kblock --family B --rank 3 --class A1 --cutoff 7 --kernel so-odd --format text": "180d2d288dc0bbcc3ca0386307bd51d32a4c92964de362490d0c9cf31f60c776",
+    "kblock --family B --rank 3 --class A1 --cutoff 7 --kernel so-odd --format dot": "180d2d288dc0bbcc3ca0386307bd51d32a4c92964de362490d0c9cf31f60c776",
     "pq --family C --rank 2 --kernel so-odd --format json": "2d9a9f39344ae02a81cbae384a56e65afe2dfcdd4e73bc80d9e8e39a2ebaf177",
     "pq --family C --rank 2 --kernel so-odd --format csv": "4b37603c76d70937c468bb626092a9e398d16c9451f984d1635b37cc4066bf18",
     "pq --family C --rank 2 --kernel so-odd --format text": "3fac11ae0ced3ef61ecda09f8963bf086c8b535e73f3a8c3ab28a380bb675b9a",

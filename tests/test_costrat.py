@@ -19,13 +19,21 @@ from weylstrat.lattice import kernel_preset, pq_map
 from weylstrat.relcoeff import coeff_table
 from weylstrat.repthy import dominant_labels_within, dominant_weight_system
 from weylstrat.subsys import SubsystemClass, RootSubsystem, build_poset, enumerate_classes
-from conftest import RANK_SIX_TYPES, freudenthal_d_entries, system
+from conftest import RANK_SIX_TYPES, freudenthal_d_entries, k_block_oracle, system
 
 
 def tables_of(family, rank):
     rs, wg = system(family, rank)
     classes = {c.label: c for c in enumerate_classes(rs, wg)}
     return rs, wg, classes
+
+
+# every class of these types and kernels is checked against an oracle
+KERNEL_CASES = (
+    [("A", r, "sc") for r in range(1, 5)]
+    + [(f, r, k) for f, r in [("B", 2), ("B", 3)] for k in ("sc", "so-odd")]
+    + [("C", 2, "sc"), ("C", 3, "sc"), ("D", 4, "sc")]
+)
 
 
 def test_su2_d_table():
@@ -49,12 +57,7 @@ def test_spin7_d3_d_values():
     assert d.entries[(1, 0, 0)] == -4
 
 
-@pytest.mark.parametrize(
-    "family, rank, kernel",
-    [("A", r, "sc") for r in range(1, 5)]
-    + [(f, r, k) for f, r in [("B", 2), ("B", 3)] for k in ("sc", "so-odd")]
-    + [("C", 2, "sc"), ("C", 3, "sc"), ("D", 4, "sc")],
-)
+@pytest.mark.parametrize("family, rank, kernel", KERNEL_CASES)
 def test_d_table_matches_freudenthal(family, rank, kernel):
     # the binned D table against the weight-system sum: values, zeros and key order
     rs, wg, classes = tables_of(family, rank)
@@ -142,6 +145,35 @@ def test_k_block_su2():
             diff = lam2[0] - lam[0]
             assert block.entries[(lam2, lam)] == d.entries[(abs(diff),)]
     assert (8,) in block.incomplete_rows
+
+
+@pytest.mark.parametrize("family, rank, kernel", KERNEL_CASES)
+def test_c_table_is_k_column_zero(family, rank, kernel):
+    # the C table is the lambda = 0 column of the K block built from the D table
+    rs, wg, classes = tables_of(family, rank)
+    ratios = None if kernel == "sc" else pq_map(rs, kernel_preset(rs, kernel))
+    zero = (0,) * rank
+    for label, cls in classes.items():
+        t = coeff_table(rs, wg, cls, ratios)
+        cut = max(rs.labels_norm_sq([l + 1 for l in lam]) for lam in t.entries)
+        block = k_block(rs, wg, d_coeffs(rs, wg, t), cut, [zero])
+        assert {row: v for (row, col), v in block.entries.items()} == t.entries, label
+
+
+@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("C", 2), ("C", 3)])
+def test_k_block_matches_per_contribution_oracle(family, rank):
+    rs, wg, classes = tables_of(family, rank)
+    for label, cls in classes.items():
+        d = d_coeffs(rs, wg, coeff_table(rs, wg, cls))
+        assert all(type(v) is int for v in d.entries.values()), label
+        for radius in (4, 6):
+            cutoff = Q(radius) ** 2
+            columns = kblock_columns(rs, cutoff)
+            block = k_block(rs, wg, d, cutoff, columns)
+            entries, incomplete = k_block_oracle(rs, wg, d, cutoff, columns)
+            assert block.entries == entries, (label, radius)
+            assert block.incomplete_rows == incomplete, (label, radius)
+            assert all(type(v) is int for v in block.entries.values()), (label, radius)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 3), ("B", 2), ("C", 3), ("D", 4)])

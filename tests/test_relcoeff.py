@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylstrat.relcoeff import (
-    WeightedSum,
-    candidate_dominants,
     coeff_table,
     identity_value,
     subset_sums,
     symmetrize,
 )
 from weylstrat.lattice import PQRatio
+from weylstrat.repthy import dominant_labels_within
 from weylstrat.subsys import SubsystemClass, enumerate_classes, RootSubsystem
 from conftest import apply_labels, label_mat, system
 
@@ -42,8 +41,11 @@ def unreduced_coefficients(rs, wg, cls):
     complement = [i for i in range(len(rs.roots)) if i not in members]
     v = exhaustive_subset_sums(rs, complement)
     max_norm = max((rs.labels_norm_sq(k) for k in v), default=Q(0))
+    delta_sq = rs.labels_norm_sq(rs.delta_labels)
+    # ||l + delta|| <= M + ||delta|| implies ||l + delta||^2 <= 2 (M^2 + ||delta||^2);
+    # the extra candidates sum to zero
     out = {}
-    for lam in candidate_dominants(rs, max_norm):
+    for lam in dominant_labels_within(rs, lambda s: s <= 2 * (max_norm + delta_sq)):
         shifted = tuple(l + 1 for l in lam)
         total = 0
         for w2 in wg.elements:
@@ -96,10 +98,10 @@ def classes_of(family, rank):
 def test_su2_subset_sums():
     rs, wg, classes = classes_of("A", 1)
     v = subset_sums(rs, [0, 1])
-    assert v.entries == {(0,): 2, (2,): -1, (-2,): -1}
+    assert v == {(0,): 2, (2,): -1, (-2,): -1}
     # empty complement: only the empty subset
     v_full = subset_sums(rs, [])
-    assert v_full.entries == {(0,): 1}
+    assert v_full == {(0,): 1}
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("B", 2)])
@@ -109,7 +111,7 @@ def test_subset_sums_match_exhaustive_all_classes(family, rank):
         members = cls.representative.root_indices
         complement = [i for i in range(len(rs.roots)) if i not in members]
         got = subset_sums(rs, complement)
-        assert got.entries == exhaustive_subset_sums(rs, complement), cls.label
+        assert got == exhaustive_subset_sums(rs, complement), cls.label
 
 
 def test_signed_total_and_negation_symmetry():
@@ -118,9 +120,9 @@ def test_signed_total_and_negation_symmetry():
         members = cls.representative.root_indices
         complement = [i for i in range(len(rs.roots)) if i not in members]
         v = subset_sums(rs, complement)
-        assert sum(v.entries.values()) == (1 if not complement else 0)
-        for key, val in v.entries.items():
-            assert v.value(tuple(-k for k in key)) == val
+        assert sum(v.values()) == (1 if not complement else 0)
+        for key, val in v.items():
+            assert v.get(tuple(-k for k in key), 0) == val
 
 
 # -- symmetrization ----------------------------------------------------------------
@@ -135,12 +137,12 @@ def test_symmetrize_full_stabilizer_is_identity():
 
 def test_symmetrize_point_mass_at_zero():
     rs, wg, classes = classes_of("A", 2)
-    v = WeightedSum({(0, 0): 3})
+    v = {(0, 0): 3}
     i = rs.simple_indices[0]
     pair = {i, rs.negative_index(i)}
     stab = wg.setwise_stabilizer(pair)
     vt = symmetrize(wg, len(wg.coset_representatives(pair)), v)
-    assert vt.entries == {(0, 0): 3 * (len(wg) // len(stab))}
+    assert vt == {(0, 0): 3 * (len(wg) // len(stab))}
 
 
 @pytest.mark.parametrize(
@@ -157,17 +159,19 @@ def test_symmetrize_matches_full_group_sum(family, rank, only):
         v = subset_sums(rs, complement)
         reps = wg.coset_representatives(members)
         vt = symmetrize(wg, len(reps), v)
-        assert vt.entries == dense_symmetrize(rs, reps.values(), v.entries), cls.label
+        assert vt == dense_symmetrize(rs, reps.values(), v), cls.label
         if len(wg) > 48:
             continue
         # |W_Gamma| * reduced sum equals the unreduced sum over all of W
         stab = wg.setwise_stabilizer(members)
-        full = WeightedSum()
+        full = {}
         for w in wg.elements:
             inv = wg.inverse(w)
-            for key, val in v.entries.items():
-                full.add(apply_labels(rs, inv, key), val)
-        assert {k: len(stab) * val for k, val in vt.entries.items()} == full.entries, cls.label
+            for key, val in v.items():
+                img = apply_labels(rs, inv, key)
+                full[img] = full.get(img, 0) + val
+        full = {k: val for k, val in full.items() if val}
+        assert {k: len(stab) * val for k, val in vt.items()} == full, cls.label
 
 
 @functools.cache
@@ -187,35 +191,11 @@ def test_symmetrized_map_is_w_invariant(group, data):
     # vt(s_i nu) = vt(nu), with s_i through its dense matrix, on and around the support
     rs, wg, classes = classes_of(*group)
     vt = symmetrized_of(*group, data.draw(st.sampled_from(sorted(classes)), label="class"))
-    point = data.draw(st.sampled_from(sorted(vt.entries)), label="support point")
+    point = data.draw(st.sampled_from(sorted(vt)), label="support point")
     shift = data.draw(st.tuples(*[st.integers(-2, 2)] * rs.rank), label="shift")
     nu = tuple(map(sum, zip(point, shift)))
     i = data.draw(st.integers(0, rs.rank - 1), label="i")
-    assert vt.value(apply_labels(rs, wg.generators[i], nu)) == vt.value(nu)
-
-
-# -- candidate enumeration -----------------------------------------------------------
-
-
-def test_candidate_dominants_zero_bound():
-    rs, _, _ = classes_of("A", 2)
-    assert candidate_dominants(rs, Q(0)) == [(0, 0)]
-
-
-def test_candidate_dominants_su2():
-    rs, wg, classes = classes_of("A", 1)
-    alpha_norm = rs.labels_norm_sq((2,))
-    assert candidate_dominants(rs, alpha_norm) == [(0,), (1,), (2,)]
-
-
-def test_candidate_dominants_cover_table_support():
-    rs, wg, classes = classes_of("A", 2)
-    members = classes["0"].representative.root_indices
-    complement = [i for i in range(len(rs.roots)) if i not in members]
-    v = subset_sums(rs, complement)
-    max_norm_sq = max(rs.labels_norm_sq(k) for k in v.entries)
-    cands = set(candidate_dominants(rs, max_norm_sq))
-    assert {(0, 0), (0, 3), (1, 1), (2, 2), (3, 0)} <= cands
+    assert vt.get(apply_labels(rs, wg.generators[i], nu), 0) == vt.get(nu, 0)
 
 
 # -- coefficient tables ----------------------------------------------------------------

@@ -7,8 +7,7 @@ from weylstrat.repthy import (
     _root_coords,
     dominant_labels_within,
     dominant_weight_system,
-    orbit_sum_t,
-    tau,
+    shifted_fold,
     tensor_coeff,
     weyl_dim,
 )
@@ -151,30 +150,47 @@ def test_weyl_dim_values():
         weyl_dim(rs2, (-1, 0))
 
 
-def test_tau():
+def one_point(wg, lam, lam2, mu):
+    """Sign of the unique w with w(lam + mu + delta) = lam2 + delta, else 0."""
+    return shifted_fold(wg, [(mu, 1)], lam).get(lam2, 0)
+
+
+def one_orbit(wg, lam, lam2, mu):
+    """The fold of the Weyl orbit of the dominant mu, each point with coefficient one, at row lam2."""
+    return shifted_fold(wg, [(nu, 1) for nu in wg.orbit_labels(mu)], lam).get(lam2, 0)
+
+
+def test_fold_over_one_point():
     rs, wg = system("A", 1)
     # identity case: lam + mu already dominant and equal to target
-    assert tau(rs, wg, (0,), (2,), (2,)) == 1
+    assert one_point(wg, (0,), (2,), (2,)) == 1
     # shifted point lands on a wall: contributes nothing
-    assert tau(rs, wg, (0,), (0,), (-1,)) == 0
+    assert one_point(wg, (0,), (0,), (-1,)) == 0
+    assert shifted_fold(wg, [((-1,), 1)], (0,)) == {}
     # reflection case with negative sign
-    assert tau(rs, wg, (0,), (0,), (-2,)) == -1
+    assert one_point(wg, (0,), (0,), (-2,)) == -1
 
     rs2, wg2 = system("A", 2)
-    assert tau(rs2, wg2, (1, 0), (1, 0), (0, 0)) == 1
+    assert one_point(wg2, (1, 0), (1, 0), (0, 0)) == 1
     # a label of lam + mu equal to -1 makes the shifted point singular
-    assert tau(rs2, wg2, (1, 0), (0, 0), (-2, 0)) == 0
+    assert one_point(wg2, (1, 0), (0, 0), (-2, 0)) == 0
 
 
-def test_orbit_sum_t():
+def test_fold_over_one_orbit():
     rs, wg = system("A", 1)
-    assert orbit_sum_t(rs, wg, (0,), (0,), (0,)) == 1
-    assert orbit_sum_t(rs, wg, (0,), (2,), (0,)) == 0
-    assert orbit_sum_t(rs, wg, (0,), (0,), (2,)) == -1
-    # stable column: T picks out the shifted orbit with coefficient one
-    assert orbit_sum_t(rs, wg, (4,), (6,), (2,)) == 1
-    assert orbit_sum_t(rs, wg, (4,), (2,), (2,)) == 1
-    assert orbit_sum_t(rs, wg, (4,), (4,), (2,)) == 0
+    assert one_orbit(wg, (0,), (0,), (0,)) == 1
+    assert one_orbit(wg, (0,), (2,), (0,)) == 0
+    assert one_orbit(wg, (0,), (0,), (2,)) == -1
+    # stable column: the fold picks out the shifted orbit with coefficient one
+    assert one_orbit(wg, (4,), (6,), (2,)) == 1
+    assert one_orbit(wg, (4,), (2,), (2,)) == 1
+    assert one_orbit(wg, (4,), (4,), (2,)) == 0
+
+
+def test_fold_keeps_rows_that_sum_to_zero():
+    _, wg = system("A", 1)
+    # (2,) lands on row 2 with sign +1, (-4,) on the same row with sign -1
+    assert shifted_fold(wg, [((2,), 1), ((-4,), 1)], (0,)) == {(2,): 0}
 
 
 def test_tensor_su2_against_character_polynomials():
