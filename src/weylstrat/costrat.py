@@ -76,7 +76,8 @@ def d_coeffs(rs: RootSystem, wg: WeylGroup, table: CoeffTable) -> DCoeffTable:
                     nxt.append(nu)
         frontier = nxt
     values = table.dominant_values
-    assert below.issuperset(values), "symmetrized map is not the table's character sum"
+    if not below.issuperset(values):
+        raise AssertionError("symmetrized map is not the table's character sum")
     return DCoeffTable(table.class_label, {mu: values.get(mu, 0) for mu in sorted(below)})
 
 

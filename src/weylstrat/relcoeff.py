@@ -1,17 +1,21 @@
 """Signed subset sums and reduced character coefficients.
 
 The generating map V counts subsets of the complement of a subsystem by the
-parity-weighted number of ways their (ratio-scaled) root sums hit each weight.
-Its sum over the cosets of the stabilizer is W-invariant, so it is found by
-binning V over W-orbits and spreading each bin evenly over its orbit. The
-reduced coefficients are `repthy.shifted_fold` of that map at lambda = 0, all
-in integer label arithmetic. The map's values at dominant weights are the D
-table (see `costrat.d_coeffs`), so no weight system is ever computed here.
+parity-weighted number of ways their (ratio-scaled) root sums hit each weight;
+it is folded one root pair at a time on weights packed into ints. Its sum over
+the cosets of the stabilizer is W-invariant, so it is the orbit sums m_mu
+weighted by n_cosets * O(mu) / |W.mu|, where O(mu) sums V over the orbit:
+`symmetrize` walks each orbit of V once and keeps those weights at dominant
+mu. The reduced coefficients are these weights times the character
+expansions of the m_mu (`WeylGroup.orbit_fold`, folded once per type), all in
+integer label arithmetic. The weights are the D table (see
+`costrat.d_coeffs`), so no weight system is ever computed here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, Optional, Sequence
 
 from .lattice import PQRatio
@@ -54,47 +58,84 @@ def subset_sums(
     complement: Sequence[int],
     ratios: Optional[Sequence[PQRatio]] = None,
 ) -> Dict[Labels, int]:
-    """Fold the complement roots one at a time instead of walking 2^n subsets.
+    """The product of (1 - e^a) over the complement roots a, as {labels: coefficient}.
 
-    Raises ValueError as soon as the support passes MAX_SUPPORT weights, so
-    the map never holds more than about twice that many.
+    Folds the roots one factor at a time instead of walking 2^n subsets, a
+    root and its negative as one factor 2 - e^a - e^-a whenever their scaled
+    weights are opposite (always so under `lattice.pq_map`). Weights are packed into ints during the fold: label i is
+    offset by bound[i], the largest |label i| any subset sum can reach, and
+    taken as a digit of radix 2 * bound[i] + 1, so adding packed weights
+    never carries. Raises ValueError as soon as the support passes
+    MAX_SUPPORT weights, so the map never holds more than about twice that many.
     """
-    entries: Dict[tuple, int] = {tuple(0 for _ in range(rs.rank)): 1}
-    for idx in complement:
-        shift = _scaled_root_labels(rs, idx, ratios)
-        new = dict(entries)
-        for key, v in entries.items():
-            moved = tuple(a + b for a, b in zip(key, shift))
-            nv = new.get(moved, 0) - v
-            if nv:
-                new[moved] = nv
-            else:
-                new.pop(moved, None)
+    shifts = {idx: _scaled_root_labels(rs, idx, ratios) for idx in complement}
+    bounds = [sum(abs(s[i]) for s in shifts.values()) for i in range(rs.rank)]
+    places = [1]
+    for b in bounds[:-1]:
+        places.append(places[-1] * (2 * b + 1))
+    packed = {idx: sum(map(mul, s, places)) for idx, s in shifts.items()}
+    factors = []
+    for idx, step in packed.items():
+        neg = packed.get(rs.negative_index(idx))
+        if neg != -step:
+            factors.append(((0, 1), (step, -1)))
+        elif idx < rs.num_positive:
+            factors.append(((0, 2), (step, -1), (neg, -1)))
+
+    entries = {sum(map(mul, bounds, places)): 1}
+    for terms in factors:
+        new: Dict[int, int] = {}
+        get = new.get
+        for key, c in entries.items():
+            for step, m in terms:
+                k = key + step
+                nv = get(k, 0) + m * c
+                if nv:
+                    new[k] = nv
+                else:
+                    del new[k]
         entries = new
         if len(entries) > MAX_SUPPORT:
             raise ValueError(f"subset-sum support too large: more than {MAX_SUPPORT} weights")
-    return entries
+
+    # unpacked one key at a time, so the two maps never both hold every weight
+    radices = [(2 * b + 1, b) for b in bounds]
+    out: Dict[Labels, int] = {}
+    while entries:
+        key, c = entries.popitem()
+        labels = []
+        for r, b in radices:
+            key, digit = divmod(key, r)
+            labels.append(digit - b)
+        out[tuple(labels)] = c
+    return out
 
 
 def symmetrize(wg: WeylGroup, n_cosets: int, v: Dict[Labels, int]) -> Dict[Labels, int]:
-    """Sum of w(V) over one w per left coset of Stab(S), for a Stab(S)-invariant V.
+    """The sum of w(V) over one w per left coset of Stab(S), at its dominant weights.
 
-    The sum is W-invariant: n_cosets * O(mu) / |W.mu| on each orbit W.mu, where
-    O(mu) sums V over the orbit. With one coset, V itself is W-invariant.
+    For a Stab(S)-invariant V the sum is W-invariant: n_cosets * O(mu) / |W.mu|
+    on each orbit W.mu, where O(mu) sums V over the orbit. Returns that value
+    at each dominant mu where it is non-zero. Consumes v: each orbit's keys
+    are popped as O(mu) is taken, so every orbit is walked once (and kept on
+    wg) and the sum is never spread over the orbits. Raises AssertionError
+    when an orbit's share is not an integer, which a Stab(S)-invariant V rules out.
     """
-    if n_cosets == 1:
-        return v
-    bins: Dict[Labels, int] = {}
-    for key, val in v.items():
-        mu = wg.dominant_data(key)[0]
-        bins[mu] = bins.get(mu, 0) + val
     out: Dict[Labels, int] = {}
-    for mu, total in bins.items():
+    while v:
+        key, total = v.popitem()
+        mu = wg.dominant_data(key)[0]
+        orbit = wg.dominant_orbit(mu)
+        for nu in orbit:
+            total += v.pop(nu, 0)
         if total:
-            orbit = wg.orbit_labels(mu)
             share, rem = divmod(n_cosets * total, len(orbit))
-            assert rem == 0, (mu, n_cosets * total, len(orbit))
-            out.update(dict.fromkeys(orbit, share))
+            if rem:
+                raise AssertionError(
+                    f"V is not Stab(S)-invariant: {n_cosets} * {total} over the "
+                    f"{len(orbit)} weights of the orbit of {mu}"
+                )
+            out[mu] = share
     return out
 
 
@@ -108,22 +149,24 @@ def coeff_table(
 
     Symmetrizes the complement's subset-sum map over the cosets of the members'
     setwise stabilizer, which are as many as the images in their W-orbit (so
-    the stabilizer order is |W| over the orbit size), by W-orbit bins. The
-    coefficients are the shifted fold of the result at lambda = 0: a support
-    point contributes to the unique dominant weight whose shifted orbit passes
-    through it. The table also keeps the map's values at its dominant support
-    points. Ratios must have p = 1, as under every kernel that
-    `lattice.check_kernel` accepts; otherwise ValueError.
+    the stabilizer order is |W| over the orbit size). The symmetrized map is
+    sum over dominant mu of its value at mu times the orbit sum m_mu, so the
+    coefficients are the sum of value times `WeylGroup.orbit_fold(mu)`, the
+    character expansion of m_mu, which wg keeps for the next class. The table
+    also keeps the map's values at dominant weights. Ratios must have p = 1,
+    as under every kernel that `lattice.check_kernel` accepts; otherwise
+    ValueError.
     """
     members = cls.representative.root_indices
     complement = [i for i in range(len(rs.roots)) if i not in members]
-    v = subset_sums(rs, complement, ratios)
     n_cosets = len(wg.coset_representatives(members))
-    vt = symmetrize(wg, n_cosets, v)
+    dominant = symmetrize(wg, n_cosets, subset_sums(rs, complement, ratios))
 
-    folded = repthy.shifted_fold(wg, vt.items(), (0,) * rs.rank)
-    entries = {k: v for k, v in sorted(folded.items()) if v}
-    dominant = {k: v for k, v in vt.items() if min(k) >= 0}
+    acc: Dict[Labels, int] = {}
+    for mu, share in dominant.items():
+        for row, c in wg.orbit_fold(mu).items():
+            acc[row] = acc.get(row, 0) + share * c
+    entries = {k: c for k, c in sorted(acc.items()) if c}
     return CoeffTable(cls.label, entries, len(wg) // n_cosets, dominant)
 
 

@@ -7,9 +7,10 @@ and entirely in integers: norms are the root system's scaled integer norms
 (norm_den * ||l||^2), pairings with roots are integral, and root-lattice
 membership of lambda - mu is divisibility of the scaled inverse Cartan
 coordinates by cartan_den. The recursion always resolves to positive
-integers. `shifted_fold` is the one shifted Weyl-orbit sum (the Brauer-Klimyk
-rule) behind C tables, K blocks, K entries and tensor multiplicities; the
-transcendental norm prefactors never enter here.
+integers. `shifted_fold`, imported from `weyl`, is the one shifted Weyl-orbit
+sum (the Brauer-Klimyk rule): K blocks, K entries and tensor multiplicities
+call it here, and `WeylGroup.orbit_fold` folds the orbit sums behind C tables
+with it. The transcendental norm prefactors never enter here.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import mul
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .rootsys import Labels, RootSystem
-from .weyl import WeylGroup
+from .weyl import WeylGroup, shifted_fold
 
 
 @dataclass(frozen=True)
@@ -138,31 +139,15 @@ def weyl_dim(rs: RootSystem, labels: Sequence[int]) -> int:
     for p in range(rs.num_positive):
         num *= _pairing_labels_root(rs, shifted, p)
         den *= _pairing_labels_root(rs, ones, p)
-    out = Q(num, den)
-    assert out.denominator == 1
-    return int(out)
+    dim, rem = divmod(num, den)
+    if rem:
+        raise AssertionError(f"Weyl dimension formula gave {Q(num, den)} at {labels}")
+    return dim
 
 
 def orbit_points(wg: WeylGroup, dominant: Dict[Labels, int]) -> List[Tuple[Labels, int]]:
     """(nu, c) for every nu in the W-orbit of each dominant mu with non-zero value c."""
-    return [(nu, c) for mu, c in dominant.items() if c for nu in wg.orbit_labels(mu)]
-
-
-def shifted_fold(
-    wg: WeylGroup, points: Iterable[Tuple[Labels, int]], lam: Sequence[int]
-) -> Dict[Labels, int]:
-    """Sum c * sign(w) on the dominant w(lam + nu + delta) - delta over the (nu, c) in points.
-
-    Singular shifts drop out. Every row that a regular shift lands on is a
-    key, with its sum even when that sum is zero.
-    """
-    out: Dict[Labels, int] = {}
-    for nu, c in points:
-        dom, sign, regular = wg.dominant_data(tuple(a + b + 1 for a, b in zip(lam, nu)))
-        if regular:
-            row = tuple(d - 1 for d in dom)
-            out[row] = out.get(row, 0) + sign * c
-    return out
+    return [(nu, c) for mu, c in dominant.items() if c for nu in wg.dominant_orbit(mu)]
 
 
 def tensor_coeff(

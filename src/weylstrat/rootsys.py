@@ -26,6 +26,8 @@ Vector = Tuple[Q, ...]
 Labels = Tuple[int, ...]
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
+# the largest rank any test or example uses; `hasse` at B8 already takes about a minute
+MAX_RANK = 8
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,8 @@ class LieType:
             raise ValueError(
                 f"{self.family}_{self.rank} out of range; need rank >= {_MIN_RANK[self.family]}"
             )
+        if self.rank > MAX_RANK:
+            raise ValueError(f"{self.family}_{self.rank} out of range; need rank <= {MAX_RANK}")
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -154,7 +158,8 @@ class RootSystem:
         # komega[p][i] = k(omega_i, alpha_p) over the positive roots; integral
         # because k(alpha, alpha) / 2 is 1 or 2 and <omega_i, alpha^vee> is integral
         komega = [[self.pairing(w, a) for w in self._fund_weights] for a in positives]
-        assert all(x.denominator == 1 for row in komega for x in row)
+        if any(x.denominator != 1 for row in komega for x in row):
+            raise AssertionError(f"{lie_type}: a pairing k(omega_i, alpha) is not an integer")
         self.komega: List[List[int]] = _scaled(komega, 1)
         self._reflection_perms: List[Tuple[int, ...]] = _reflection_perms(self.roots)
 

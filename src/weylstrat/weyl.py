@@ -8,6 +8,11 @@ permutations. Nothing enumerates W except `elements`, built on first use for
 W acts on Dynkin labels only through its simple reflections: s_i is applied
 sparsely, negating l_i and changing l_j only at the Dynkin neighbours j of i.
 Orbits and dominant representatives of label vectors are walks of those.
+`shifted_fold` is the one shifted Weyl-orbit sum (the Brauer-Klimyk rule) behind
+C tables, K blocks, K entries and tensor multiplicities. A group keeps, per
+dominant weight mu it is asked about, the orbit W.mu and the fold of the orbit
+sum m_mu (its character expansion), so C tables of every class of a type
+share them.
 
 Cosets of a setwise stabilizer are never built as sets of elements: the left
 cosets w*Stab(S) correspond one-to-one with the images w(S) in the W-orbit of
@@ -43,6 +48,9 @@ class WeylGroup:
         self.generators: List[WeylElement] = [
             WeylElement(refl[i], -1) for i in rs.simple_indices
         ]
+        # per dominant weight: its orbit, and the fold of its orbit sum
+        self._orbits: Dict[Labels, List[Labels]] = {}
+        self._folds: Dict[Labels, Dict[Labels, int]] = {}
 
     def __len__(self):
         return expected_group_order(self.rs)
@@ -85,14 +93,19 @@ class WeylGroup:
         return tuple(out)
 
     def orbit_labels(self, labels: Sequence[int]) -> List[Labels]:
-        start = tuple(labels)
+        """The W-orbit, sorted: a walk down from the dominant representative.
+
+        Every orbit point other than the dominant one is s_i of a point with a
+        positive label i, so only those reflections are taken.
+        """
+        start = self.dominant_data(labels)[0]
         seen = {start}
         frontier = [start]
         while frontier:
             nxt = []
             for lab in frontier:
                 for i, li in enumerate(lab):
-                    if li:  # s_i fixes lab when l_i = 0
+                    if li > 0:
                         img = self._reflect(i, lab)
                         if img not in seen:
                             seen.add(img)
@@ -119,6 +132,25 @@ class WeylGroup:
                 return cur, sign, 0 not in cur
             cur = self._reflect(i, cur)
             sign = -sign
+
+    def dominant_orbit(self, mu: Labels) -> List[Labels]:
+        """orbit_labels(mu), walked once per dominant mu and kept."""
+        orbit = self._orbits.get(mu)
+        if orbit is None:
+            orbit = self._orbits[mu] = self.orbit_labels(mu)
+        return orbit
+
+    def orbit_fold(self, mu: Labels) -> Dict[Labels, int]:
+        """The Racah-Speiser row of the orbit sum m_mu, folded once per dominant mu and kept.
+
+        m_mu = sum over lambda of fold[lambda] * chi_lambda: the shifted fold at
+        lambda = 0 of the orbit points, each with coefficient 1.
+        """
+        fold = self._folds.get(mu)
+        if fold is None:
+            points = [(nu, 1) for nu in self.dominant_orbit(mu)]
+            fold = self._folds[mu] = shifted_fold(self, points, (0,) * len(mu))
+        return fold
 
     def dominant_representative(self, x: Vector) -> Tuple[Vector, WeylElement]:
         """Pair (d, w) with w(x) = d dominant."""
@@ -166,6 +198,23 @@ class WeylGroup:
                         nxt.append(moved)
             frontier = nxt
         return reps
+
+
+def shifted_fold(
+    wg: WeylGroup, points: Iterable[Tuple[Labels, int]], lam: Sequence[int]
+) -> Dict[Labels, int]:
+    """Sum c * sign(w) on the dominant w(lam + nu + delta) - delta over the (nu, c) in points.
+
+    Singular shifts drop out. Every row that a regular shift lands on is a
+    key, with its sum even when that sum is zero.
+    """
+    out: Dict[Labels, int] = {}
+    for nu, c in points:
+        dom, sign, regular = wg.dominant_data(tuple(a + b + 1 for a, b in zip(lam, nu)))
+        if regular:
+            row = tuple(d - 1 for d in dom)
+            out[row] = out.get(row, 0) + sign * c
+    return out
 
 
 def _invert_perm(perm: Tuple[int, ...]) -> Tuple[int, ...]:

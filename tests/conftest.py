@@ -4,9 +4,10 @@ from operator import mul
 
 import pytest
 
+from weylstrat.relcoeff import CoeffTable, subset_sums
 from weylstrat.repthy import dominant_weight_system
 from weylstrat.rootsys import LieType, build_root_system
-from weylstrat.weyl import generate_group
+from weylstrat.weyl import generate_group, shifted_fold
 
 
 # every classical type up to rank 6
@@ -132,3 +133,30 @@ def k_block_oracle(rs, wg, dtable, cutoff_norm_sq, columns):
                 else:
                     entries.pop(key, None)
     return entries, incomplete
+
+
+def spread_coeff_table(rs, wg, cls, ratios=None):
+    """The C table through the spread symmetrized map, folded one point at a time.
+
+    V is binned by one dominant_data per key, each non-zero bin is spread
+    evenly over its orbit_labels, and the spread map is folded by
+    shifted_fold at lambda = 0.
+    """
+    members = cls.representative.root_indices
+    v = subset_sums(rs, [i for i in range(len(rs.roots)) if i not in members], ratios)
+    n_cosets = len(wg.coset_representatives(members))
+    bins = {}
+    for key, val in v.items():
+        mu = wg.dominant_data(key)[0]
+        bins[mu] = bins.get(mu, 0) + val
+    spread = {}
+    for mu, total in bins.items():
+        if total:
+            orbit = wg.orbit_labels(mu)
+            share, rem = divmod(n_cosets * total, len(orbit))
+            assert rem == 0, (mu, total)
+            spread.update(dict.fromkeys(orbit, share))
+    folded = shifted_fold(wg, spread.items(), (0,) * rs.rank)
+    entries = {k: c for k, c in sorted(folded.items()) if c}
+    dominant = {k: c for k, c in spread.items() if min(k) >= 0}
+    return CoeffTable(cls.label, entries, len(wg) // n_cosets, dominant)

@@ -158,6 +158,7 @@ def test_usage_errors(tmp_path, capsys):
          "--kernel", "so-odd", "--hbar", "10"],
         kblock + ["--cutoff", "5", "--hbar", "1e300"],
         kblock + ["--cutoff", "5", "--hbar", "1e308"],  # hbar * exponent is inf itself
+        ["subsystems", "--family", "A", "--rank", "9"],  # past MAX_RANK
     ]:
         assert run(argv) == 2, argv
         err = capsys.readouterr().err

@@ -1,20 +1,27 @@
 import functools
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weylstrat
 from weylstrat.relcoeff import (
     coeff_table,
     identity_value,
     subset_sums,
     symmetrize,
 )
-from weylstrat.lattice import PQRatio
+from weylstrat.lattice import PQRatio, kernel_preset, pq_map
 from weylstrat.repthy import dominant_labels_within
+from weylstrat.rootsys import LieType, build_root_system
 from weylstrat.subsys import SubsystemClass, enumerate_classes, RootSubsystem
-from conftest import apply_labels, label_mat, system
+from weylstrat.weyl import generate_group
+from conftest import apply_labels, label_mat, spread_coeff_table, system
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -40,12 +47,9 @@ def unreduced_coefficients(rs, wg, cls):
     members = cls.representative.root_indices
     complement = [i for i in range(len(rs.roots)) if i not in members]
     v = exhaustive_subset_sums(rs, complement)
-    max_norm = max((rs.labels_norm_sq(k) for k in v), default=Q(0))
-    delta_sq = rs.labels_norm_sq(rs.delta_labels)
-    # ||l + delta|| <= M + ||delta|| implies ||l + delta||^2 <= 2 (M^2 + ||delta||^2);
     # the extra candidates sum to zero
     out = {}
-    for lam in dominant_labels_within(rs, lambda s: s <= 2 * (max_norm + delta_sq)):
+    for lam in norm_ball(rs, v):
         shifted = tuple(l + 1 for l in lam)
         total = 0
         for w2 in wg.elements:
@@ -55,6 +59,17 @@ def unreduced_coefficients(rs, wg, cls):
         if total:
             out[lam] = total
     return out
+
+
+def norm_ball(rs, v):
+    """The dominant l with ||l + delta||^2 <= 2 (M^2 + ||delta||^2), M the largest norm on V.
+
+    ||l|| <= M for every l in the W-orbit of V's support, and then
+    ||l + delta|| <= M + ||delta||.
+    """
+    max_norm = max((rs.labels_norm_sq(k) for k in v), default=Q(0))
+    delta_sq = rs.labels_norm_sq(rs.delta_labels)
+    return dominant_labels_within(rs, lambda s: s <= 2 * (max_norm + delta_sq))
 
 
 def dense_symmetrize(rs, reps, v):
@@ -129,10 +144,13 @@ def test_signed_total_and_negation_symmetry():
 
 
 def test_symmetrize_full_stabilizer_is_identity():
+    # with one coset V is W-invariant: its values at dominant weights, and v is consumed
     rs, wg, classes = classes_of("A", 1)
     v = subset_sums(rs, [0, 1])
-    vt = symmetrize(wg, len(wg.coset_representatives([])), v)
-    assert vt == v
+    consumed = dict(v)
+    vt = symmetrize(wg, len(wg.coset_representatives([])), consumed)
+    assert vt == {k: c for k, c in v.items() if min(k) >= 0} == {(0,): 2, (2,): -1}
+    assert consumed == {}
 
 
 def test_symmetrize_point_mass_at_zero():
@@ -145,41 +163,74 @@ def test_symmetrize_point_mass_at_zero():
     assert vt == {(0, 0): 3 * (len(wg) // len(stab))}
 
 
+def test_symmetrize_refuses_a_map_that_is_not_invariant_under_python_O():
+    # an orbit share that is not an integer raises even with asserts compiled out,
+    # and so does a dominant value outside the table's weights in d_coeffs
+    code = """
+from weylstrat.costrat import d_coeffs
+from weylstrat.relcoeff import CoeffTable, symmetrize
+from weylstrat.rootsys import LieType, build_root_system
+from weylstrat.weyl import generate_group
+rs = build_root_system(LieType("A", 2))
+wg = generate_group(rs)
+for call in [lambda: symmetrize(wg, 1, {(1, 0): 1}),
+             lambda: d_coeffs(rs, wg, CoeffTable("0", {(0, 0): 1}, 6, {(1, 1): 1}))]:
+    try:
+        call()
+    except AssertionError as exc:
+        print("raised:", exc)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(weylstrat.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised: V is not Stab(S)-invariant: 1 * 1 over the 3 weights of the orbit of (1, 0)",
+        "raised: symmetrized map is not the table's character sum",
+    ]
+
+
 @pytest.mark.parametrize(
     "family,rank,only",
     [(f, r, None) for f, lo in [("A", 1), ("B", 2), ("C", 2), ("D", 4)] for r in range(lo, 5)]
     + [("D", 5, "A1+A1")],
 )
 def test_symmetrize_matches_full_group_sum(family, rank, only):
-    # the orbit bins against the dense per-coset sum (D5 A1+A1: 60 cosets, 180k keys)
+    # the orbit bins against the dense per-coset sum, zeros included, at every
+    # dominant weight of V's norm ball (D5 A1+A1: 60 cosets, 180k keys)
     rs, wg, classes = classes_of(family, rank)
     for cls in classes.values() if only is None else [classes[only]]:
         members = cls.representative.root_indices
         complement = [i for i in range(len(rs.roots)) if i not in members]
         v = subset_sums(rs, complement)
         reps = wg.coset_representatives(members)
-        vt = symmetrize(wg, len(reps), v)
-        assert vt == dense_symmetrize(rs, reps.values(), v), cls.label
+        vt = symmetrize(wg, len(reps), dict(v))
+        ball = norm_ball(rs, v)
+        assert set(vt) <= set(ball), cls.label
+        got = {mu: vt.get(mu, 0) for mu in ball}
+        inverses = [wg.inverse(w) for w in reps.values()]
+        dense = {mu: sum(v.get(apply_labels(rs, u, mu), 0) for u in inverses) for mu in ball}
+        assert got == dense, cls.label
         if len(wg) > 48:
             continue
         # |W_Gamma| * reduced sum equals the unreduced sum over all of W
         stab = wg.setwise_stabilizer(members)
-        full = {}
-        for w in wg.elements:
-            inv = wg.inverse(w)
-            for key, val in v.items():
-                img = apply_labels(rs, inv, key)
-                full[img] = full.get(img, 0) + val
-        full = {k: val for k, val in full.items() if val}
-        assert {k: len(stab) * val for k, val in vt.items()} == full, cls.label
+        full = {
+            mu: sum(v.get(apply_labels(rs, wg.inverse(w), mu), 0) for w in wg.elements)
+            for mu in ball
+        }
+        assert {mu: len(stab) * val for mu, val in got.items()} == full, cls.label
 
 
 @functools.cache
 def symmetrized_of(family, rank, label):
+    """The dense per-coset sum of V, and what symmetrize returns for it."""
     rs, wg, classes = classes_of(family, rank)
     members = classes[label].representative.root_indices
     v = subset_sums(rs, [i for i in range(len(rs.roots)) if i not in members])
-    return symmetrize(wg, len(wg.coset_representatives(members)), v)
+    reps = wg.coset_representatives(members)
+    return dense_symmetrize(rs, reps.values(), v), symmetrize(wg, len(reps), dict(v))
 
 
 @settings(max_examples=100, deadline=None)
@@ -188,14 +239,13 @@ def symmetrized_of(family, rank, label):
     st.data(),
 )
 def test_symmetrized_map_is_w_invariant(group, data):
-    # vt(s_i nu) = vt(nu), with s_i through its dense matrix, on and around the support
+    # the dense sum at nu, on and around its support, is the returned value at dom(nu)
     rs, wg, classes = classes_of(*group)
-    vt = symmetrized_of(*group, data.draw(st.sampled_from(sorted(classes)), label="class"))
-    point = data.draw(st.sampled_from(sorted(vt)), label="support point")
+    dense, vt = symmetrized_of(*group, data.draw(st.sampled_from(sorted(classes)), label="class"))
+    point = data.draw(st.sampled_from(sorted(dense)), label="support point")
     shift = data.draw(st.tuples(*[st.integers(-2, 2)] * rs.rank), label="shift")
     nu = tuple(map(sum, zip(point, shift)))
-    i = data.draw(st.integers(0, rs.rank - 1), label="i")
-    assert vt.get(apply_labels(rs, wg.generators[i], nu), 0) == vt.get(nu, 0)
+    assert dense.get(nu, 0) == vt.get(wg.dominant_data(nu)[0], 0)
 
 
 # -- coefficient tables ----------------------------------------------------------------
@@ -229,6 +279,43 @@ def test_unreduced_double_sum_oracle(family, rank):
         t = coeff_table(rs, wg, cls)
         expected = unreduced_coefficients(rs, wg, cls)
         assert {k: t.stabilizer_order * v for k, v in t.entries.items()} == expected, cls.label
+
+
+ORACLE_CASES = (
+    [(f, r, "sc") for f, lo in [("A", 1), ("B", 2), ("C", 2)] for r in range(lo, 5)]
+    + [("D", 4, "sc")]
+    + [("B", r, "so-odd") for r in range(2, 5)]
+)
+
+
+@pytest.mark.parametrize("family,rank,kernel", ORACLE_CASES)
+def test_coeff_table_matches_spread_map_oracle(family, rank, kernel):
+    # memoised orbit folds of the dominant bins against the fold of the spread map
+    rs, wg, classes = classes_of(family, rank)
+    ratios = None if kernel == "sc" else pq_map(rs, kernel_preset(rs, kernel))
+    for label, cls in classes.items():
+        got = coeff_table(rs, wg, cls, ratios)
+        want = spread_coeff_table(rs, wg, cls, ratios)
+        assert list(got.entries.items()) == list(want.entries.items()), label
+        assert got.dominant_values == want.dominant_values, label
+        assert got.stabilizer_order == want.stabilizer_order, label
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
+def test_orbit_memo_is_order_free(family, rank):
+    # every class forward, reversed, and each on a fresh group gives the same tables
+    rs = build_root_system(LieType(family, rank))
+    classes = enumerate_classes(rs, generate_group(rs))
+
+    def tables(order, fresh):
+        wg = generate_group(rs)
+        return {
+            cls.label: coeff_table(rs, generate_group(rs) if fresh else wg, cls) for cls in order
+        }
+
+    forward = tables(classes, False)
+    assert tables(reversed(classes), False) == forward
+    assert tables(classes, True) == forward
 
 
 def moved_class(rs, cls, w):

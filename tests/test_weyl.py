@@ -3,12 +3,15 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylstrat.relcoeff import coeff_table
 from weylstrat.rootsys import LieType, build_root_system, vec_neg, vec_scale
 from weylstrat.subsys import RootSubsystem, are_conjugate, build_poset, enumerate_classes
 from weylstrat.weyl import expected_group_order, generate_group
-from conftest import RANK_SIX_TYPES, apply_labels, label_mat, system, word_element
+from conftest import (
+    RANK_SIX_TYPES, apply_labels, label_mat, system, weight_system, word_element,
+)
 
 
 @pytest.mark.parametrize(
@@ -94,6 +97,25 @@ def test_dominant_representative():
     assert d == rs2.delta
     assert apply_labels(rs2, w, (-1, -1)) == (1, 1)
     assert w.sign == -1  # longest element of A2 has odd length
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(
+        [(f, r) for f, lo in [("A", 1), ("B", 2), ("C", 2)] for r in range(lo, 5)] + [("D", 4)]
+    ),
+    st.data(),
+)
+def test_orbit_fold_is_the_inverse_kostka_row(group, data):
+    # m_mu = sum of fold[lam] * chi_lam, so at every dominant nu the Freudenthal
+    # multiplicities m_lam(nu) sum to [nu = mu]
+    rs, wg = system(*group)
+    mu = tuple(data.draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank)))
+    total = {mu: 0}
+    for lam, c in wg.orbit_fold(mu).items():
+        for nu, m in weight_system(rs, wg, lam).dominant_entries.items():
+            total[nu] = total.get(nu, 0) + c * m
+    assert {nu: t for nu, t in total.items() if t} == {mu: 1}
 
 
 def test_dominant_data_regularity():
