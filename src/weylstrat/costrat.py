@@ -7,10 +7,13 @@ Freudenthal's recursion (`repthy.dominant_weight_system`) serves only
 
 Column lambda of a K block is `repthy.shifted_fold` at lambda of the W-orbit
 points of the D table, each carrying its D value; the C table is column 0 of
-that block. All K entries are stored in normalized form (the ratio of
-character norms is divided out), which keeps every table an exact integer
-and independent of hbar; the transcendental factor is reinstated on demand
-by norm_ratio.
+that block. `k_block` sums the same folds, but the shifted points
+lambda + nu + delta recur from column to column, so it reflects each distinct
+one to the dominant chamber once per block, through a table keyed by packed
+ints; `shifted_fold` stays the definition and is the tests' oracle for it.
+All K entries are stored in normalized form (the ratio of character norms is
+divided out), which keeps every table an exact integer and independent of
+hbar; the transcendental factor is reinstated on demand by norm_ratio.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from operator import add, mul, sub
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .relcoeff import CoeffTable
@@ -143,7 +147,17 @@ def k_block(
 
     A column is flagged incomplete when its fold lands on a row past the
     cutoff, whether or not that row sums to zero. columns, when the caller
-    already holds them, are kblock_columns(rs, cutoff_norm_sq).
+    already holds them, are kblock_columns(rs, cutoff_norm_sq); any other
+    dominant columns are folded the same way.
+
+    Column lam is repthy.shifted_fold at lam of the D orbit points, but the
+    point lam + nu + delta recurs across columns, so each distinct point is
+    reflected to the dominant chamber once per block. Points are packed into
+    ints in mixed radix: digit i is (lam_i - min lam_i) + (nu_i - min nu_i)
+    over the columns and the orbit points, so the key of lam + nu + delta is
+    the key of lam plus the key of nu, and never carries. Each key maps to
+    (row, sign, far), far when the row is past the cutoff, or to () when the
+    point is singular; the table lives only for this call.
     """
     cutoff = Q(cutoff_norm_sq)
     if columns is None:
@@ -153,11 +167,50 @@ def k_block(
     points = repthy.orbit_points(wg, dtable.entries)
     entries: Dict[Tuple[Labels, Labels], int] = {}
     incomplete: Set[Labels] = set()
+    nus = [nu for nu, _ in points]
+    col_lo = list(map(min, zip(*columns)))
+    nu_lo = list(map(min, zip(*nus)))
+    radices = [
+        hi - lo + hi2 - lo2 + 1
+        for hi, lo, hi2, lo2 in zip(map(max, zip(*columns)), col_lo, map(max, zip(*nus)), nu_lo)
+    ]
+    places = [1]
+    for r in radices[:-1]:
+        places.append(places[-1] * r)
+    packed = [(sum(map(mul, map(sub, nu, nu_lo), places)), nu, c) for nu, c in points]
+
+    lookup: Dict[int, tuple] = {}
+    rows: Dict[Labels, Tuple[Labels, bool]] = {}  # dominant -> (row, far), one norm per row
     for lam in columns:
-        for row, val in repthy.shifted_fold(wg, points, lam).items():
-            if rs.scaled_norm([x + 1 for x in row]) > scaled_cutoff:
-                incomplete.add(lam)
-            elif val:
+        base = sum(map(mul, map(sub, lam, col_lo), places))
+        shift = [x + 1 for x in lam]
+        fold: Dict[Labels, int] = {}
+        far = False
+        for key, nu, c in packed:
+            key += base
+            hit = lookup.get(key)
+            if hit is None:
+                dom, sign, regular = wg.dominant_data(list(map(add, shift, nu)))
+                hit = ()
+                if regular:
+                    known = rows.get(dom)
+                    if known is None:
+                        known = rows[dom] = (
+                            tuple(d - 1 for d in dom),
+                            rs.scaled_norm(dom) > scaled_cutoff,
+                        )
+                    hit = (known[0], sign, known[1])
+                lookup[key] = hit
+            if hit:
+                row, sign, past = hit
+                if past:
+                    far = True
+                else:
+                    fold[row] = fold.get(row, 0) + sign * c
+        if far:
+            incomplete.add(lam)
+        for row, val in fold.items():
+            if val:
                 entries[(row, lam)] = val
     return KBlock(dtable.class_label, cutoff, entries, incomplete)
 
@@ -198,19 +251,22 @@ def vanishing_system(
     One row per (class r with r not >= the base class, dominant lambda within
     the cutoff); each row lists the normalized K entries over the rows within
     the cutoff. This is a truncation only: rows flagged incomplete in the
-    underlying block may be missing far columns.
+    underlying block may be missing far columns. The columns are
+    kblock_columns(rs, cutoff_norm_sq), walked once and shared by every
+    block, so a cutoff past MAX_COLUMNS columns raises ValueError.
     """
     labels = {c.label for c in poset.classes}
     if base_label not in labels:
         raise ValueError(f"unknown class label {base_label!r}")
     excluded = [c for c in poset.classes if not poset.is_leq(base_label, c.label)]
+    columns = kblock_columns(rs, cutoff_norm_sq)
     rows: List[VanishingRow] = []
     for cls in excluded:
-        block = k_block(rs, wg, dtables[cls.label], cutoff_norm_sq)
+        block = k_block(rs, wg, dtables[cls.label], cutoff_norm_sq, columns)
         per_col: Dict[Labels, List[Tuple[Labels, int]]] = {}
         for (row, col), val in block.entries.items():
             per_col.setdefault(col, []).append((row, val))
-        for lam in repthy.dominant_labels_within(rs, lambda s: s <= Q(cutoff_norm_sq)):
+        for lam in columns:
             coeffs = tuple(sorted(per_col.get(lam, [])))
             rows.append(VanishingRow(cls.label, lam, coeffs))
     return rows

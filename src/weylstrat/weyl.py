@@ -7,12 +7,14 @@ permutations. Nothing enumerates W except `elements`, built on first use for
 
 W acts on Dynkin labels only through its simple reflections: s_i is applied
 sparsely, negating l_i and changing l_j only at the Dynkin neighbours j of i.
-Orbits and dominant representatives of label vectors are walks of those.
+Orbits and dominant representatives of label vectors are walks of those;
+`dominant_data` reflects one list in place at its first negative label.
 `shifted_fold` is the one shifted Weyl-orbit sum (the Brauer-Klimyk rule) behind
-C tables, K blocks, K entries and tensor multiplicities. A group keeps, per
-dominant weight mu it is asked about, the orbit W.mu and the fold of the orbit
-sum m_mu (its character expansion), so C tables of every class of a type
-share them.
+C tables, K entries and tensor multiplicities; `costrat.k_block` sums the same
+folds over many columns with one `dominant_data` per distinct shifted point,
+and is tested against it. A group keeps, per dominant weight mu it is asked
+about, the orbit W.mu and the fold of the orbit sum m_mu (its character
+expansion), so C tables of every class of a type share them.
 
 Cosets of a setwise stabilizer are never built as sets of elements: the left
 cosets w*Stab(S) correspond one-to-one with the images w(S) in the W-orbit of
@@ -43,6 +45,10 @@ class WeylGroup:
         self._neighbours: List[List[Tuple[int, int]]] = [
             [(j, rs.cartan[j][i]) for j in range(n) if j != i and rs.cartan[j][i]]
             for i in range(n)
+        ]
+        # after s_i, the first label that can be negative: a neighbour below i, else i + 1
+        self._resume: List[int] = [
+            min([j for j, _ in self._neighbours[i] if j < i], default=i + 1) for i in range(n)
         ]
         self.identity = WeylElement(tuple(range(len(rs.roots))), 1)
         self.generators: List[WeylElement] = [
@@ -121,17 +127,28 @@ class WeylGroup:
 
         Regularity is with respect to the input point itself: True iff no
         Weyl element fixes it (no zero label on the dominant representative).
+        The walk reflects at the first negative label, in place on one list.
+        s_i leaves every label before i unchanged except at its neighbours, so
+        the scan for the next negative label resumes at the first neighbour
+        below i, or at i + 1.
         """
-        cur = tuple(labels)
+        cur = list(labels)
+        n = len(cur)
+        neighbours = self._neighbours
+        resume = self._resume
         sign = 1
-        while True:
-            for i, l in enumerate(cur):
-                if l < 0:
-                    break
+        i = 0
+        while i < n:
+            li = cur[i]
+            if li < 0:
+                cur[i] = -li
+                for j, c in neighbours[i]:
+                    cur[j] -= c * li
+                sign = -sign
+                i = resume[i]
             else:
-                return cur, sign, 0 not in cur
-            cur = self._reflect(i, cur)
-            sign = -sign
+                i += 1
+        return tuple(cur), sign, 0 not in cur
 
     def dominant_orbit(self, mu: Labels) -> List[Labels]:
         """orbit_labels(mu), walked once per dominant mu and kept."""

@@ -67,6 +67,18 @@ def word_element(wg, rng, length):
     return w
 
 
+def tuple_dominant_data(wg, labels):
+    """WeylGroup.dominant_data as a tuple walk: a new tuple per reflection, each scan from label 0."""
+    cur, sign = tuple(labels), 1
+    while True:
+        for i, l in enumerate(cur):
+            if l < 0:
+                break
+        else:
+            return cur, sign, 0 not in cur
+        cur, sign = wg._reflect(i, cur), -sign
+
+
 @functools.cache
 def coroot_labels(rs):
     """<omega_i, a^vee> = 2 k(omega_i, a) / k(a, a) for every root a, in Fraction arithmetic."""
@@ -114,11 +126,10 @@ def k_block_oracle(rs, wg, dtable, cutoff_norm_sq, columns):
     in Fraction arithmetic and drop a key whose sum returns to zero.
     """
     entries, incomplete = {}, set()
+    orbits = [(mu, d, wg.orbit_labels(mu)) for mu, d in dtable.entries.items() if d]
     for lam in columns:
-        for mu, d in dtable.entries.items():
-            if not d:
-                continue
-            for mu2 in wg.orbit_labels(mu):
+        for mu, d, orbit in orbits:
+            for mu2 in orbit:
                 shifted = tuple(a + b + 1 for a, b in zip(lam, mu2))
                 dom, sign, regular = wg.dominant_data(shifted)
                 if not regular:

@@ -17,8 +17,9 @@ from weylstrat.costrat import (
 )
 from weylstrat.lattice import kernel_preset, pq_map
 from weylstrat.relcoeff import coeff_table
-from weylstrat.repthy import dominant_labels_within, dominant_weight_system
+from weylstrat.repthy import dominant_labels_within, dominant_weight_system, orbit_points
 from weylstrat.subsys import SubsystemClass, RootSubsystem, build_poset, enumerate_classes
+from weylstrat.weyl import shifted_fold
 from conftest import RANK_SIX_TYPES, freudenthal_d_entries, k_block_oracle, system
 
 
@@ -160,20 +161,79 @@ def test_c_table_is_k_column_zero(family, rank, kernel):
         assert {row: v for (row, col), v in block.entries.items()} == t.entries, label
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 2), ("C", 2), ("C", 3)])
-def test_k_block_matches_per_contribution_oracle(family, rank):
+def shifted_fold_block(rs, wg, dtable, cutoff_norm_sq, columns):
+    """K-block entries, in k_block's key order, and incomplete columns: one shifted_fold per column."""
+    points = orbit_points(wg, dtable.entries)
+    entries, incomplete = {}, set()
+    for lam in columns:
+        for row, val in shifted_fold(wg, points, lam).items():
+            if rs.labels_norm_sq([x + 1 for x in row]) > cutoff_norm_sq:
+                incomplete.add(lam)
+            elif val:
+                entries[(row, lam)] = val
+    return entries, incomplete
+
+
+def assert_block_matches_oracles(rs, wg, d, cutoff, columns, label):
+    block = k_block(rs, wg, d, cutoff, columns)
+    entries, incomplete = shifted_fold_block(rs, wg, d, cutoff, columns)
+    assert list(block.entries.items()) == list(entries.items()), label
+    assert block.incomplete_rows == incomplete, label
+    assert (block.entries, block.incomplete_rows) == k_block_oracle(rs, wg, d, cutoff, columns), label
+    assert all(type(v) is int for v in block.entries.values()), label
+    return block
+
+
+# two cutoff radii per type, each admitting several columns where that stays cheap
+ORACLE_CASES = [
+    ("A", 2, "sc", "4", "6"),
+    ("A", 3, "sc", "4", "6"),
+    ("A", 4, "sc", "4", "9/2"),
+    ("B", 2, "sc", "4", "6"),
+    ("B", 2, "so-odd", "6", "8"),
+    ("B", 3, "sc", "11/2", "7"),
+    ("B", 3, "so-odd", "11/2", "7"),
+    ("C", 2, "sc", "4", "6"),
+    ("C", 3, "sc", "4", "6"),
+    ("D", 4, "sc", "9/2", "5"),
+]
+
+
+@pytest.mark.parametrize("family, rank, kernel, radius, radius2", ORACLE_CASES)
+def test_k_block_matches_per_contribution_oracle(family, rank, kernel, radius, radius2):
+    # every class: the block from the packed lookup table against one fold per column
     rs, wg, classes = tables_of(family, rank)
+    ratios = None if kernel == "sc" else pq_map(rs, kernel_preset(rs, kernel))
     for label, cls in classes.items():
-        d = d_coeffs(rs, wg, coeff_table(rs, wg, cls))
+        d = d_coeffs(rs, wg, coeff_table(rs, wg, cls, ratios))
         assert all(type(v) is int for v in d.entries.values()), label
-        for radius in (4, 6):
-            cutoff = Q(radius) ** 2
-            columns = kblock_columns(rs, cutoff)
-            block = k_block(rs, wg, d, cutoff, columns)
-            entries, incomplete = k_block_oracle(rs, wg, d, cutoff, columns)
-            assert block.entries == entries, (label, radius)
-            assert block.incomplete_rows == incomplete, (label, radius)
-            assert all(type(v) is int for v in block.entries.values()), (label, radius)
+        for r in (radius, radius2):
+            cutoff = Q(r) ** 2
+            assert_block_matches_oracles(rs, wg, d, cutoff, kblock_columns(rs, cutoff), (label, r))
+
+
+@pytest.mark.parametrize("family, rank, label, kernel", [
+    ("A", 3, "0", "sc"), ("B", 3, "A1", "so-odd"), ("C", 3, "C1+C2", "sc"),
+])
+def test_k_block_with_caller_columns(family, rank, label, kernel):
+    # columns kblock_columns would not return set the radices of the packed keys too
+    rs, wg, classes = tables_of(family, rank)
+    ratios = None if kernel == "sc" else pq_map(rs, kernel_preset(rs, kernel))
+    d = d_coeffs(rs, wg, coeff_table(rs, wg, classes[label], ratios))
+    cutoff = Q(6) ** 2
+    columns = kblock_columns(rs, cutoff)
+    far = max(kblock_columns(rs, Q(9) ** 2), key=lambda lam: rs.labels_norm_sq(lam))
+    assert far not in columns
+    zero = (0,) * rank
+    for cols in ([zero], columns[::-2], [far], [far] + columns[:2], columns):
+        block = assert_block_matches_oracles(rs, wg, d, cutoff, cols, (label, cols))
+        assert {lam for _, lam in block.entries} | block.incomplete_rows <= set(cols)
+    assert far in k_block(rs, wg, d, cutoff, [far]).incomplete_rows
+    # no columns, given or from a cutoff below ||delta||^2 (kblock --cutoff 0)
+    for cut, cols in ((cutoff, []), (Q(0), None)):
+        block = k_block(rs, wg, d, cut, cols)
+        assert block.entries == {} and block.incomplete_rows == set()
+    assert kblock_columns(rs, Q(0)) == []
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 3), ("B", 2), ("C", 3), ("D", 4)])

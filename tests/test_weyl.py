@@ -10,7 +10,8 @@ from weylstrat.rootsys import LieType, build_root_system, vec_neg, vec_scale
 from weylstrat.subsys import RootSubsystem, are_conjugate, build_poset, enumerate_classes
 from weylstrat.weyl import expected_group_order, generate_group
 from conftest import (
-    RANK_SIX_TYPES, apply_labels, label_mat, system, weight_system, word_element,
+    RANK_SIX_TYPES, apply_labels, label_mat, system, tuple_dominant_data, weight_system,
+    word_element,
 )
 
 
@@ -124,6 +125,33 @@ def test_dominant_data_regularity():
     assert not regular
     dom, sign, regular = wg.dominant_data((-1, -2))
     assert regular and all(x > 0 for x in dom)
+
+
+@st.composite
+def walled_labels(draw):
+    """(family, rank, point, on_wall): labels at a type of rank <= 6, some zeroed, moved by a word."""
+    family, rank = draw(st.sampled_from(RANK_SIX_TYPES))
+    labels = draw(st.lists(st.integers(-8, 8), min_size=rank, max_size=rank))
+    walls = draw(st.sets(st.integers(0, rank - 1)))
+    word = draw(st.lists(st.integers(0, rank - 1), max_size=8))
+    _, wg = system(family, rank)
+    point = tuple(0 if i in walls else l for i, l in enumerate(labels))
+    for i in word:
+        point = wg._reflect(i, point)
+    return family, rank, point, bool(walls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walled_labels())
+def test_in_place_dominant_walk_matches_tuple_walk(case):
+    # a zero label i is fixed by s_i, so a point moved off that wall stays singular
+    family, rank, point, on_wall = case
+    _, wg = system(family, rank)
+    want = tuple_dominant_data(wg, point)
+    assert wg.dominant_data(point) == want
+    assert wg.dominant_data(list(point)) == want
+    if on_wall:
+        assert not want[2]
 
 
 @functools.cache
