@@ -258,6 +258,8 @@ def _parse_point(spec: str, rank: int) -> TorusPoint:
         key = key.strip().upper()
         if key not in ("A", "B"):
             raise UsageError(f"bad --point key {key!r}")
+        if key in parts:
+            raise UsageError(f"repeated --point key {key!r}")
         try:
             parts[key] = [Q(tok) for tok in vals.split(",")]
         except (ValueError, ZeroDivisionError) as exc:
@@ -277,7 +279,7 @@ def cmd_gammax(args) -> int:
     point = _parse_point(args.point, rs.rank)
     sub = gamma_x(rs, ratios, point)
     label = next(
-        (c.label for c in enumerate_classes(rs, wg) if are_conjugate(wg, sub, c.representative)[0]),
+        (c.label for c in enumerate_classes(rs, wg) if are_conjugate(wg, sub, c.representative)),
         None,
     )
     payload = {

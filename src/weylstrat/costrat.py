@@ -129,8 +129,7 @@ def kblock_columns(rs: RootSystem, cutoff_norm_sq: Q) -> List[Labels]:
     Raises ValueError past MAX_COLUMNS columns, having evaluated at most about
     2 * rank * MAX_COLUMNS norms, however large the cutoff.
     """
-    cutoff = Q(cutoff_norm_sq)
-    columns = repthy.dominant_labels_within(rs, lambda s: s <= cutoff, limit=MAX_COLUMNS)
+    columns = repthy.dominant_labels_within(rs, Q(cutoff_norm_sq), limit=MAX_COLUMNS)
     if len(columns) > MAX_COLUMNS:
         raise ValueError(f"norm cutoff too large: more than {MAX_COLUMNS} K-block columns")
     return columns

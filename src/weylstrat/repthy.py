@@ -15,10 +15,11 @@ with it. The transcendental norm prefactors never enter here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .rootsys import Labels, RootSystem
 from .weyl import WeylGroup, shifted_fold
@@ -31,22 +32,25 @@ class WeightSystem:
 
 
 def dominant_labels_within(
-    rs: RootSystem, accept: Callable[[Q], bool], limit: Optional[int] = None
+    rs: RootSystem, max_norm_sq: Q, limit: Optional[int] = None
 ) -> List[Labels]:
-    """Dominant label vectors l with accept(||l + delta||^2) true.
+    """Dominant label vectors l with ||l + delta||^2 <= max_norm_sq.
 
-    Relies on the norm being strictly increasing in every label, so a failing
-    prefix (padded with zeros) rules out all of its extensions. With a limit,
-    the walk stops at the (limit + 1)-th vector found, so a longer result only
-    says that there are more than limit; every accepted prefix has a vector
-    below it, so the walk evaluates at most about 2 * rank * (limit + 1) norms.
+    Norms are compared as integers: an integer scaled norm (norm_den * ||.||^2)
+    is at most norm_den * max_norm_sq iff it is at most its floor. Relies on the
+    norm being strictly increasing in every label, so a failing prefix (padded
+    with zeros) rules out all of its extensions. With a limit, the walk stops
+    at the (limit + 1)-th vector found, so a longer result only says that there
+    are more than limit; every accepted prefix has a vector below it, so the
+    walk evaluates at most about 2 * rank * (limit + 1) norms.
     """
     n = rs.rank
+    bound = math.floor(max_norm_sq * rs.norm_den)
     out: List[Labels] = []
 
-    def shifted_norm_sq(prefix: List[int]) -> Q:
+    def within(prefix: List[int]) -> bool:
         padded = prefix + [0] * (n - len(prefix))
-        return rs.labels_norm_sq([p + 1 for p in padded])
+        return rs.scaled_norm([p + 1 for p in padded]) <= bound
 
     def rec(prefix: List[int]) -> bool:
         """Collect the extensions of prefix; False once the limit is passed."""
@@ -56,7 +60,7 @@ def dominant_labels_within(
         v = 0
         while True:
             prefix.append(v)
-            if not accept(shifted_norm_sq(prefix)):
+            if not within(prefix):
                 prefix.pop()
                 return True
             going = rec(prefix)
@@ -65,16 +69,9 @@ def dominant_labels_within(
                 return False
             v += 1
 
-    if accept(shifted_norm_sq([])):
+    if within([]):
         rec([])
     return sorted(out)
-
-
-def _root_coords(rs: RootSystem, lab: Sequence[int]) -> List[Q]:
-    """Coordinates of a label vector over the simple roots."""
-    inv = rs.cartan_inverse
-    n = rs.rank
-    return [sum(inv[i][j] * lab[j] for j in range(n)) for i in range(n)]
 
 
 def _pairing_labels_root(rs: RootSystem, lab: Sequence[int], p: int) -> int:
@@ -90,8 +87,7 @@ def dominant_weight_system(rs: RootSystem, wg: WeylGroup, highest: Sequence[int]
     den = rs.norm_den
     lam_shift_sq = rs.scaled_norm([l + 1 for l in lam])
     lam_sq = rs.scaled_norm(lam)
-    bound = Q(lam_shift_sq, den)
-    candidates = dominant_labels_within(rs, lambda s: s <= bound)
+    candidates = dominant_labels_within(rs, Q(lam_shift_sq, den))
     members: List[Tuple[int, Labels]] = []
     for mu in candidates:
         diff = [a - b for a, b in zip(lam, mu)]

@@ -5,6 +5,10 @@ deleting a node, and other factors by first extending the remaining base with
 the negative of its highest root (or of the dual of the highest dual root).
 Labels come from the generating tuple, which keeps the non-conjugate pairs
 B1/A1, C1/A1, D2/A1+A1 and D3/A3 apart even though they are isomorphic.
+
+Conjugacy, canonical keys and the class order read only the W-orbit of a root
+index set, the images w(S) that `WeylGroup.coset_representatives` walks; no
+Weyl element is built.
 """
 
 from __future__ import annotations
@@ -13,10 +17,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from operator import add
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from .rootsys import RootSystem, Vector, vec_neg
-from .weyl import WeylElement, WeylGroup
+from .weyl import WeylGroup
 
 
 @dataclass(frozen=True)
@@ -207,14 +211,12 @@ def _norm_counter(rs: RootSystem, indices) -> Counter:
     return Counter(rs.root_norms[i] for i in indices)
 
 
-def are_conjugate(
-    wg: WeylGroup, sub1: RootSubsystem, sub2: RootSubsystem
-) -> Tuple[bool, Optional[WeylElement]]:
+def are_conjugate(wg: WeylGroup, sub1: RootSubsystem, sub2: RootSubsystem) -> bool:
+    """True iff some Weyl image of sub1's index set is sub2's."""
     s1, s2 = sub1.root_indices, sub2.root_indices
     if len(s1) != len(s2) or _norm_counter(wg.rs, s1) != _norm_counter(wg.rs, s2):
-        return False, None
-    w = wg.coset_representatives(s1).get(frozenset(s2))
-    return w is not None, w
+        return False
+    return s2 in wg.coset_representatives(s1)
 
 
 def _may_fit(rs: RootSystem, s1: FrozenSet[int], s2: FrozenSet[int]) -> bool:

@@ -1,9 +1,9 @@
 """Weyl groups as permutations of the root index set.
 
 A group keeps only its simple reflections; its order comes from the closed
-formula per family. Elements are composed on demand as signed root
-permutations. Nothing enumerates W except `elements`, built on first use for
-`setwise_stabilizer` (23040 elements at D6, 46080 at B6 and C6).
+formula per family. No command builds a group element: conjugacy, class order
+and coset counts need only W-orbits of root index sets, and everything else
+only W-orbits of label vectors.
 
 W acts on Dynkin labels only through its simple reflections: s_i is applied
 sparsely, negating l_i and changing l_j only at the Dynkin neighbours j of i.
@@ -16,18 +16,25 @@ and is tested against it. A group keeps, per dominant weight mu it is asked
 about, the orbit W.mu and the fold of the orbit sum m_mu (its character
 expansion), so C tables of every class of a type share them.
 
-Cosets of a setwise stabilizer are never built as sets of elements: the left
-cosets w*Stab(S) correspond one-to-one with the images w(S) in the W-orbit of
-the root index set S, and `WeylGroup.coset_representatives` walks that orbit.
+Cosets of a setwise stabilizer are orbit images: the left cosets w*Stab(S)
+correspond one-to-one with the images w(S) in the W-orbit of the root index
+set S, and `WeylGroup.coset_representatives` walks that orbit under the simple
+reflection permutations, building no element.
+
+`WeylElement` (a signed root permutation), `identity`, `generators`,
+`elements`, `compose` and `setwise_stabilizer` serve only the tests and the
+benchmark tracer, which wraps the last two; nothing enumerates W except
+`elements` (23040 elements at D6, 46080 at B6 and C6). They move to
+`tests/conftest.py` with ROADMAP item 1, when the tracer reads in-process spans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from .rootsys import Labels, RootSystem, Vector
+from .rootsys import Labels, RootSystem
 
 
 @dataclass(frozen=True)
@@ -50,10 +57,9 @@ class WeylGroup:
         self._resume: List[int] = [
             min([j for j, _ in self._neighbours[i] if j < i], default=i + 1) for i in range(n)
         ]
+        self._simple_perms: List[Tuple[int, ...]] = [refl[i] for i in rs.simple_indices]
         self.identity = WeylElement(tuple(range(len(rs.roots))), 1)
-        self.generators: List[WeylElement] = [
-            WeylElement(refl[i], -1) for i in rs.simple_indices
-        ]
+        self.generators: List[WeylElement] = [WeylElement(p, -1) for p in self._simple_perms]
         # per dominant weight: its orbit, and the fold of its orbit sum
         self._orbits: Dict[Labels, List[Labels]] = {}
         self._folds: Dict[Labels, Dict[Labels, int]] = {}
@@ -80,12 +86,6 @@ class WeylGroup:
     def compose(self, a: WeylElement, b: WeylElement) -> WeylElement:
         """The element a*b acting as: apply b first, then a."""
         return WeylElement(tuple(map(a.perm.__getitem__, b.perm)), a.sign * b.sign)
-
-    def inverse(self, a: WeylElement) -> WeylElement:
-        return WeylElement(_invert_perm(a.perm), a.sign)
-
-    def reflection(self, root_index: int) -> WeylElement:
-        return WeylElement(self.rs.reflection_perms()[root_index], -1)
 
     # -- orbits and dominance ------------------------------------------------
 
@@ -118,9 +118,6 @@ class WeylGroup:
                             nxt.append(img)
             frontier = nxt
         return sorted(seen)
-
-    def orbit(self, x: Vector) -> List[Vector]:
-        return [self.rs.from_labels(l) for l in self.orbit_labels(self.rs.to_labels(x))]
 
     def dominant_data(self, labels: Sequence[int]) -> Tuple[Labels, int, bool]:
         """Dominant representative, the sign of a mapping element, regularity.
@@ -169,17 +166,6 @@ class WeylGroup:
             fold = self._folds[mu] = shifted_fold(self, points, (0,) * len(mu))
         return fold
 
-    def dominant_representative(self, x: Vector) -> Tuple[Vector, WeylElement]:
-        """Pair (d, w) with w(x) = d dominant."""
-        cur = self.rs.to_labels(x)
-        w = self.identity
-        while True:
-            i = next((j for j, l in enumerate(cur) if l < 0), None)
-            if i is None:
-                return self.rs.from_labels(cur), w
-            cur = self._reflect(i, cur)
-            w = self.compose(self.generators[i], w)
-
     # -- subgroups and cosets ------------------------------------------------
 
     def setwise_stabilizer(self, root_indices: Iterable[int]) -> List[WeylElement]:
@@ -191,30 +177,26 @@ class WeylGroup:
             e for e in self.elements if frozenset(e.perm[i] for i in target) == target
         ]
 
-    def coset_representatives(
-        self, root_indices: Iterable[int]
-    ) -> Dict[FrozenSet[int], WeylElement]:
-        """The W-orbit of the index set S, each image w(S) mapped to one such w.
+    def coset_representatives(self, root_indices: Iterable[int]) -> Set[FrozenSet[int]]:
+        """The W-orbit of the index set S: its images w(S), one per left coset w*Stab(S).
 
-        The images are in bijection with the left cosets w*Stab(S), so there
-        are |W| / |Stab(S)| of them. The walk is breadth-first under the simple
-        reflections and keeps the first element to reach each image; its BFS
-        depth is the least length in its coset, so every stored w is a
-        minimal-length coset representative.
+        So there are |W| / |Stab(S)| of them. The walk is breadth-first under
+        the simple reflection permutations and builds no element.
         """
         start = frozenset(root_indices)
-        reps = {start: self.identity}
+        seen = {start}
         frontier = [start]
+        perms = self._simple_perms
         while frontier:
             nxt = []
             for img in frontier:
-                for g in self.generators:
-                    moved = frozenset(g.perm[i] for i in img)
-                    if moved not in reps:
-                        reps[moved] = self.compose(g, reps[img])
+                for perm in perms:
+                    moved = frozenset(map(perm.__getitem__, img))
+                    if moved not in seen:
+                        seen.add(moved)
                         nxt.append(moved)
             frontier = nxt
-        return reps
+        return seen
 
 
 def shifted_fold(
@@ -232,13 +214,6 @@ def shifted_fold(
             row = tuple(d - 1 for d in dom)
             out[row] = out.get(row, 0) + sign * c
     return out
-
-
-def _invert_perm(perm: Tuple[int, ...]) -> Tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(inv)
 
 
 def generate_group(rs: RootSystem) -> WeylGroup:

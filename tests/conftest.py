@@ -7,7 +7,7 @@ import pytest
 from weylstrat.relcoeff import CoeffTable, subset_sums
 from weylstrat.repthy import dominant_weight_system
 from weylstrat.rootsys import LieType, build_root_system
-from weylstrat.weyl import generate_group, shifted_fold
+from weylstrat.weyl import WeylElement, generate_group
 
 
 # every classical type up to rank 6
@@ -65,6 +65,66 @@ def word_element(wg, rng, length):
     for _ in range(length):
         w = wg.compose(rng.choice(wg.generators), w)
     return w
+
+
+def inverse(w):
+    """The inverse element: the inverse permutation, the same sign."""
+    inv = [0] * len(w.perm)
+    for i, p in enumerate(w.perm):
+        inv[p] = i
+    return WeylElement(tuple(inv), w.sign)
+
+
+def reflection(wg, root_index):
+    """The reflection in the root at root_index, as an element."""
+    return WeylElement(wg.rs.reflection_perms()[root_index], -1)
+
+
+def orbit(wg, x):
+    """The W-orbit of a vector, through its label orbit."""
+    rs = wg.rs
+    return [rs.from_labels(l) for l in wg.orbit_labels(rs.to_labels(x))]
+
+
+def dominant_representative(wg, x):
+    """Pair (d, w) with w(x) = d dominant, reflecting at the first negative label."""
+    rs = wg.rs
+    cur = rs.to_labels(x)
+    w = wg.identity
+    while True:
+        i = next((j for j, l in enumerate(cur) if l < 0), None)
+        if i is None:
+            return rs.from_labels(cur), w
+        cur = wg._reflect(i, cur)
+        w = wg.compose(wg.generators[i], w)
+
+
+def coset_movers(wg, root_indices):
+    """Each image w(S) in the W-orbit of S mapped to one w reaching it.
+
+    Breadth-first under the simple reflections, keeping the first element to
+    reach each image, so the keys are wg.coset_representatives(S).
+    """
+    start = frozenset(root_indices)
+    movers = {start: wg.identity}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for img in frontier:
+            for g in wg.generators:
+                moved = frozenset(g.perm[i] for i in img)
+                if moved not in movers:
+                    movers[moved] = wg.compose(g, movers[img])
+                    nxt.append(moved)
+        frontier = nxt
+    return movers
+
+
+def root_coords(rs, lab):
+    """Coordinates of a label vector over the simple roots."""
+    inv = rs.cartan_inverse
+    n = rs.rank
+    return [sum(inv[i][j] * lab[j] for j in range(n)) for i in range(n)]
 
 
 def tuple_dominant_data(wg, labels):
@@ -146,28 +206,54 @@ def k_block_oracle(rs, wg, dtable, cutoff_norm_sq, columns):
     return entries, incomplete
 
 
+@functools.cache
+def dominant_of(wg, key):
+    """wg.dominant_data(key)[0], kept per group and point."""
+    return wg.dominant_data(key)[0]
+
+
+@functools.cache
+def spread_orbit(wg, mu):
+    """wg.orbit_labels(mu), kept per group and dominant mu."""
+    return wg.orbit_labels(mu)
+
+
+@functools.cache
+def shifted_row(wg, nu):
+    """(row, sign) of the dominant w(nu + delta) - delta, or None if nu + delta is singular."""
+    dom, sign, regular = wg.dominant_data(tuple(a + 1 for a in nu))
+    return (tuple(d - 1 for d in dom), sign) if regular else None
+
+
 def spread_coeff_table(rs, wg, cls, ratios=None):
     """The C table through the spread symmetrized map, folded one point at a time.
 
-    V is binned by one dominant_data per key, each non-zero bin is spread
-    evenly over its orbit_labels, and the spread map is folded by
-    shifted_fold at lambda = 0.
+    V is binned by the dominant image of each key, each non-zero bin is spread
+    evenly over its orbit, and each point nu of the spread map adds its value
+    times sign(w) at the dominant w(nu + delta) - delta (lambda = 0 of the
+    Brauer-Klimyk fold). Dominant images, orbits and shifted rows are kept per
+    group, so the spread maps of every class of a type share them.
     """
     members = cls.representative.root_indices
     v = subset_sums(rs, [i for i in range(len(rs.roots)) if i not in members], ratios)
     n_cosets = len(wg.coset_representatives(members))
     bins = {}
     for key, val in v.items():
-        mu = wg.dominant_data(key)[0]
+        mu = dominant_of(wg, key)
         bins[mu] = bins.get(mu, 0) + val
     spread = {}
     for mu, total in bins.items():
         if total:
-            orbit = wg.orbit_labels(mu)
+            orbit = spread_orbit(wg, mu)
             share, rem = divmod(n_cosets * total, len(orbit))
             assert rem == 0, (mu, total)
             spread.update(dict.fromkeys(orbit, share))
-    folded = shifted_fold(wg, spread.items(), (0,) * rs.rank)
+    folded = {}
+    for nu, c in spread.items():
+        hit = shifted_row(wg, nu)
+        if hit is not None:
+            row, sign = hit
+            folded[row] = folded.get(row, 0) + sign * c
     entries = {k: c for k, c in sorted(folded.items()) if c}
     dominant = {k: c for k, c in spread.items() if min(k) >= 0}
     return CoeffTable(cls.label, entries, len(wg) // n_cosets, dominant)

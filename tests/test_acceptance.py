@@ -222,7 +222,7 @@ def test_criterion_8_stable_k_rows():
             bound = rs.labels_norm_sq([25 if rank == 1 else 12] * rank)
             stable = [
                 lam
-                for lam in repthy.dominant_labels_within(rs, lambda s: s <= bound)
+                for lam in repthy.dominant_labels_within(rs, bound)
                 if costrat.is_stable(rs, wg, d, lam)
             ][:20]
             ok &= len(stable) == 20
@@ -237,9 +237,7 @@ def test_criterion_8_stable_k_rows():
                 for lam2, dval in on_orbit.items():
                     ok &= costrat.k_entry(rs, wg, d, lam2, lam) == dval
                     checked += 1
-                window = repthy.dominant_labels_within(
-                    rs, lambda s: s <= rs.labels_norm_sq([l + 3 for l in lam])
-                )
+                window = repthy.dominant_labels_within(rs, rs.labels_norm_sq([l + 3 for l in lam]))
                 for lam2 in window:
                     if lam2 not in on_orbit:
                         ok &= costrat.k_entry(rs, wg, d, lam2, lam) == 0

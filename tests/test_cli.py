@@ -159,6 +159,7 @@ def test_usage_errors(tmp_path, capsys):
         kblock + ["--cutoff", "5", "--hbar", "1e300"],
         kblock + ["--cutoff", "5", "--hbar", "1e308"],  # hbar * exponent is inf itself
         ["subsystems", "--family", "A", "--rank", "9"],  # past MAX_RANK
+        ["gammax", "--family", "A", "--rank", "2", "--point", "A=1/2,0;A=0,0"],  # a repeated key
     ]:
         assert run(argv) == 2, argv
         err = capsys.readouterr().err

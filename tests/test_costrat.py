@@ -18,6 +18,7 @@ from weylstrat.costrat import (
 from weylstrat.lattice import kernel_preset, pq_map
 from weylstrat.relcoeff import coeff_table
 from weylstrat.repthy import dominant_labels_within, dominant_weight_system, orbit_points
+from weylstrat.rootsys import RootSystem
 from weylstrat.subsys import SubsystemClass, RootSubsystem, build_poset, enumerate_classes
 from weylstrat.weyl import shifted_fold
 from conftest import RANK_SIX_TYPES, freudenthal_d_entries, k_block_oracle, system
@@ -241,9 +242,9 @@ def test_limited_walk_stops_past_the_limit(family, rank):
     rs, _ = system(family, rank)
     for radius in [0, 1, Q(5, 2), 4, 7]:
         cutoff = Q(radius) ** 2
-        full = dominant_labels_within(rs, lambda s: s <= cutoff)
+        full = dominant_labels_within(rs, cutoff)
         for limit in sorted({0, 1, 5, len(full) - 1, len(full), len(full) + 3} - {-1}):
-            part = dominant_labels_within(rs, lambda s: s <= cutoff, limit=limit)
+            part = dominant_labels_within(rs, cutoff, limit=limit)
             if len(full) <= limit:
                 assert part == full
             else:
@@ -251,16 +252,19 @@ def test_limited_walk_stops_past_the_limit(family, rank):
 
 
 @pytest.mark.parametrize("family,rank", RANK_SIX_TYPES)
-def test_limited_walk_ends_without_a_norm_bound(family, rank):
+def test_limited_walk_ends_without_a_norm_bound(family, rank, monkeypatch):
+    # a bound far past every norm the walk meets: only the limit stops it
     rs, _ = system(family, rank)
     calls = 0
+    scaled_norm = RootSystem.scaled_norm
 
-    def accept_all(_norm_sq):
+    def counted(self, labels):
         nonlocal calls
         calls += 1
-        return True
+        return scaled_norm(self, labels)
 
-    assert len(dominant_labels_within(rs, accept_all, limit=100)) == 101
+    monkeypatch.setattr(RootSystem, "scaled_norm", counted)
+    assert len(dominant_labels_within(rs, 10**12, limit=100)) == 101
     assert calls <= 2 * rank * 102
 
 
@@ -349,7 +353,7 @@ def test_stable_rows_match_closed_form(family, rank):
         bound = rs.labels_norm_sq([9] * rank)
         stable = [
             lam
-            for lam in dominant_labels_within(rs, lambda s: s <= bound)
+            for lam in dominant_labels_within(rs, bound)
             if is_stable(rs, wg, d, lam)
         ][:5]
         assert stable, label
@@ -362,9 +366,7 @@ def test_stable_rows_match_closed_form(family, rank):
                         on_orbit[lam2] = dval
             for lam2, dval in on_orbit.items():
                 assert k_entry(rs, wg, d, lam2, lam) == dval, (label, lam, lam2)
-            window = dominant_labels_within(
-                rs, lambda s: s <= rs.labels_norm_sq([l + 4 for l in lam])
-            )
+            window = dominant_labels_within(rs, rs.labels_norm_sq([l + 4 for l in lam]))
             for lam2 in window:
                 if lam2 not in on_orbit:
                     assert k_entry(rs, wg, d, lam2, lam) == 0, (label, lam, lam2)

@@ -18,7 +18,7 @@ from weylstrat.lattice import (
 )
 from weylstrat.rootsys import _invert_rational
 from weylstrat.subsys import enumerate_classes
-from conftest import label_mat, system
+from conftest import inverse, label_mat, system
 
 
 def test_presets():
@@ -188,7 +188,7 @@ def test_gamma_x_equivariance():
     for _ in range(40):
         pt = _random_point(rng, n)
         w = wg.elements[rng.randrange(len(wg))]
-        m = label_mat(rs, wg.inverse(w))
+        m = label_mat(rs, inverse(w))
         wa = tuple(sum(m[r][c] * pt.a_coords[r] for r in range(n)) for c in range(n))
         wb = tuple(sum(m[r][c] * pt.b_coords[r] for r in range(n)) for c in range(n))
         lhs = gamma_x(rs, ratios, TorusPoint.make(wa, wb)).root_indices

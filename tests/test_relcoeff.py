@@ -21,7 +21,7 @@ from weylstrat.repthy import dominant_labels_within
 from weylstrat.rootsys import LieType, build_root_system
 from weylstrat.subsys import SubsystemClass, enumerate_classes, RootSubsystem
 from weylstrat.weyl import generate_group
-from conftest import apply_labels, label_mat, spread_coeff_table, system
+from conftest import apply_labels, coset_movers, inverse, label_mat, spread_coeff_table, system
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -69,7 +69,7 @@ def norm_ball(rs, v):
     """
     max_norm = max((rs.labels_norm_sq(k) for k in v), default=Q(0))
     delta_sq = rs.labels_norm_sq(rs.delta_labels)
-    return dominant_labels_within(rs, lambda s: s <= 2 * (max_norm + delta_sq))
+    return dominant_labels_within(rs, 2 * (max_norm + delta_sq))
 
 
 def dense_symmetrize(rs, reps, v):
@@ -204,12 +204,12 @@ def test_symmetrize_matches_full_group_sum(family, rank, only):
         members = cls.representative.root_indices
         complement = [i for i in range(len(rs.roots)) if i not in members]
         v = subset_sums(rs, complement)
-        reps = wg.coset_representatives(members)
-        vt = symmetrize(wg, len(reps), dict(v))
+        movers = coset_movers(wg, members)
+        vt = symmetrize(wg, len(wg.coset_representatives(members)), dict(v))
         ball = norm_ball(rs, v)
         assert set(vt) <= set(ball), cls.label
         got = {mu: vt.get(mu, 0) for mu in ball}
-        inverses = [wg.inverse(w) for w in reps.values()]
+        inverses = [inverse(w) for w in movers.values()]
         dense = {mu: sum(v.get(apply_labels(rs, u, mu), 0) for u in inverses) for mu in ball}
         assert got == dense, cls.label
         if len(wg) > 48:
@@ -217,7 +217,7 @@ def test_symmetrize_matches_full_group_sum(family, rank, only):
         # |W_Gamma| * reduced sum equals the unreduced sum over all of W
         stab = wg.setwise_stabilizer(members)
         full = {
-            mu: sum(v.get(apply_labels(rs, wg.inverse(w), mu), 0) for w in wg.elements)
+            mu: sum(v.get(apply_labels(rs, inverse(w), mu), 0) for w in wg.elements)
             for mu in ball
         }
         assert {mu: len(stab) * val for mu, val in got.items()} == full, cls.label
@@ -229,8 +229,8 @@ def symmetrized_of(family, rank, label):
     rs, wg, classes = classes_of(family, rank)
     members = classes[label].representative.root_indices
     v = subset_sums(rs, [i for i in range(len(rs.roots)) if i not in members])
-    reps = wg.coset_representatives(members)
-    return dense_symmetrize(rs, reps.values(), v), symmetrize(wg, len(reps), dict(v))
+    dense = dense_symmetrize(rs, coset_movers(wg, members).values(), v)
+    return dense, symmetrize(wg, len(wg.coset_representatives(members)), dict(v))
 
 
 @settings(max_examples=100, deadline=None)

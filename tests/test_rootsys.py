@@ -12,7 +12,7 @@ from weylstrat.rootsys import (
     vec_neg,
     vec_scale,
 )
-from conftest import RANK_SIX_TYPES, coroot_labels, system
+from conftest import RANK_SIX_TYPES, coroot_labels, root_coords, system
 
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -46,11 +46,9 @@ def test_crystallographic_condition(family, rank):
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 3), ("C", 2), ("D", 4)])
 def test_roots_have_uniform_sign_coordinates(family, rank):
     # every root is an all-nonnegative or all-nonpositive integer mix of simple roots
-    from weylstrat.repthy import _root_coords
-
     rs, _ = system(family, rank)
     for i, a in enumerate(rs.roots):
-        coords = _root_coords(rs, rs.root_labels(i))
+        coords = root_coords(rs, rs.root_labels(i))
         assert all(c.denominator == 1 for c in coords)
         assert all(c >= 0 for c in coords) or all(c <= 0 for c in coords)
 
