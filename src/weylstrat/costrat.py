@@ -189,9 +189,10 @@ def k_block(
             key += base
             hit = lookup.get(key)
             if hit is None:
-                dom, sign, regular = wg.dominant_data(list(map(add, shift, nu)))
+                found = wg.regular_dominant(list(map(add, shift, nu)))
                 hit = ()
-                if regular:
+                if found is not None:
+                    dom, sign = found
                     known = rows.get(dom)
                     if known is None:
                         known = rows[dom] = (

@@ -152,7 +152,7 @@ def pq_map(rs: RootSystem, kernel: ExpKernel) -> List[PQRatio]:
     scaled = _scaled(inverse, den)
     out = []
     for i in range(rs.num_positive):
-        c = [int(2 * k / rs.root_norms[i]) for k in rs.komega[i]]
+        c = [2 * k // rs.root_norms[i] for k in rs.komega[i]]
         g = gcd(*(sum(ci * row[j] for ci, row in zip(c, scaled)) for j in range(rs.rank)))
         ratio = Q(den, g)
         out.append(PQRatio(ratio.numerator, ratio.denominator))

@@ -6,10 +6,16 @@ it is folded one root pair at a time on weights packed into ints. Its sum over
 the cosets of the stabilizer is W-invariant, so it is the orbit sums m_mu
 weighted by n_cosets * O(mu) / |W.mu|, where O(mu) sums V over the orbit:
 `symmetrize` walks each orbit of V once and keeps those weights at dominant
-mu. The reduced coefficients are these weights times the character
-expansions of the m_mu (`WeylGroup.orbit_fold`, folded once per type), all in
-integer label arithmetic. The weights are the D table (see
-`costrat.d_coeffs`), so no weight system is ever computed here.
+mu. For the class 0 with every ratio 1, V is (-1)^N times the square of the
+Weyl denominator, and `denominator_values` reads the same weights off one
+pass over the orbit of delta, building no V. The reduced coefficients are
+these weights times the character expansions of the m_mu
+(`WeylGroup.orbit_fold`, folded once per type), all in integer label
+arithmetic. The weights are the D table (see `costrat.d_coeffs`), so no
+weight system is ever computed here.
+
+Two budgets bound the work: MAX_SUPPORT weights of a subset-sum map, and
+MAX_ORBIT_POINTS orbit points behind a class-0 table.
 """
 
 from __future__ import annotations
@@ -139,6 +145,44 @@ def symmetrize(wg: WeylGroup, n_cosets: int, v: Dict[Labels, int]) -> Dict[Label
     return out
 
 
+# denominator_values refuses a class-0 table whose dominant weights pass this many orbit points
+MAX_ORBIT_POINTS = 20_000_000
+
+
+def denominator_values(wg: WeylGroup) -> Dict[Labels, int]:
+    """symmetrize(wg, 1, subset_sums(rs, every root)), from one pass over W.delta.
+
+    V = prod over all roots a of (1 - e^a) = (-1)^N Delta^2 with N = |Phi+| and
+    Delta = sum over w of sign(w) e^(w delta), so its orbit sums are
+    O(mu) = (-1)^N |W| sum of sign(u) over the u with dom(delta + u delta) = mu,
+    and the value at mu is O(mu) / |W.mu|. The orbit walk of delta carries
+    sign(u) with each point u delta; V is never built. Raises ValueError as
+    soon as the orbits of the dominant weights reached, cancelled or not, pass
+    MAX_ORBIT_POINTS points, since each one left is folded point by point.
+    """
+    sums: Dict[Labels, int] = {}
+    points = 0
+    for x, sign in wg.orbit_walk(wg.rs.delta_labels):
+        mu = wg.dominant_data([a + 1 for a in x])[0]
+        if mu not in sums:
+            points += wg.orbit_size(mu)
+            if points > MAX_ORBIT_POINTS:
+                raise ValueError(
+                    f"class-0 table too large: more than {MAX_ORBIT_POINTS} orbit points"
+                )
+            sums[mu] = 0
+        sums[mu] += sign
+    scale = (-1) ** wg.rs.num_positive * len(wg)
+    out: Dict[Labels, int] = {}
+    for mu, total in sums.items():
+        if total:
+            share, rem = divmod(scale * total, wg.orbit_size(mu))
+            if rem:
+                raise AssertionError(f"orbit sum of V at {mu} is not a multiple of |W.mu|")
+            out[mu] = share
+    return out
+
+
 def coeff_table(
     rs: RootSystem,
     wg: WeylGroup,
@@ -153,14 +197,19 @@ def coeff_table(
     sum over dominant mu of its value at mu times the orbit sum m_mu, so the
     coefficients are the sum of value times `WeylGroup.orbit_fold(mu)`, the
     character expansion of m_mu, which wg keeps for the next class. The table
-    also keeps the map's values at dominant weights. Ratios must have p = 1,
-    as under every kernel that `lattice.check_kernel` accepts; otherwise
-    ValueError.
+    also keeps the map's values at dominant weights. The class 0 (no members)
+    with every ratio 1 takes those values from `denominator_values` instead.
+    Ratios must have p = 1, as under every kernel that `lattice.check_kernel`
+    accepts; otherwise ValueError.
     """
     members = cls.representative.root_indices
-    complement = [i for i in range(len(rs.roots)) if i not in members]
-    n_cosets = len(wg.coset_representatives(members))
-    dominant = symmetrize(wg, n_cosets, subset_sums(rs, complement, ratios))
+    if not members and (ratios is None or all(r.p == r.q == 1 for r in ratios)):
+        n_cosets = 1
+        dominant = denominator_values(wg)
+    else:
+        complement = [i for i in range(len(rs.roots)) if i not in members]
+        n_cosets = len(wg.coset_representatives(members))
+        dominant = symmetrize(wg, n_cosets, subset_sums(rs, complement, ratios))
 
     acc: Dict[Labels, int] = {}
     for mu, share in dominant.items():

@@ -5,12 +5,16 @@ trace-zero hyperplane of an (n+1)-dimensional space, B/C/D in n dimensions).
 The bilinear form is scaled so that short roots have squared length 2; this
 normalization cancels in every reduced coefficient downstream.
 
-Norms in label space are exact scaled integers: `gram` is the integer matrix
-norm_den * k(omega_i, omega_j), so `scaled_norm` never leaves int, and
-`labels_norm_sq` turns it into a `Fraction` only at the API edge. The pairings
-`komega` of fundamental weights with positive roots and `cartan_den` times the
-inverse Cartan matrix are integer matrices too, and the reflection
-permutations are computed on the integer root coordinates.
+Every root has integer coordinates, so the tables are built from integer dot
+products and exact floor division: root norms, the Cartan matrix, root
+labels, the pairings `komega` of fundamental weights with positive roots
+(through simple-root coordinates) and `gram`, norm_den * k(omega_i, omega_j),
+the form in label space. So `scaled_norm` never leaves int, and
+`labels_norm_sq` turns it into a `Fraction` only at the API edge. Only the
+n x n inverse Cartan matrix, the fundamental weights and the root vectors
+handed out are `Fraction`s; `cartan_den` times the inverse is an integer
+matrix too, and the reflection permutations are computed on the integer
+root coordinates.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import List, Sequence, Tuple
 
@@ -66,39 +70,45 @@ def vec_scale(c, x: Vector) -> Vector:
     return tuple(c * a for a in x)
 
 
-def _simple_roots(t: LieType) -> List[Vector]:
+def _unit(dim: int, i: int) -> Tuple[int, ...]:
+    return tuple(int(k == i) for k in range(dim))
+
+
+def _simple_roots(t: LieType) -> List[Tuple[int, ...]]:
     n = t.rank
     if t.family == "A":
-        dim = n + 1
-        e = lambda i: tuple(Q(1) if k == i else Q(0) for k in range(dim))
+        e = lambda i: _unit(n + 1, i)
         return [vec_sub(e(i), e(i + 1)) for i in range(n)]
-    e = lambda i: tuple(Q(1) if k == i else Q(0) for k in range(n))
+    e = lambda i: _unit(n, i)
     simple = [vec_sub(e(i), e(i + 1)) for i in range(n - 1)]
     if t.family == "B":
         simple.append(e(n - 1))
     elif t.family == "C":
-        simple.append(vec_scale(2, e(n - 1)))
+        simple.append(vec_add(e(n - 1), e(n - 1)))
     else:  # D
         simple.append(vec_add(e(n - 2), e(n - 1)))
     return simple
 
 
-def _all_positive_roots(t: LieType) -> List[Vector]:
+def _all_positive_roots(t: LieType) -> List[Tuple[int, ...]]:
     n = t.rank
     if t.family == "A":
-        dim = n + 1
-        e = lambda i: tuple(Q(1) if k == i else Q(0) for k in range(dim))
-        return [vec_sub(e(i), e(j)) for i in range(dim) for j in range(dim) if i < j]
-    e = lambda i: tuple(Q(1) if k == i else Q(0) for k in range(n))
-    pos: List[Vector] = []
+        e = lambda i: _unit(n + 1, i)
+        return [vec_sub(e(i), e(j)) for i, j in itertools.combinations(range(n + 1), 2)]
+    e = lambda i: _unit(n, i)
+    pos = []
     for i, j in itertools.combinations(range(n), 2):
         pos.append(vec_sub(e(i), e(j)))
         pos.append(vec_add(e(i), e(j)))
     if t.family == "B":
         pos.extend(e(i) for i in range(n))
     elif t.family == "C":
-        pos.extend(vec_scale(2, e(i)) for i in range(n))
+        pos.extend(vec_add(e(i), e(i)) for i in range(n))
     return pos
+
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
 
 
 class RootSystem:
@@ -113,55 +123,59 @@ class RootSystem:
         n = lie_type.rank
         self.rank = n
         # k = form_scale * (dot product); chosen so short roots have k(a,a) = 2
-        self.form_scale = Q(2) if lie_type.family == "B" else Q(1)
+        scale = 2 if lie_type.family == "B" else 1
+        self.form_scale = Q(scale)
 
+        # every root has integer coordinates: the tables come from integer dot products
         positives = sorted(_all_positive_roots(lie_type))
+        vecs = positives + [tuple(-x for x in a) for a in positives]
+        simple = _simple_roots(lie_type)
         self.num_positive = len(positives)
-        self.roots: List[Vector] = positives + [vec_neg(a) for a in positives]
-        self.dim = len(self.roots[0])
+        self.roots: List[Vector] = [tuple(map(Q, a)) for a in vecs]
+        self.dim = len(vecs[0])
         self.index: dict = {a: i for i, a in enumerate(self.roots)}
-        self.simple_roots: List[Vector] = _simple_roots(lie_type)
+        self.simple_roots: List[Vector] = [tuple(map(Q, a)) for a in simple]
         self.simple_indices: List[int] = [self.index[a] for a in self.simple_roots]
 
-        half = vec_scale(Q(1, 2), _sum_vecs(positives, self.dim))
-        self.delta: Vector = half
+        self.delta: Vector = tuple(Q(sum(col), 2) for col in zip(*positives))
 
-        self.root_norms: List[Q] = [self.pairing(a, a) for a in self.roots]
-        # cartan[j][i] = <alpha_i, alpha_j^vee>
-        self.cartan: List[List[int]] = [
-            [int(2 * self.pairing(ai, aj) / self.pairing(aj, aj)) for ai in self.simple_roots]
-            for aj in self.simple_roots
-        ]
+        self.root_norms: List[int] = [scale * _dot(a, a) for a in vecs]
+        simple_sq = [_dot(a, a) for a in simple]
+        # 2 (x, alpha_j) / (alpha_j, alpha_j) is an integer for a root x; the form scale cancels
         self._root_labels: List[Labels] = [
-            tuple(int(l) for l in self._labels_exact(a)) for a in self.roots
+            tuple(2 * _dot(a, aj) // sq for aj, sq in zip(simple, simple_sq)) for a in vecs
+        ]
+        # cartan[j][i] = <alpha_i, alpha_j^vee>, label j of alpha_i
+        self.cartan: List[List[int]] = [
+            [self._root_labels[i][j] for i in self.simple_indices] for j in range(n)
         ]
         # Dynkin labels are linear and tell roots apart
         self.label_index: dict = {l: i for i, l in enumerate(self._root_labels)}
         self.cartan_inverse: List[List[Q]] = _invert_rational(
             [[Q(c) for c in row] for row in self.cartan]
         )
-        # omega_i = sum_m cartan_inverse[m][i] * alpha_m
-        self._fund_weights: List[Vector] = [
-            _sum_vecs(
-                [vec_scale(row[i], a) for row, a in zip(self.cartan_inverse, self.simple_roots)],
-                self.dim,
-            )
-            for i in range(n)
-        ]
         # scaled_cartan_inverse = cartan_den * cartan_inverse, integral
         self.cartan_den: int = lcm(*(x.denominator for row in self.cartan_inverse for x in row))
-        self.scaled_cartan_inverse: List[List[int]] = _scaled(self.cartan_inverse, self.cartan_den)
-        # gram = norm_den * k(omega_i, omega_j), the form in label space
-        fund_gram = [[self.pairing(a, b) for b in self._fund_weights] for a in self._fund_weights]
-        self.norm_den: int = lcm(*(x.denominator for row in fund_gram for x in row))
-        self.gram: List[List[int]] = _scaled(fund_gram, self.norm_den)
-        # komega[p][i] = k(omega_i, alpha_p) over the positive roots; integral
-        # because k(alpha, alpha) / 2 is 1 or 2 and <omega_i, alpha^vee> is integral
-        komega = [[self.pairing(w, a) for w in self._fund_weights] for a in positives]
-        if any(x.denominator != 1 for row in komega for x in row):
-            raise AssertionError(f"{lie_type}: a pairing k(omega_i, alpha) is not an integer")
-        self.komega: List[List[int]] = _scaled(komega, 1)
-        self._reflection_perms: List[Tuple[int, ...]] = _reflection_perms(self.roots)
+        sci = self.scaled_cartan_inverse = _scaled(self.cartan_inverse, self.cartan_den)
+        den = self.cartan_den
+        # omega_i = sum_m cartan_inverse[m][i] * alpha_m
+        self._fund_weights: List[Vector] = [
+            tuple(Q(_dot(col, [row[i] for row in sci]), den) for col in zip(*simple))
+            for i in range(n)
+        ]
+        # k(omega_i, alpha_m) = delta_im * half[i], as <omega_i, alpha_m^vee> = delta_im
+        half = [scale * sq // 2 for sq in simple_sq]
+        # gram = norm_den * k(omega_i, omega_j) = norm_den * cartan_inverse[i][j] * half[i]:
+        # every entry over den, so norm_den is den over the gcd of den and the numerators
+        num = [[x * h for x in row] for row, h in zip(sci, half)]
+        self.norm_den: int = den // gcd(den, *(x for row in num for x in row))
+        self.gram: List[List[int]] = [[x // (den // self.norm_den) for x in row] for row in num]
+        # komega[p][i] = k(omega_i, alpha_p) = half[i] * (simple-root coordinate i of alpha_p)
+        self.komega: List[List[int]] = [
+            [h * _dot(row, lab) // den for row, h in zip(sci, half)]
+            for lab in self._root_labels[: self.num_positive]
+        ]
+        self._reflection_perms: List[Tuple[int, ...]] = _reflection_perms(vecs)
 
     # -- form and conversions ------------------------------------------------
 
@@ -266,20 +280,19 @@ class RootSystem:
         return v
 
 
-def _reflection_perms(roots: Sequence[Vector]) -> List[Tuple[int, ...]]:
+def _reflection_perms(vecs: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
     """s_a(b) = b - (2 (a, b) / (a, a)) a as root index permutations, in integers.
 
     Every root has integer coordinates and 2 (a, b) / (a, a) is a Cartan
     integer, so the floor division is exact; the form scale cancels.
     """
-    vecs = [tuple(map(int, a)) for a in roots]
     index = {a: i for i, a in enumerate(vecs)}
     perms = []
     for a in vecs:
-        aa = sum(map(mul, a, a))
+        aa = _dot(a, a)
         perm = []
         for b in vecs:
-            c = 2 * sum(map(mul, a, b)) // aa
+            c = 2 * _dot(a, b) // aa
             perm.append(index[tuple(y - c * x for x, y in zip(a, b))])
         perms.append(tuple(perm))
     return perms

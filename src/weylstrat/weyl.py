@@ -1,20 +1,26 @@
 """Weyl groups as permutations of the root index set.
 
 A group keeps only its simple reflections; its order comes from the closed
-formula per family. No command builds a group element: conjugacy, class order
-and coset counts need only W-orbits of root index sets, and everything else
-only W-orbits of label vectors.
+formula per family, and so does |W_J| for a set J of simple reflections
+(`parabolic_order`), which gives orbit sizes without walking them. No command
+builds a group element: conjugacy, class order and coset counts need only
+W-orbits of root index sets, and everything else only W-orbits of label
+vectors.
 
 W acts on Dynkin labels only through its simple reflections: s_i is applied
 sparsely, negating l_i and changing l_j only at the Dynkin neighbours j of i.
-Orbits and dominant representatives of label vectors are walks of those;
-`dominant_data` reflects one list in place at its first negative label.
-`shifted_fold` is the one shifted Weyl-orbit sum (the Brauer-Klimyk rule) behind
-C tables, K entries and tensor multiplicities; `costrat.k_block` sums the same
-folds over many columns with one `dominant_data` per distinct shifted point,
+`orbit_walk` walks the tree of an orbit in which each point's parent is s_i of
+it at its first negative label, so it holds no set of points seen, and it
+carries the sign of each point's depth. `dominant_data` reflects one list in
+place at its first negative label; `regular_dominant` is the same walk
+stopped at the first zero label, as the shifted folds drop singular points.
+`shifted_fold` is the one shifted Weyl-orbit sum (the Brauer-Klimyk rule)
+behind C tables, K entries and tensor multiplicities; `costrat.k_block` sums
+the same folds over many columns with one walk per distinct shifted point,
 and is tested against it. A group keeps, per dominant weight mu it is asked
-about, the orbit W.mu and the fold of the orbit sum m_mu (its character
-expansion), so C tables of every class of a type share them.
+about, the fold of the orbit sum m_mu (its character expansion), so C tables
+of every class of a type share them; it keeps the orbit W.mu itself only
+when a caller asks for the orbit as a list (`dominant_orbit`).
 
 Cosets of a setwise stabilizer are orbit images: the left cosets w*Stab(S)
 correspond one-to-one with the images w(S) in the W-orbit of the root index
@@ -32,7 +38,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from math import factorial
+from operator import add
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .rootsys import Labels, RootSystem
 
@@ -60,7 +68,7 @@ class WeylGroup:
         self._simple_perms: List[Tuple[int, ...]] = [refl[i] for i in rs.simple_indices]
         self.identity = WeylElement(tuple(range(len(rs.roots))), 1)
         self.generators: List[WeylElement] = [WeylElement(p, -1) for p in self._simple_perms]
-        # per dominant weight: its orbit, and the fold of its orbit sum
+        # per dominant weight: its orbit when asked for as a list, and the fold of its orbit sum
         self._orbits: Dict[Labels, List[Labels]] = {}
         self._folds: Dict[Labels, Dict[Labels, int]] = {}
 
@@ -89,35 +97,37 @@ class WeylGroup:
 
     # -- orbits and dominance ------------------------------------------------
 
-    def _reflect(self, i: int, labels: Sequence[int]) -> Labels:
-        """s_i applied to a label vector."""
-        out = list(labels)
-        li = out[i]
-        out[i] = -li
-        for j, c in self._neighbours[i]:
-            out[j] -= c * li
-        return tuple(out)
+    def orbit_walk(self, mu: Labels) -> Iterator[Tuple[Labels, int]]:
+        """Each point of the W-orbit of a dominant mu once, with (-1)^(its depth).
+
+        Every point other than mu has one parent, s_i of it at its first
+        negative label i, which is one step nearer mu. So the children of x
+        are the s_i(x) at its positive labels i whose labels before i are all
+        >= 0, and a depth-first walk of that tree reaches each point once,
+        holding no set of the points seen. The depth is the number of
+        reflections from mu, so the sign is sign(u) on a regular orbit, where
+        u maps mu to the point.
+        """
+        neighbours = self._neighbours
+        stack = [(tuple(mu), 1)]
+        while stack:
+            x, sign = stack.pop()
+            yield x, sign
+            clean = True  # no negative label before i
+            for i, xi in enumerate(x):
+                if xi > 0:
+                    y = list(x)
+                    y[i] = -xi
+                    for j, c in neighbours[i]:
+                        y[j] -= c * xi
+                    if clean or min(y[:i]) >= 0:
+                        stack.append((tuple(y), -sign))
+                elif xi:
+                    clean = False
 
     def orbit_labels(self, labels: Sequence[int]) -> List[Labels]:
-        """The W-orbit, sorted: a walk down from the dominant representative.
-
-        Every orbit point other than the dominant one is s_i of a point with a
-        positive label i, so only those reflections are taken.
-        """
-        start = self.dominant_data(labels)[0]
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for lab in frontier:
-                for i, li in enumerate(lab):
-                    if li > 0:
-                        img = self._reflect(i, lab)
-                        if img not in seen:
-                            seen.add(img)
-                            nxt.append(img)
-            frontier = nxt
-        return sorted(seen)
+        """The W-orbit, sorted: the orbit walk from the dominant representative."""
+        return sorted(x for x, _ in self.orbit_walk(self.dominant_data(labels)[0]))
 
     def dominant_data(self, labels: Sequence[int]) -> Tuple[Labels, int, bool]:
         """Dominant representative, the sign of a mapping element, regularity.
@@ -147,6 +157,33 @@ class WeylGroup:
                 i += 1
         return tuple(cur), sign, 0 not in cur
 
+    def regular_dominant(self, labels: Sequence[int]) -> Optional[Tuple[Labels, int]]:
+        """(dominant representative, sign) of a regular point; None for a singular one.
+
+        The walk of `dominant_data`, stopped at the first zero label it scans:
+        s_i fixes a point whose label i is 0, so every point of its orbit is
+        singular. A regular point has no zero label anywhere on the walk.
+        """
+        cur = list(labels)
+        n = len(cur)
+        neighbours = self._neighbours
+        resume = self._resume
+        sign = 1
+        i = 0
+        while i < n:
+            li = cur[i]
+            if li > 0:
+                i += 1
+            elif li:
+                cur[i] = -li
+                for j, c in neighbours[i]:
+                    cur[j] -= c * li
+                sign = -sign
+                i = resume[i]
+            else:
+                return None
+        return tuple(cur), sign
+
     def dominant_orbit(self, mu: Labels) -> List[Labels]:
         """orbit_labels(mu), walked once per dominant mu and kept."""
         orbit = self._orbits.get(mu)
@@ -154,15 +191,20 @@ class WeylGroup:
             orbit = self._orbits[mu] = self.orbit_labels(mu)
         return orbit
 
+    def orbit_size(self, mu: Labels) -> int:
+        """|W.mu| = |W| / |W_J| for a dominant mu, J its zero labels, walking no orbit."""
+        return len(self) // parabolic_order(self.rs.cartan, [i for i, m in enumerate(mu) if not m])
+
     def orbit_fold(self, mu: Labels) -> Dict[Labels, int]:
         """The Racah-Speiser row of the orbit sum m_mu, folded once per dominant mu and kept.
 
         m_mu = sum over lambda of fold[lambda] * chi_lambda: the shifted fold at
-        lambda = 0 of the orbit points, each with coefficient 1.
+        lambda = 0 of the orbit points, each with coefficient 1. The orbit is
+        walked point by point and not kept.
         """
         fold = self._folds.get(mu)
         if fold is None:
-            points = [(nu, 1) for nu in self.dominant_orbit(mu)]
+            points = ((nu, 1) for nu, _ in self.orbit_walk(mu))
             fold = self._folds[mu] = shifted_fold(self, points, (0,) * len(mu))
         return fold
 
@@ -208,12 +250,40 @@ def shifted_fold(
     key, with its sum even when that sum is zero.
     """
     out: Dict[Labels, int] = {}
+    shift = [l + 1 for l in lam]
+    regular_dominant = wg.regular_dominant
     for nu, c in points:
-        dom, sign, regular = wg.dominant_data(tuple(a + b + 1 for a, b in zip(lam, nu)))
-        if regular:
+        hit = regular_dominant(list(map(add, shift, nu)))
+        if hit is not None:
+            dom, sign = hit
             row = tuple(d - 1 for d in dom)
             out[row] = out.get(row, 0) + sign * c
     return out
+
+
+def parabolic_order(cartan: Sequence[Sequence[int]], nodes: Iterable[int]) -> int:
+    """|W_J|, the order of the subgroup generated by the simple reflections at J.
+
+    The product over the connected components of J in the Dynkin diagram of
+    a classical type: B_k or C_k (2^k k!) when the component holds a double
+    bond, D_k (2^(k-1) k!) when it holds a branch node, else A_k ((k+1)!).
+    """
+    left = set(nodes)
+    order = 1
+    while left:
+        comp = [left.pop()]
+        for i in comp:
+            for j in [j for j in left if cartan[i][j]]:
+                left.remove(j)
+                comp.append(j)
+        k = len(comp)
+        if any(cartan[i][j] < -1 for i in comp for j in comp):
+            order *= 2**k * factorial(k)
+        elif any(sum(1 for j in comp if j != i and cartan[i][j]) > 2 for i in comp):
+            order *= 2 ** (k - 1) * factorial(k)
+        else:
+            order *= factorial(k + 1)
+    return order
 
 
 def generate_group(rs: RootSystem) -> WeylGroup:
@@ -222,13 +292,4 @@ def generate_group(rs: RootSystem) -> WeylGroup:
 
 
 def expected_group_order(rs: RootSystem) -> int:
-    n = rs.rank
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    return {
-        "A": fact * (n + 1),
-        "B": (1 << n) * fact,
-        "C": (1 << n) * fact,
-        "D": (1 << (n - 1)) * fact,
-    }[rs.lie_type.family]
+    return parabolic_order(rs.cartan, range(rs.rank))

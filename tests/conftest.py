@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction as Q
 from operator import mul
 
@@ -6,7 +7,7 @@ import pytest
 
 from weylstrat.relcoeff import CoeffTable, subset_sums
 from weylstrat.repthy import dominant_weight_system
-from weylstrat.rootsys import LieType, build_root_system
+from weylstrat.rootsys import LieType, _invert_rational, build_root_system
 from weylstrat.weyl import WeylElement, generate_group
 
 
@@ -86,6 +87,16 @@ def orbit(wg, x):
     return [rs.from_labels(l) for l in wg.orbit_labels(rs.to_labels(x))]
 
 
+def reflect_labels(wg, i, labels):
+    """s_i applied to a label vector, sparsely through the group's Dynkin neighbours."""
+    out = list(labels)
+    li = out[i]
+    out[i] = -li
+    for j, c in wg._neighbours[i]:
+        out[j] -= c * li
+    return tuple(out)
+
+
 def dominant_representative(wg, x):
     """Pair (d, w) with w(x) = d dominant, reflecting at the first negative label."""
     rs = wg.rs
@@ -95,7 +106,7 @@ def dominant_representative(wg, x):
         i = next((j for j, l in enumerate(cur) if l < 0), None)
         if i is None:
             return rs.from_labels(cur), w
-        cur = wg._reflect(i, cur)
+        cur = reflect_labels(wg, i, cur)
         w = wg.compose(wg.generators[i], w)
 
 
@@ -136,7 +147,7 @@ def tuple_dominant_data(wg, labels):
                 break
         else:
             return cur, sign, 0 not in cur
-        cur, sign = wg._reflect(i, cur), -sign
+        cur, sign = reflect_labels(wg, i, cur), -sign
 
 
 @functools.cache
@@ -257,3 +268,46 @@ def spread_coeff_table(rs, wg, cls, ratios=None):
     entries = {k: c for k, c in sorted(folded.items()) if c}
     dominant = {k: c for k, c in spread.items() if min(k) >= 0}
     return CoeffTable(cls.label, entries, len(wg) // n_cosets, dominant)
+
+
+def pairing_tables(rs):
+    """The RootSystem tables rebuilt from Fraction pairings of the root vectors.
+
+    The oracle for the integer construction: every table through rs.pairing,
+    the labels of a root through its pairings with the simple roots, the
+    fundamental weights as Fraction combinations of the simple roots, and
+    komega and gram as pairings of those weights.
+    """
+    simple, positives = rs.simple_roots, rs.roots[: rs.num_positive]
+    zero = tuple(Q(0) for _ in range(rs.dim))
+
+    def vsum(vecs):
+        return functools.reduce(lambda x, y: tuple(a + b for a, b in zip(x, y)), vecs, zero)
+
+    def labels(x):
+        return tuple(2 * rs.pairing(x, aj) / rs.pairing(aj, aj) for aj in simple)
+
+    cartan = [[int(2 * rs.pairing(ai, aj) / rs.pairing(aj, aj)) for ai in simple] for aj in simple]
+    inverse = _invert_rational([[Q(c) for c in row] for row in cartan])
+    cartan_den = math.lcm(*(x.denominator for row in inverse for x in row))
+    fund = [
+        vsum([tuple(row[i] * x for x in a) for row, a in zip(inverse, simple)])
+        for i in range(rs.rank)
+    ]
+    fund_gram = [[rs.pairing(a, b) for b in fund] for a in fund]
+    norm_den = math.lcm(*(x.denominator for row in fund_gram for x in row))
+    komega = [[rs.pairing(w, a) for w in fund] for a in positives]
+    assert all(x.denominator == 1 for row in komega for x in row)
+    return {
+        "delta": tuple(x / 2 for x in vsum(positives)),
+        "root_norms": [rs.pairing(a, a) for a in rs.roots],
+        "cartan": cartan,
+        "root_labels": [tuple(int(l) for l in labels(a)) for a in rs.roots],
+        "cartan_inverse": inverse,
+        "cartan_den": cartan_den,
+        "scaled_cartan_inverse": [[int(x * cartan_den) for x in row] for row in inverse],
+        "fundamental_weights": fund,
+        "norm_den": norm_den,
+        "gram": [[int(x * norm_den) for x in row] for row in fund_gram],
+        "komega": [[int(x) for x in row] for row in komega],
+    }

@@ -167,14 +167,26 @@ def test_usage_errors(tmp_path, capsys):
 
 
 def test_subset_sum_support_budget(monkeypatch, capsys):
-    # A3 supports: 201 weights for class 0, 27 for A2. The budget shrinks so the
+    # A3 supports: 107 weights for A1, 27 for A2. The budget shrinks so the
     # refusal takes milliseconds; at full size it stops coeffs A8 --class A1
     monkeypatch.setattr(relcoeff, "MAX_SUPPORT", 100)
-    assert run(["coeffs", "--family", "A", "--rank", "3", "--class", "0"]) == 2
+    assert run(["coeffs", "--family", "A", "--rank", "3", "--class", "A1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: subset-sum support too large: more than 100 weights\n"
     assert run(["coeffs", "--family", "A", "--rank", "3", "--class", "A2"]) == 0
+    assert out_of(capsys)
+
+
+def test_class_zero_orbit_point_budget(monkeypatch, capsys):
+    # class 0 builds no subset sums: its dominant weights span 201 orbit points
+    # at A3 and 19 at A2. At full size the budget admits D6 and stops A7 and B6
+    monkeypatch.setattr(relcoeff, "MAX_ORBIT_POINTS", 100)
+    assert run(["coeffs", "--family", "A", "--rank", "3", "--class", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: class-0 table too large: more than 100 orbit points\n"
+    assert run(["coeffs", "--family", "A", "--rank", "2", "--class", "0"]) == 0
     assert out_of(capsys)
 
 

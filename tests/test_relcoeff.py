@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import weylstrat
 from weylstrat.relcoeff import (
     coeff_table,
+    denominator_values,
     identity_value,
     subset_sums,
     symmetrize,
@@ -246,6 +247,28 @@ def test_symmetrized_map_is_w_invariant(group, data):
     shift = data.draw(st.tuples(*[st.integers(-2, 2)] * rs.rank), label="shift")
     nu = tuple(map(sum, zip(point, shift)))
     assert dense.get(nu, 0) == vt.get(wg.dominant_data(nu)[0], 0)
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [(f, r) for f, lo in [("A", 1), ("B", 2), ("C", 2), ("D", 4)] for r in range(lo, 5)]
+    + [("A", 5)],
+)
+def test_denominator_pass_matches_symmetrized_subset_sums(family, rank):
+    # the class-0 values from one pass over W.delta against V built and symmetrized
+    rs, wg = system(family, rank)
+    v = subset_sums(rs, range(len(rs.roots)))
+    assert denominator_values(wg) == symmetrize(wg, 1, v)
+
+
+def test_class_zero_under_so_odd_keeps_subset_sums(monkeypatch):
+    # ratios 1/2 on the short roots change V, so only ratio 1 takes the denominator pass
+    rs, wg, classes = classes_of("B", 3)
+    ratios = pq_map(rs, kernel_preset(rs, "so-odd"))
+    want = spread_coeff_table(rs, wg, classes["0"], ratios)
+    monkeypatch.setattr(weylstrat.relcoeff, "denominator_values", None)
+    got = coeff_table(rs, wg, classes["0"], ratios)
+    assert got.entries == want.entries and got.dominant_values == want.dominant_values
 
 
 # -- coefficient tables ----------------------------------------------------------------

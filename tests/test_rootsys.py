@@ -12,7 +12,7 @@ from weylstrat.rootsys import (
     vec_neg,
     vec_scale,
 )
-from conftest import RANK_SIX_TYPES, coroot_labels, root_coords, system
+from conftest import RANK_SIX_TYPES, coroot_labels, pairing_tables, root_coords, system
 
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -236,3 +236,32 @@ def test_named_roots_are_roots():
         for kind in kinds:
             for l in range(1, hi[kind] + 1):
                 assert rs.named_root(kind, l) in rs.index
+
+
+ORACLE_TYPES = [
+    (f, r) for f, lo in [("A", 1), ("B", 2), ("C", 2), ("D", 4)] for r in range(lo, 9)
+]
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_TYPES)
+def test_integer_tables_match_pairing_construction(family, rank):
+    # every table built from integer dot products equals its Fraction-pairing build
+    rs = root_system(family, rank)
+    want = pairing_tables(rs)
+    got = {
+        "delta": rs.delta,
+        "root_norms": rs.root_norms,
+        "cartan": rs.cartan,
+        "root_labels": [rs.root_labels(i) for i in range(len(rs.roots))],
+        "cartan_inverse": rs.cartan_inverse,
+        "cartan_den": rs.cartan_den,
+        "scaled_cartan_inverse": rs.scaled_cartan_inverse,
+        "fundamental_weights": rs.fundamental_weights(),
+        "norm_den": rs.norm_den,
+        "gram": rs.gram,
+        "komega": rs.komega,
+    }
+    assert got == want
+    assert all(type(x) is int for x in rs.root_norms)
+    assert all(type(x) is Q for w in rs.fundamental_weights() for x in w)
+    assert all(type(x) is Q for x in rs.delta)

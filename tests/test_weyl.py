@@ -11,7 +11,7 @@ from weylstrat.subsys import RootSubsystem, are_conjugate, build_poset, enumerat
 from weylstrat.weyl import expected_group_order, generate_group
 from conftest import (
     RANK_SIX_TYPES, apply_labels, coset_movers, dominant_representative, inverse, label_mat,
-    orbit, reflection, system, tuple_dominant_data, weight_system, word_element,
+    orbit, reflect_labels, reflection, system, tuple_dominant_data, weight_system, word_element,
 )
 
 
@@ -137,7 +137,7 @@ def walled_labels(draw):
     _, wg = system(family, rank)
     point = tuple(0 if i in walls else l for i, l in enumerate(labels))
     for i in word:
-        point = wg._reflect(i, point)
+        point = reflect_labels(wg, i, point)
     return family, rank, point, bool(walls)
 
 
@@ -152,6 +152,45 @@ def test_in_place_dominant_walk_matches_tuple_walk(case):
     assert wg.dominant_data(list(point)) == want
     if on_wall:
         assert not want[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(walled_labels())
+def test_regular_walk_stops_exactly_at_singular_points(case):
+    # None iff dominant_data calls the point singular; otherwise its (dom, sign)
+    family, rank, point, _ = case
+    _, wg = system(family, rank)
+    dom, sign, regular = wg.dominant_data(point)
+    assert wg.regular_dominant(point) == ((dom, sign) if regular else None)
+    assert wg.regular_dominant(list(point)) == wg.regular_dominant(point)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(RANK_SIX_TYPES), st.data())
+def test_orbit_walk_reaches_each_point_once_with_its_sign(group, data):
+    # the tree walk against the breadth-first orbit of dense reflections; each
+    # point's sign is that of the dominant walk, which follows its tree path back
+    rs, wg = system(*group)
+    mu = tuple(data.draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank)))
+    if wg.orbit_size(mu) > 1000:
+        mu = tuple(min(m, 1) if i % 2 else 0 for i, m in enumerate(mu))
+    walked = list(wg.orbit_walk(mu))
+    points = [x for x, _ in walked]
+    assert len(points) == len(set(points)) == wg.orbit_size(mu)
+    assert set(points) == dense_orbit(wg, mu)
+    regular = 0 not in mu
+    for x, sign in walked:
+        assert wg.dominant_data(x) == (mu, sign, regular)
+
+
+@pytest.mark.parametrize("family,rank", RANK_SIX_TYPES)
+def test_orbit_size_needs_no_walk(family, rank):
+    # |W| / |W_J| against the walked orbit, at every zero pattern of 0/1 labels
+    _, wg = system(family, rank)
+    for bits in range(1 << rank):
+        mu = tuple(bits >> i & 1 for i in range(rank))
+        if wg.orbit_size(mu) <= 5000:
+            assert wg.orbit_size(mu) == len(wg.orbit_labels(mu)), mu
 
 
 @functools.cache
@@ -210,7 +249,7 @@ def test_sparse_reflections_match_dense_matrices(family, rank):
     points = [tuple(rng.randint(-5, 5) for _ in range(rank)) for _ in range(25)]
     for lab in points:
         for i in range(rank):
-            assert wg._reflect(i, lab) == dense_reflect(wg, i, lab)
+            assert reflect_labels(wg, i, lab) == dense_reflect(wg, i, lab)
         dom, length, regular = dense_dominant(wg, lab)
         assert wg.dominant_data(lab) == (dom, (-1) ** length, regular), lab
         d, w = dominant_representative(wg, rs.from_labels(lab))
