@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import costrat, relcoeff, verify as verify_mod
 from .lattice import (
-    ExpKernel, TorusPoint, check_kernel, gamma_x, kernel_from_file, kernel_preset, pq_map,
+    PQRatio, TorusPoint, check_kernel, gamma_x, kernel_from_file, kernel_preset, pq_map,
 )
 from .rootsys import LieType, RootSystem, build_root_system
 from .subsys import SubsystemClass, are_conjugate, build_poset, enumerate_classes, poset_to_dot
@@ -50,26 +50,17 @@ def _find_class(classes: List[SubsystemClass], label: str) -> SubsystemClass:
     )
 
 
-def _kernel(rs, spec: str) -> Optional[ExpKernel]:
-    if spec == "sc":
-        return None  # all ratios are 1; the pipeline skips scaling entirely
-    if spec == "so-odd":
-        return kernel_preset(rs, "so-odd")
-    return check_kernel(rs, kernel_from_file(spec))
+def _root_ratios(rs, spec: str) -> List[PQRatio]:
+    """p/q of every root under --kernel: a preset (sc, so-odd) or a kernel matrix file."""
+    if spec in ("sc", "so-odd"):
+        return pq_map(rs, kernel_preset(rs, spec))
+    return pq_map(rs, check_kernel(rs, kernel_from_file(spec)))
 
 
 def _class_table(args, rs: RootSystem, wg: WeylGroup):
     """The --class of the type and its C table under --kernel."""
     cls = _find_class(enumerate_classes(rs, wg), args.cls)
-    kernel = _kernel(rs, args.kernel)
-    ratios = None if kernel is None else pq_map(rs, kernel)
-    return cls, relcoeff.coeff_table(rs, wg, cls, ratios)
-
-
-def _root_ratios(rs, spec: str):
-    """p/q of every root under --kernel; sc is spelled out, since every ratio is shown."""
-    kernel = _kernel(rs, spec)
-    return pq_map(rs, kernel_preset(rs, "sc") if kernel is None else kernel)
+    return cls, relcoeff.coeff_table(rs, wg, cls, _root_ratios(rs, args.kernel))
 
 
 def _emit(args, payload: Optional[dict], csv_rows: Optional[Iterable], text: Iterable[str]):
@@ -358,8 +349,9 @@ def _make_parser() -> argparse.ArgumentParser:
         common(sp)
         sp.add_argument("--class", dest="cls", required=True, help='label like A1+B1, 0, or "full"')
         sp.add_argument("--kernel", default="sc", help="sc, so-odd, or a kernel matrix file")
-        sp.add_argument("--cutoff", default=None, help="norm cutoff on shifted weights")
-        sp.add_argument("--hbar", type=float, default=None)
+        if name == "kblock":
+            sp.add_argument("--cutoff", default=None, help="norm cutoff on shifted weights")
+            sp.add_argument("--hbar", type=float, default=None)
         sp.set_defaults(func=fn)
 
     sp = sub.add_parser("pq", help="coprime p/q ratio per root for a kernel")

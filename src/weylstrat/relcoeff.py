@@ -6,10 +6,10 @@ it is folded one root pair at a time on weights packed into ints. Its sum over
 the cosets of the stabilizer is W-invariant, so it is the orbit sums m_mu
 weighted by n_cosets * O(mu) / |W.mu|, where O(mu) sums V over the orbit:
 `symmetrize` walks each orbit of V once and keeps those weights at dominant
-mu. For the class 0 with every ratio 1, V is (-1)^N times the square of the
-Weyl denominator, and `denominator_values` reads the same weights off one
-pass over the orbit of delta, building no V. The reduced coefficients are
-these weights times the character expansions of the m_mu
+mu. For the class 0, V is (-1)^N times the square of the Weyl denominator
+of the ratio-scaled roots, and `denominator_values` reads the same weights
+off one pass over the orbit of their rho_q, building no V. The reduced
+coefficients are these weights times the character expansions of the m_mu
 (`WeylGroup.orbit_fold`, folded once per type), all in integer label
 arithmetic. The weights are the D table (see `costrat.d_coeffs`), so no
 weight system is ever computed here.
@@ -21,7 +21,7 @@ MAX_ORBIT_POINTS orbit points behind a class-0 table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 from typing import Dict, Optional, Sequence
 
 from .lattice import PQRatio
@@ -42,17 +42,14 @@ class CoeffTable:
     dominant_values: Dict[Labels, int]
 
 
-def _scaled_root_labels(
-    rs: RootSystem, index: int, ratios: Optional[Sequence[PQRatio]]
-) -> Labels:
-    """(q/p) times the root's labels; p = 1 once the kernel holds every simple coroot."""
-    lab = rs.root_labels(index)
+def _root_scales(rs: RootSystem, ratios: Optional[Sequence[PQRatio]]) -> Sequence[int]:
+    """q of every root, all 1 for None (sc); p = 1 once the kernel holds the coroot lattice."""
     if ratios is None:
-        return lab
-    r = ratios[index]
-    if r.p != 1:
-        raise ValueError(f"ratio {r.p}/{r.q}: the kernel does not contain the coroot lattice")
-    return tuple(r.q * l for l in lab)
+        return [1] * len(rs.roots)
+    for r in ratios:
+        if r.p != 1:
+            raise ValueError(f"ratio {r.p}/{r.q}: the kernel does not contain the coroot lattice")
+    return [r.q for r in ratios]
 
 
 # subset_sums refuses a map whose support passes this many weights
@@ -68,13 +65,15 @@ def subset_sums(
 
     Folds the roots one factor at a time instead of walking 2^n subsets, a
     root and its negative as one factor 2 - e^a - e^-a whenever their scaled
-    weights are opposite (always so under `lattice.pq_map`). Weights are packed into ints during the fold: label i is
-    offset by bound[i], the largest |label i| any subset sum can reach, and
-    taken as a digit of radix 2 * bound[i] + 1, so adding packed weights
-    never carries. Raises ValueError as soon as the support passes
-    MAX_SUPPORT weights, so the map never holds more than about twice that many.
+    weights are opposite (always so under `lattice.pq_map`). Weights are
+    packed into ints during the fold: label i is offset by bound[i], the
+    largest |label i| any subset sum can reach, and taken as a digit of radix
+    2 * bound[i] + 1, so adding packed weights never carries. Raises
+    ValueError as soon as the support passes MAX_SUPPORT weights, so the map
+    never holds more than about twice that many.
     """
-    shifts = {idx: _scaled_root_labels(rs, idx, ratios) for idx in complement}
+    scales = _root_scales(rs, ratios)
+    shifts = {idx: tuple(scales[idx] * l for l in rs.root_labels(idx)) for idx in complement}
     bounds = [sum(abs(s[i]) for s in shifts.values()) for i in range(rs.rank)]
     places = [1]
     for b in bounds[:-1]:
@@ -149,21 +148,26 @@ def symmetrize(wg: WeylGroup, n_cosets: int, v: Dict[Labels, int]) -> Dict[Label
 MAX_ORBIT_POINTS = 20_000_000
 
 
-def denominator_values(wg: WeylGroup) -> Dict[Labels, int]:
-    """symmetrize(wg, 1, subset_sums(rs, every root)), from one pass over W.delta.
+def denominator_values(wg: WeylGroup, ratios: Optional[Sequence[PQRatio]]) -> Dict[Labels, int]:
+    """symmetrize(wg, 1, subset_sums(rs, every root, ratios)), from one pass over W.rho_q.
 
-    V = prod over all roots a of (1 - e^a) = (-1)^N Delta^2 with N = |Phi+| and
-    Delta = sum over w of sign(w) e^(w delta), so its orbit sums are
-    O(mu) = (-1)^N |W| sum of sign(u) over the u with dom(delta + u delta) = mu,
-    and the value at mu is O(mu) / |W.mu|. The orbit walk of delta carries
-    sign(u) with each point u delta; V is never built. Raises ValueError as
+    A kernel between the coroots and the coweights is W-stable, so q is
+    constant on W-orbits of roots and the q_a a form a root system with the
+    same W and chambers, whose rho_q has the labels q_i (delta when every q is
+    1). So V = prod over all roots a of (1 - e^(q_a a)) = (-1)^N Delta_q^2 with
+    N = |Phi+| and Delta_q = sum over w of sign(w) e^(w rho_q), its orbit sums
+    are O(mu) = (-1)^N |W| sum of sign(u) over the u with dom(rho_q + u rho_q)
+    = mu, and the value at mu is O(mu) / |W.mu|. The orbit walk of rho_q carries
+    sign(u) with each point u rho_q; V is never built. Raises ValueError as
     soon as the orbits of the dominant weights reached, cancelled or not, pass
     MAX_ORBIT_POINTS points, since each one left is folded point by point.
     """
+    scales = _root_scales(wg.rs, ratios)
+    rho = tuple(scales[i] for i in wg.rs.simple_indices)
     sums: Dict[Labels, int] = {}
     points = 0
-    for x, sign in wg.orbit_walk(wg.rs.delta_labels):
-        mu = wg.dominant_data([a + 1 for a in x])[0]
+    for x, sign in wg.orbit_walk(rho):
+        mu = wg.dominant_data(list(map(add, x, rho)))[0]
         if mu not in sums:
             points += wg.orbit_size(mu)
             if points > MAX_ORBIT_POINTS:
@@ -198,14 +202,14 @@ def coeff_table(
     coefficients are the sum of value times `WeylGroup.orbit_fold(mu)`, the
     character expansion of m_mu, which wg keeps for the next class. The table
     also keeps the map's values at dominant weights. The class 0 (no members)
-    with every ratio 1 takes those values from `denominator_values` instead.
+    takes those values from `denominator_values` instead, under every kernel.
     Ratios must have p = 1, as under every kernel that `lattice.check_kernel`
     accepts; otherwise ValueError.
     """
     members = cls.representative.root_indices
-    if not members and (ratios is None or all(r.p == r.q == 1 for r in ratios)):
+    if not members:
         n_cosets = 1
-        dominant = denominator_values(wg)
+        dominant = denominator_values(wg, ratios)
     else:
         complement = [i for i in range(len(rs.roots)) if i not in members]
         n_cosets = len(wg.coset_representatives(members))

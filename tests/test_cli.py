@@ -6,7 +6,10 @@ import pytest
 
 from weylstrat import relcoeff, repthy
 from weylstrat.cli import run
+from weylstrat.lattice import kernel_preset, pq_map
+from weylstrat.rootsys import LieType, build_root_system
 from weylstrat.verify import load_corpus, normalize_label
+from weylstrat.weyl import generate_group
 
 
 def out_of(capsys):
@@ -123,6 +126,8 @@ def test_usage_errors(tmp_path, capsys):
     assert run(["gammax", "--family", "A", "--rank", "2", "--point", "A=oops"]) == 2
     assert run(["coeffs", "--family", "A", "--rank", "2", "--class", "0",
                 "--kernel", "/nonexistent/kernel.txt"]) == 2
+    # --cutoff and --hbar belong to kblock alone
+    assert run(["coeffs", "--family", "A", "--rank", "2", "--class", "0", "--cutoff", "5"]) == 2
     assert run(["nonsense"]) == 2
     capsys.readouterr()
     # each of these is one "error:" line on stderr, never a traceback
@@ -179,15 +184,30 @@ def test_subset_sum_support_budget(monkeypatch, capsys):
 
 
 def test_class_zero_orbit_point_budget(monkeypatch, capsys):
-    # class 0 builds no subset sums: its dominant weights span 201 orbit points
-    # at A3 and 19 at A2. At full size the budget admits D6 and stops A7 and B6
+    # class 0 builds no subset sums under any kernel: its dominant weights span
+    # 201 orbit points at A3 and 19 at A2, and under so-odd 759 at B3 and 33 at
+    # C2. At full size the budget admits D6 and stops A7 and B6
     monkeypatch.setattr(relcoeff, "MAX_ORBIT_POINTS", 100)
-    assert run(["coeffs", "--family", "A", "--rank", "3", "--class", "0"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: class-0 table too large: more than 100 orbit points\n"
+    so_odd = ["--class", "0", "--kernel", "so-odd"]
+    for argv in [["coeffs", "--family", "A", "--rank", "3", "--class", "0"],
+                 ["coeffs", "--family", "B", "--rank", "3"] + so_odd]:
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: class-0 table too large: more than 100 orbit points\n"
     assert run(["coeffs", "--family", "A", "--rank", "2", "--class", "0"]) == 0
     assert out_of(capsys)
+    assert run(["coeffs", "--family", "C", "--rank", "2"] + so_odd) == 0
+    assert out_of(capsys)
+    # full size: B6 under so-odd is refused within the walk of W.rho_q, and the
+    # 1,266,475 orbit points of B5 are admitted (its values come without folds)
+    monkeypatch.undo()
+    assert run(["coeffs", "--family", "B", "--rank", "6"] + so_odd) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: class-0 table too large") and captured.err.count("\n") == 1
+    rs = build_root_system(LieType("B", 5))
+    assert relcoeff.denominator_values(generate_group(rs), pq_map(rs, kernel_preset(rs, "so-odd")))
 
 
 def test_d_tables_need_no_weight_system(monkeypatch, capsys):

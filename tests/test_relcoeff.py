@@ -17,7 +17,7 @@ from weylstrat.relcoeff import (
     subset_sums,
     symmetrize,
 )
-from weylstrat.lattice import PQRatio, kernel_preset, pq_map
+from weylstrat.lattice import ExpKernel, PQRatio, check_kernel, kernel_preset, pq_map
 from weylstrat.repthy import dominant_labels_within
 from weylstrat.rootsys import LieType, build_root_system
 from weylstrat.subsys import SubsystemClass, enumerate_classes, RootSubsystem
@@ -249,24 +249,43 @@ def test_symmetrized_map_is_w_invariant(group, data):
     assert dense.get(nu, 0) == vt.get(wg.dominant_data(nu)[0], 0)
 
 
+def kernel_ratios(rs, kernel):
+    """p/q of every root: None for sc, a preset, the coweight lattice, or rows split by ';'."""
+    if kernel == "sc":
+        return None
+    if kernel == "so-odd":
+        return pq_map(rs, kernel_preset(rs, kernel))
+    if kernel == "coweight":
+        rows = rs.cartan_inverse
+    else:
+        rows = [[Q(t) for t in row.split()] for row in kernel.split(";")]
+    return pq_map(rs, check_kernel(rs, ExpKernel(tuple(map(tuple, rows)))))
+
+
 @pytest.mark.parametrize(
-    "family,rank",
-    [(f, r) for f, lo in [("A", 1), ("B", 2), ("C", 2), ("D", 4)] for r in range(lo, 5)]
-    + [("A", 5)],
+    "family,rank,kernel",
+    [(f, r, "sc") for f, lo in [("A", 1), ("B", 2), ("C", 2), ("D", 4)] for r in range(lo, 5)]
+    + [("A", 5, "sc")]
+    + [("B", r, "so-odd") for r in range(2, 5)]
+    + [("C", 2, "so-odd")]
+    + [(f, r, "coweight") for f, lo in [("A", 1), ("B", 2), ("C", 2)] for r in range(lo, 5)]
+    + [("D", 4, "coweight")]
+    # SO(5) in the C2 numbering (the README's kernel file), and SU(4)/Z2
+    + [("C", 2, "1/2 0;0 1"), ("A", 3, "1/2 1 1/2;0 1 0;0 0 1")],
 )
-def test_denominator_pass_matches_symmetrized_subset_sums(family, rank):
-    # the class-0 values from one pass over W.delta against V built and symmetrized
+def test_denominator_pass_matches_symmetrized_subset_sums(family, rank, kernel):
+    # the class-0 values from one pass over W.rho_q against V built and symmetrized
     rs, wg = system(family, rank)
-    v = subset_sums(rs, range(len(rs.roots)))
-    assert denominator_values(wg) == symmetrize(wg, 1, v)
+    ratios = kernel_ratios(rs, kernel)
+    v = subset_sums(rs, range(len(rs.roots)), ratios)
+    assert denominator_values(wg, ratios) == symmetrize(wg, 1, v)
 
 
-def test_class_zero_under_so_odd_keeps_subset_sums(monkeypatch):
-    # ratios 1/2 on the short roots change V, so only ratio 1 takes the denominator pass
+def test_class_zero_under_so_odd_matches_spread_map_oracle():
+    # ratios 1/2 on the short roots scale V; the denominator pass takes them as rho_q
     rs, wg, classes = classes_of("B", 3)
     ratios = pq_map(rs, kernel_preset(rs, "so-odd"))
     want = spread_coeff_table(rs, wg, classes["0"], ratios)
-    monkeypatch.setattr(weylstrat.relcoeff, "denominator_values", None)
     got = coeff_table(rs, wg, classes["0"], ratios)
     assert got.entries == want.entries and got.dominant_values == want.dominant_values
 
@@ -351,12 +370,13 @@ def moved_class(rs, cls, w):
     )
 
 
-def test_coeff_table_rejects_ratios_with_p_above_one():
+@pytest.mark.parametrize("label", ["A1", "0"])
+def test_coeff_table_rejects_ratios_with_p_above_one(label):
     # p = 1 under every kernel containing the coroot lattice; 2/1 is refused, not rounded
     rs, wg, classes = classes_of("B", 2)
     ratios = [PQRatio(2, 1)] * len(rs.roots)
     with pytest.raises(ValueError, match="coroot lattice"):
-        coeff_table(rs, wg, classes["A1"], ratios)
+        coeff_table(rs, wg, classes[label], ratios)
 
 
 def test_representative_independence():
