@@ -15,13 +15,13 @@ import json
 import sys
 from fractions import Fraction as Q
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from . import costrat, relcoeff, verify as verify_mod
 from .lattice import (
     PQRatio, TorusPoint, check_kernel, gamma_x, kernel_from_file, kernel_preset, pq_map,
 )
-from .rootsys import LieType, RootSystem, build_root_system
+from .rootsys import LieType, build_root_system
 from .subsys import SubsystemClass, are_conjugate, build_poset, enumerate_classes, poset_to_dot
 from .weyl import WeylGroup, generate_group
 
@@ -30,9 +30,8 @@ class UsageError(Exception):
     pass
 
 
-def _build(args) -> Tuple[RootSystem, WeylGroup]:
-    rs = build_root_system(LieType(args.family, args.rank))
-    return rs, generate_group(rs)
+def _build(args) -> WeylGroup:
+    return generate_group(build_root_system(LieType(args.family, args.rank)))
 
 
 def _find_class(classes: List[SubsystemClass], label: str) -> SubsystemClass:
@@ -57,10 +56,10 @@ def _root_ratios(rs, spec: str) -> List[PQRatio]:
     return pq_map(rs, check_kernel(rs, kernel_from_file(spec)))
 
 
-def _class_table(args, rs: RootSystem, wg: WeylGroup):
+def _class_table(args, wg: WeylGroup):
     """The --class of the type and its C table under --kernel."""
-    cls = _find_class(enumerate_classes(rs, wg), args.cls)
-    return cls, relcoeff.coeff_table(rs, wg, cls, _root_ratios(rs, args.kernel))
+    cls = _find_class(enumerate_classes(wg.rs, wg), args.cls)
+    return cls, relcoeff.coeff_table(wg, cls, _root_ratios(wg.rs, args.kernel))
 
 
 def _emit(args, payload: Optional[dict], csv_rows: Optional[Iterable], text: Iterable[str]):
@@ -93,7 +92,8 @@ def _fmt_lambda(lam: Sequence[int]) -> str:
 
 
 def cmd_subsystems(args) -> int:
-    classes = enumerate_classes(*_build(args))
+    wg = _build(args)
+    classes = enumerate_classes(wg.rs, wg)
     payload = {
         "classes": [
             {
@@ -119,8 +119,8 @@ def cmd_subsystems(args) -> int:
 def cmd_hasse(args) -> int:
     if args.format == "csv":
         raise UsageError("hasse supports only dot and json output")
-    rs, wg = _build(args)
-    poset = build_poset(wg, enumerate_classes(rs, wg))
+    wg = _build(args)
+    poset = build_poset(wg, enumerate_classes(wg.rs, wg))
     payload = {
         "classes": [c.label for c in poset.classes],
         "hasse_edges": sorted(poset.hasse_edges),
@@ -130,12 +130,12 @@ def cmd_hasse(args) -> int:
 
 
 def _emit_coeffs(args, with_d: bool) -> int:
-    rs, wg = _build(args)
-    cls, table = _class_table(args, rs, wg)
+    wg = _build(args)
+    cls, table = _class_table(args, wg)
     columns = ["c_over_n"]
     lams = set(table.entries)
     if with_d:
-        dt = costrat.d_coeffs(rs, wg, table)
+        dt = costrat.d_coeffs(wg.rs, table)
         columns.append("d")
         lams |= set(dt.entries)
     rows = []
@@ -180,11 +180,12 @@ def cmd_kblock(args) -> int:
     if cutoff < 0:
         raise UsageError(f"--cutoff must be non-negative, got {args.cutoff}")
     cfg = None if args.hbar is None else costrat.HbarConfig(args.hbar)
-    rs, wg = _build(args)
+    wg = _build(args)
+    rs = wg.rs
     norm_sq = cutoff**2
     columns = costrat.kblock_columns(rs, norm_sq)  # before the tables, which may take long
-    cls, table = _class_table(args, rs, wg)
-    block = costrat.k_block(rs, wg, costrat.d_coeffs(rs, wg, table), norm_sq, columns)
+    cls, table = _class_table(args, wg)
+    block = costrat.k_block(wg, costrat.d_coeffs(rs, table), norm_sq, columns)
     entries = []
     for (row, col), v in sorted(block.entries.items()):
         e = {"lambda_row": list(row), "lambda_col": list(col), "value": str(v)}
@@ -265,7 +266,8 @@ def _parse_point(spec: str, rank: int) -> TorusPoint:
 def cmd_gammax(args) -> int:
     if not args.point:
         raise UsageError("gammax requires --point")
-    rs, wg = _build(args)
+    wg = _build(args)
+    rs = wg.rs
     ratios = _root_ratios(rs, args.kernel)
     point = _parse_point(args.point, rs.rank)
     sub = gamma_x(rs, ratios, point)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from operator import add, mul, sub
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .relcoeff import CoeffTable
 from .rootsys import Labels, RootSystem
@@ -56,7 +56,7 @@ class HbarConfig:
             raise ValueError("hbar must be finite and positive")
 
 
-def d_coeffs(rs: RootSystem, wg: WeylGroup, table: CoeffTable) -> DCoeffTable:
+def d_coeffs(rs: RootSystem, table: CoeffTable) -> DCoeffTable:
     """D(mu) = sum of c_lambda * m_lambda(mu) over the table, at every dominant mu below it.
 
     The symmetrized map is the character sum of c_lambda * chi_lambda, so D(mu)
@@ -85,7 +85,7 @@ def d_coeffs(rs: RootSystem, wg: WeylGroup, table: CoeffTable) -> DCoeffTable:
     return DCoeffTable(table.class_label, {mu: values.get(mu, 0) for mu in sorted(below)})
 
 
-def orbit_shifts(rs: RootSystem, wg: WeylGroup, dtable: DCoeffTable) -> List[Labels]:
+def orbit_shifts(wg: WeylGroup, dtable: DCoeffTable) -> List[Labels]:
     """Every weight in the Weyl orbits of the D-table support."""
     out: Set[Labels] = set()
     for mu in dtable.entries:
@@ -93,7 +93,7 @@ def orbit_shifts(rs: RootSystem, wg: WeylGroup, dtable: DCoeffTable) -> List[Lab
     return sorted(out)
 
 
-def is_stable(rs: RootSystem, wg: WeylGroup, dtable: DCoeffTable, lam: Sequence[int]) -> bool:
+def is_stable(wg: WeylGroup, dtable: DCoeffTable, lam: Sequence[int]) -> bool:
     """True iff lam plus every orbit point of the D-table support stays dominant.
 
     With this reading the closed-form row formula holds exactly: singular or
@@ -101,18 +101,14 @@ def is_stable(rs: RootSystem, wg: WeylGroup, dtable: DCoeffTable, lam: Sequence[
     orbit points of the support.
     """
     lam = tuple(lam)
-    for mu in orbit_shifts(rs, wg, dtable):
+    for mu in orbit_shifts(wg, dtable):
         if any(a + b < 0 for a, b in zip(lam, mu)):
             return False
     return True
 
 
 def k_entry(
-    rs: RootSystem,
-    wg: WeylGroup,
-    dtable: DCoeffTable,
-    lam_row: Sequence[int],
-    lam_col: Sequence[int],
+    wg: WeylGroup, dtable: DCoeffTable, lam_row: Sequence[int], lam_col: Sequence[int]
 ) -> int:
     """Normalized K entry: row lam_row of the shifted fold of the D orbits at lam_col."""
     points = repthy.orbit_points(wg, dtable.entries)
@@ -136,18 +132,15 @@ def kblock_columns(rs: RootSystem, cutoff_norm_sq: Q) -> List[Labels]:
 
 
 def k_block(
-    rs: RootSystem,
-    wg: WeylGroup,
-    dtable: DCoeffTable,
-    cutoff_norm_sq: Q,
-    columns: Optional[List[Labels]] = None,
+    wg: WeylGroup, dtable: DCoeffTable, cutoff_norm_sq: Q, columns: List[Labels]
 ) -> KBlock:
     """All normalized entries with both shifted norms within the cutoff.
 
     A column is flagged incomplete when its fold lands on a row past the
-    cutoff, whether or not that row sums to zero. columns, when the caller
-    already holds them, are kblock_columns(rs, cutoff_norm_sq); any other
-    dominant columns are folded the same way.
+    cutoff, whether or not that row sums to zero. columns are
+    kblock_columns(wg.rs, cutoff_norm_sq), walked once by the caller (before
+    any table in `cli.cmd_kblock`, once for every block in vanishing_system);
+    any other dominant columns are folded the same way.
 
     Column lam is repthy.shifted_fold at lam of the D orbit points, but the
     point lam + nu + delta recurs across columns, so each distinct point is
@@ -158,9 +151,8 @@ def k_block(
     (row, sign, far), far when the row is past the cutoff, or to () when the
     point is singular; the table lives only for this call.
     """
+    rs = wg.rs
     cutoff = Q(cutoff_norm_sq)
-    if columns is None:
-        columns = kblock_columns(rs, cutoff)
     # an integer scaled norm exceeds norm_den * cutoff iff it exceeds its floor
     scaled_cutoff = math.floor(cutoff * rs.norm_den)
     points = repthy.orbit_points(wg, dtable.entries)
@@ -239,7 +231,6 @@ class VanishingRow:
 
 
 def vanishing_system(
-    rs: RootSystem,
     wg: WeylGroup,
     poset: ClassPoset,
     base_label: str,
@@ -252,17 +243,17 @@ def vanishing_system(
     the cutoff); each row lists the normalized K entries over the rows within
     the cutoff. This is a truncation only: rows flagged incomplete in the
     underlying block may be missing far columns. The columns are
-    kblock_columns(rs, cutoff_norm_sq), walked once and shared by every
+    kblock_columns(wg.rs, cutoff_norm_sq), walked once and shared by every
     block, so a cutoff past MAX_COLUMNS columns raises ValueError.
     """
     labels = {c.label for c in poset.classes}
     if base_label not in labels:
         raise ValueError(f"unknown class label {base_label!r}")
     excluded = [c for c in poset.classes if not poset.is_leq(base_label, c.label)]
-    columns = kblock_columns(rs, cutoff_norm_sq)
+    columns = kblock_columns(wg.rs, cutoff_norm_sq)
     rows: List[VanishingRow] = []
     for cls in excluded:
-        block = k_block(rs, wg, dtables[cls.label], cutoff_norm_sq, columns)
+        block = k_block(wg, dtables[cls.label], cutoff_norm_sq, columns)
         per_col: Dict[Labels, List[Tuple[Labels, int]]] = {}
         for (row, col), val in block.entries.items():
             per_col.setdefault(col, []).append((row, val))

@@ -188,10 +188,7 @@ def denominator_values(wg: WeylGroup, ratios: Optional[Sequence[PQRatio]]) -> Di
 
 
 def coeff_table(
-    rs: RootSystem,
-    wg: WeylGroup,
-    cls: SubsystemClass,
-    ratios: Optional[Sequence[PQRatio]] = None,
+    wg: WeylGroup, cls: SubsystemClass, ratios: Optional[Sequence[PQRatio]] = None
 ) -> CoeffTable:
     """Reduced coefficients of the class relation in the normalized character basis.
 
@@ -211,9 +208,9 @@ def coeff_table(
         n_cosets = 1
         dominant = denominator_values(wg, ratios)
     else:
-        complement = [i for i in range(len(rs.roots)) if i not in members]
+        complement = [i for i in range(len(wg.rs.roots)) if i not in members]
         n_cosets = len(wg.coset_representatives(members))
-        dominant = symmetrize(wg, n_cosets, subset_sums(rs, complement, ratios))
+        dominant = symmetrize(wg, n_cosets, subset_sums(wg.rs, complement, ratios))
 
     acc: Dict[Labels, int] = {}
     for mu, share in dominant.items():
@@ -223,6 +220,6 @@ def coeff_table(
     return CoeffTable(cls.label, entries, len(wg) // n_cosets, dominant)
 
 
-def identity_value(rs: RootSystem, wg: WeylGroup, table: CoeffTable) -> int:
+def identity_value(rs: RootSystem, table: CoeffTable) -> int:
     """Sum of coefficient times irrep dimension; zero for every non-full class."""
     return sum(c * repthy.weyl_dim(rs, lam) for lam, c in table.entries.items())

@@ -147,10 +147,10 @@ def orbit_points(wg: WeylGroup, dominant: Dict[Labels, int]) -> List[Tuple[Label
 
 
 def tensor_coeff(
-    rs: RootSystem, wg: WeylGroup, lam_fac: Sequence[int], lam: Sequence[int], lam2: Sequence[int]
+    wg: WeylGroup, lam_fac: Sequence[int], lam: Sequence[int], lam2: Sequence[int]
 ) -> int:
     """Multiplicity of the irrep lam2 inside (irrep lam_fac) tensor (irrep lam)."""
-    ws = dominant_weight_system(rs, wg, lam_fac)
+    ws = dominant_weight_system(wg.rs, wg, lam_fac)
     total = shifted_fold(wg, orbit_points(wg, ws.dominant_entries), lam).get(tuple(lam2), 0)
     if total < 0:
         raise AssertionError("negative tensor multiplicity")

@@ -236,7 +236,7 @@ def shifted_row(wg, nu):
     return (tuple(d - 1 for d in dom), sign) if regular else None
 
 
-def spread_coeff_table(rs, wg, cls, ratios=None):
+def spread_coeff_table(wg, cls, ratios=None):
     """The C table through the spread symmetrized map, folded one point at a time.
 
     V is binned by the dominant image of each key, each non-zero bin is spread
@@ -246,7 +246,7 @@ def spread_coeff_table(rs, wg, cls, ratios=None):
     group, so the spread maps of every class of a type share them.
     """
     members = cls.representative.root_indices
-    v = subset_sums(rs, [i for i in range(len(rs.roots)) if i not in members], ratios)
+    v = subset_sums(wg.rs, [i for i in range(len(wg.rs.roots)) if i not in members], ratios)
     n_cosets = len(wg.coset_representatives(members))
     bins = {}
     for key, val in v.items():

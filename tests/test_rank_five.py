@@ -33,13 +33,13 @@ def test_rank_five_self_consistency(family):
     small = [c for c in classes if len(rs.roots) - len(c) <= MAX_COMPLEMENT]
     assert small
     for cls in small:
-        table = coeff_table(rs, wg, cls)
-        value = identity_value(rs, wg, table)
+        table = coeff_table(wg, cls)
+        value = identity_value(rs, table)
         if len(cls) == len(rs.roots):
             assert value != 0
         else:
             assert value == 0, cls.label
         w = word_element(wg, rng, 12)
-        moved = coeff_table(rs, wg, moved_class(rs, cls, w))
+        moved = coeff_table(wg, moved_class(rs, cls, w))
         assert moved.entries == table.entries, cls.label
         assert moved.stabilizer_order == table.stabilizer_order, cls.label

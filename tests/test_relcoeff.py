@@ -175,7 +175,7 @@ from weylstrat.weyl import generate_group
 rs = build_root_system(LieType("A", 2))
 wg = generate_group(rs)
 for call in [lambda: symmetrize(wg, 1, {(1, 0): 1}),
-             lambda: d_coeffs(rs, wg, CoeffTable("0", {(0, 0): 1}, 6, {(1, 1): 1}))]:
+             lambda: d_coeffs(rs, CoeffTable("0", {(0, 0): 1}, 6, {(1, 1): 1}))]:
     try:
         call()
     except AssertionError as exc:
@@ -281,36 +281,27 @@ def test_denominator_pass_matches_symmetrized_subset_sums(family, rank, kernel):
     assert denominator_values(wg, ratios) == symmetrize(wg, 1, v)
 
 
-def test_class_zero_under_so_odd_matches_spread_map_oracle():
-    # ratios 1/2 on the short roots scale V; the denominator pass takes them as rho_q
-    rs, wg, classes = classes_of("B", 3)
-    ratios = pq_map(rs, kernel_preset(rs, "so-odd"))
-    want = spread_coeff_table(rs, wg, classes["0"], ratios)
-    got = coeff_table(rs, wg, classes["0"], ratios)
-    assert got.entries == want.entries and got.dominant_values == want.dominant_values
-
-
 # -- coefficient tables ----------------------------------------------------------------
 
 
 def test_su2_reduced_table():
     rs, wg, classes = classes_of("A", 1)
-    t = coeff_table(rs, wg, classes["0"])
+    t = coeff_table(wg, classes["0"])
     assert t.entries == {(0,): 3, (2,): -1}
     assert t.stabilizer_order == 2
 
 
 def test_su3_tables():
     rs, wg, classes = classes_of("A", 2)
-    t0 = coeff_table(rs, wg, classes["0"])
+    t0 = coeff_table(wg, classes["0"])
     assert t0.entries == {(0, 0): 15, (0, 3): 3, (1, 1): -6, (2, 2): -1, (3, 0): 3}
-    t1 = coeff_table(rs, wg, classes["A1"])
+    t1 = coeff_table(wg, classes["A1"])
     assert t1.entries == {(0, 0): 20, (0, 3): 1, (1, 1): -5, (3, 0): 1}
 
 
 def test_spin8_d3_spot_value():
     rs, wg, classes = classes_of("D", 4)
-    t = coeff_table(rs, wg, classes["D3"])
+    t = coeff_table(wg, classes["D3"])
     assert t.entries[(0, 0, 0, 0)] == 381
 
 
@@ -318,7 +309,7 @@ def test_spin8_d3_spot_value():
 def test_unreduced_double_sum_oracle(family, rank):
     rs, wg, classes = classes_of(family, rank)
     for cls in classes.values():
-        t = coeff_table(rs, wg, cls)
+        t = coeff_table(wg, cls)
         expected = unreduced_coefficients(rs, wg, cls)
         assert {k: t.stabilizer_order * v for k, v in t.entries.items()} == expected, cls.label
 
@@ -336,8 +327,8 @@ def test_coeff_table_matches_spread_map_oracle(family, rank, kernel):
     rs, wg, classes = classes_of(family, rank)
     ratios = None if kernel == "sc" else pq_map(rs, kernel_preset(rs, kernel))
     for label, cls in classes.items():
-        got = coeff_table(rs, wg, cls, ratios)
-        want = spread_coeff_table(rs, wg, cls, ratios)
+        got = coeff_table(wg, cls, ratios)
+        want = spread_coeff_table(wg, cls, ratios)
         assert list(got.entries.items()) == list(want.entries.items()), label
         assert got.dominant_values == want.dominant_values, label
         assert got.stabilizer_order == want.stabilizer_order, label
@@ -352,7 +343,7 @@ def test_orbit_memo_is_order_free(family, rank):
     def tables(order, fresh):
         wg = generate_group(rs)
         return {
-            cls.label: coeff_table(rs, generate_group(rs) if fresh else wg, cls) for cls in order
+            cls.label: coeff_table(generate_group(rs) if fresh else wg, cls) for cls in order
         }
 
     forward = tables(classes, False)
@@ -376,22 +367,22 @@ def test_coeff_table_rejects_ratios_with_p_above_one(label):
     rs, wg, classes = classes_of("B", 2)
     ratios = [PQRatio(2, 1)] * len(rs.roots)
     with pytest.raises(ValueError, match="coroot lattice"):
-        coeff_table(rs, wg, classes[label], ratios)
+        coeff_table(wg, classes[label], ratios)
 
 
 def test_representative_independence():
     rs, wg, classes = classes_of("C", 2)
     for label in ["A1", "C1", "D2"]:
         cls = classes[label]
-        base = coeff_table(rs, wg, cls).entries
+        base = coeff_table(wg, cls).entries
         for w in (wg.elements[3], wg.elements[-1]):
-            assert coeff_table(rs, wg, moved_class(rs, cls, w)).entries == base
+            assert coeff_table(wg, moved_class(rs, cls, w)).entries == base
 
 
 @functools.cache
 def table_of(family, rank, label):
     rs, wg, classes = classes_of(family, rank)
-    return coeff_table(rs, wg, classes[label])
+    return coeff_table(wg, classes[label])
 
 
 @settings(max_examples=100, deadline=None)
@@ -404,7 +395,7 @@ def test_representative_independence_property(group, data):
     label = data.draw(st.sampled_from(sorted(classes)), label="class")
     w = wg.elements[data.draw(st.integers(0, len(wg) - 1), label="w")]
     base = table_of(*group, label)
-    moved = coeff_table(rs, wg, moved_class(rs, classes[label], w))
+    moved = coeff_table(wg, moved_class(rs, classes[label], w))
     assert moved.entries == base.entries
     assert moved.stabilizer_order == base.stabilizer_order
 
@@ -412,7 +403,7 @@ def test_representative_independence_property(group, data):
 def test_a_family_outer_symmetry():
     rs, wg, classes = classes_of("A", 3)
     for cls in classes.values():
-        t = coeff_table(rs, wg, cls)
+        t = coeff_table(wg, cls)
         assert t.entries == {tuple(reversed(k)): v for k, v in t.entries.items()}
 
 
@@ -421,8 +412,8 @@ def test_identity_vanishing():
         rs, wg, classes = classes_of(family, rank)
         full_size = len(rs.roots)
         for cls in classes.values():
-            t = coeff_table(rs, wg, cls)
-            value = identity_value(rs, wg, t)
+            t = coeff_table(wg, cls)
+            value = identity_value(rs, t)
             if len(cls.representative.root_indices) == full_size:
                 assert value != 0
             else:

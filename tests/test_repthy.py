@@ -198,16 +198,16 @@ def test_tensor_su2_against_character_polynomials():
         for k2 in range(7):
             expected = su2_decompose(su2_char_product(k1, k2))
             for k3 in range(k1 + k2 + 3):
-                got = tensor_coeff(rs, wg, (k1,), (k2,), (k3,))
+                got = tensor_coeff(wg, (k1,), (k2,), (k3,))
                 assert got == expected.get(k3, 0), (k1, k2, k3)
 
 
 def test_tensor_trivial_factor_and_symmetry():
     rs, wg = system("A", 2)
-    assert tensor_coeff(rs, wg, (0, 0), (1, 1), (1, 1)) == 1
-    assert tensor_coeff(rs, wg, (0, 0), (1, 1), (1, 0)) == 0
+    assert tensor_coeff(wg, (0, 0), (1, 1), (1, 1)) == 1
+    assert tensor_coeff(wg, (0, 0), (1, 1), (1, 0)) == 0
     for l1, l2, l3 in [((1, 0), (0, 1), (1, 1)), ((1, 1), (1, 0), (0, 2))]:
-        assert tensor_coeff(rs, wg, l1, l2, l3) == tensor_coeff(rs, wg, l2, l1, l3)
+        assert tensor_coeff(wg, l1, l2, l3) == tensor_coeff(wg, l2, l1, l3)
 
 
 def test_tensor_dimension_bookkeeping():
@@ -215,6 +215,6 @@ def test_tensor_dimension_bookkeeping():
     lam = (1, 1)
     total = 0
     for lam2 in dominant_labels_within(rs, rs.labels_norm_sq((5, 5))):
-        m = tensor_coeff(rs, wg, lam, lam, lam2)
+        m = tensor_coeff(wg, lam, lam, lam2)
         total += m * weyl_dim(rs, lam2)
     assert total == weyl_dim(rs, lam) ** 2
