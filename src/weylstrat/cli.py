@@ -4,6 +4,8 @@ Subcommands: subsystems, hasse, coeffs, dcoeffs, kblock, pq, gammax, verify.
 Output ordering is fully specified (classes by cardinality then label, rows
 lexicographic in Dynkin labels), so emission is byte-stable across runs.
 Exit codes: 0 success, 1 verification mismatch, 2 usage error.
+Each subcommand imports the table, lattice and verify modules it runs when it
+runs, so a command loads none that it does not call.
 """
 
 from __future__ import annotations
@@ -15,15 +17,16 @@ import json
 import sys
 from fractions import Fraction as Q
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
-from . import costrat, relcoeff, verify as verify_mod
-from .lattice import (
-    PQRatio, TorusPoint, check_kernel, gamma_x, kernel_from_file, kernel_preset, pq_map,
-)
 from .rootsys import LieType, build_root_system
-from .subsys import SubsystemClass, are_conjugate, build_poset, enumerate_classes, poset_to_dot
+from .subsys import (
+    SubsystemClass, are_conjugate, build_poset, enumerate_classes, normalize_label, poset_to_dot,
+)
 from .weyl import WeylGroup, generate_group
+
+if TYPE_CHECKING:
+    from .lattice import PQRatio, TorusPoint
 
 
 class UsageError(Exception):
@@ -38,7 +41,7 @@ def _find_class(classes: List[SubsystemClass], label: str) -> SubsystemClass:
     if label == "full":
         return max(classes, key=len)
     try:
-        want = verify_mod.normalize_label(label)
+        want = normalize_label(label)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     for c in classes:
@@ -51,6 +54,8 @@ def _find_class(classes: List[SubsystemClass], label: str) -> SubsystemClass:
 
 def _root_ratios(rs, spec: str) -> List[PQRatio]:
     """p/q of every root under --kernel: a preset (sc, so-odd) or a kernel matrix file."""
+    from .lattice import check_kernel, kernel_from_file, kernel_preset, pq_map
+
     if spec in ("sc", "so-odd"):
         return pq_map(rs, kernel_preset(rs, spec))
     return pq_map(rs, check_kernel(rs, kernel_from_file(spec)))
@@ -58,6 +63,8 @@ def _root_ratios(rs, spec: str) -> List[PQRatio]:
 
 def _class_table(args, wg: WeylGroup):
     """The --class of the type and its C table under --kernel."""
+    from . import relcoeff
+
     cls = _find_class(enumerate_classes(wg.rs, wg), args.cls)
     return cls, relcoeff.coeff_table(wg, cls, _root_ratios(wg.rs, args.kernel))
 
@@ -135,6 +142,8 @@ def _emit_coeffs(args, with_d: bool) -> int:
     columns = ["c_over_n"]
     lams = set(table.entries)
     if with_d:
+        from . import costrat
+
         dt = costrat.d_coeffs(wg.rs, table)
         columns.append("d")
         lams |= set(dt.entries)
@@ -171,6 +180,8 @@ def cmd_dcoeffs(args) -> int:
 
 
 def cmd_kblock(args) -> int:
+    from . import costrat
+
     if args.cutoff is None:
         raise UsageError("kblock requires --cutoff")
     try:
@@ -239,6 +250,8 @@ def cmd_pq(args) -> int:
 
 
 def _parse_point(spec: str, rank: int) -> TorusPoint:
+    from .lattice import TorusPoint
+
     parts: Dict[str, List[Q]] = {}
     for chunk in spec.split(";"):
         chunk = chunk.strip()
@@ -264,6 +277,8 @@ def _parse_point(spec: str, rank: int) -> TorusPoint:
 
 
 def cmd_gammax(args) -> int:
+    from .lattice import gamma_x
+
     if not args.point:
         raise UsageError("gammax requires --point")
     wg = _build(args)
@@ -292,6 +307,8 @@ def cmd_gammax(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as verify_mod
+
     if args.corpus:
         with open(args.corpus) as fh:
             groups = [json.load(fh)]

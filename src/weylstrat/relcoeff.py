@@ -10,8 +10,9 @@ mu. For the class 0, V is (-1)^N times the square of the Weyl denominator
 of the ratio-scaled roots, and `denominator_values` reads the same weights
 off one pass over the orbit of their rho_q, building no V. The reduced
 coefficients are these weights times the character expansions of the m_mu
-(`WeylGroup.orbit_fold`, folded once per type), all in integer label
-arithmetic. The weights are the D table (see `costrat.d_coeffs`), so no
+(`WeylGroup.orbit_folds`, asked once per table and folded once per type and
+mu, from each orbit or from the walk of W.delta that the group keeps), all in
+integer label arithmetic. The weights are the D table (see `costrat.d_coeffs`), so no
 weight system is ever computed here.
 
 Two budgets bound the work: MAX_SUPPORT weights of a subset-sum map, and
@@ -196,8 +197,8 @@ def coeff_table(
     setwise stabilizer, which are as many as the images in their W-orbit (so
     the stabilizer order is |W| over the orbit size). The symmetrized map is
     sum over dominant mu of its value at mu times the orbit sum m_mu, so the
-    coefficients are the sum of value times `WeylGroup.orbit_fold(mu)`, the
-    character expansion of m_mu, which wg keeps for the next class. The table
+    coefficients are the sum of value times the character expansion of m_mu,
+    from one `WeylGroup.orbit_folds` call that wg keeps for the next class. The table
     also keeps the map's values at dominant weights. The class 0 (no members)
     takes those values from `denominator_values` instead, under every kernel.
     Ratios must have p = 1, as under every kernel that `lattice.check_kernel`
@@ -212,9 +213,10 @@ def coeff_table(
         n_cosets = len(wg.coset_representatives(members))
         dominant = symmetrize(wg, n_cosets, subset_sums(wg.rs, complement, ratios))
 
+    folds = wg.orbit_folds(dominant)
     acc: Dict[Labels, int] = {}
     for mu, share in dominant.items():
-        for row, c in wg.orbit_fold(mu).items():
+        for row, c in folds[mu].items():
             acc[row] = acc.get(row, 0) + share * c
     entries = {k: c for k, c in sorted(acc.items()) if c}
     return CoeffTable(cls.label, entries, len(wg) // n_cosets, dominant)

@@ -9,7 +9,7 @@ membership of lambda - mu is divisibility of the scaled inverse Cartan
 coordinates by cartan_den. The recursion always resolves to positive
 integers. `shifted_fold`, imported from `weyl`, is the one shifted Weyl-orbit
 sum (the Brauer-Klimyk rule): K blocks, K entries and tensor multiplicities
-call it here, and `WeylGroup.orbit_fold` folds the orbit sums behind C tables
+call it here, and `WeylGroup.orbit_folds` folds the orbit sums behind C tables
 with it. The transcendental norm prefactors never enter here.
 """
 

@@ -14,6 +14,7 @@ Weyl element is built.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 from dataclasses import dataclass
 from operator import add
@@ -137,6 +138,25 @@ def _label(family: str, parts: Tuple[Tuple[int, ...], ...]) -> str:
         k = parts[2]
         factors += [f"{family}{m}" for m in k]
     return "+".join(factors) if factors else "0"
+
+
+def normalize_label(label: str) -> str:
+    """Canonical factor order: A parts, then D parts, then B/C parts, each ascending.
+
+    Factors are joined by + (or ⊕); an empty factor, as in "A1+" or
+    "A1++A1", is refused with ValueError like any other malformed one.
+    """
+    if label in ("0", ""):
+        return "0"
+    parsed = []
+    for f in label.replace("⊕", "+").split("+"):
+        m = re.fullmatch(r"([ABCD])(\d+)", f.strip())
+        if not m:
+            raise ValueError(f"bad class label {label!r}")
+        parsed.append((m.group(1), int(m.group(2))))
+    order = {"A": 0, "D": 1, "B": 2, "C": 2}
+    parsed.sort(key=lambda t: (order[t[0]], t[1], t[0]))
+    return "+".join(f"{f}{i}" for f, i in parsed)
 
 
 def _base_for_tuple(rs: RootSystem, parts: Tuple[Tuple[int, ...], ...]) -> List[Vector]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from importlib import resources
@@ -21,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .costrat import DCoeffTable, d_coeffs
 from .relcoeff import CoeffTable, coeff_table
 from .rootsys import Labels, LieType, build_root_system
-from .subsys import enumerate_classes
+from .subsys import enumerate_classes, normalize_label
 from .weyl import generate_group
 
 GROUP_FILES = {
@@ -44,22 +43,6 @@ class Mismatch:
     column: str  # "c" or "d"
     expected: str
     got: str
-
-
-def normalize_label(label: str) -> str:
-    """Canonical factor order: A parts, then D parts, then B/C parts, each ascending."""
-    if label in ("0", ""):
-        return "0"
-    factors = [f.strip() for f in label.replace("⊕", "+").split("+") if f.strip()]
-    parsed = []
-    for f in factors:
-        m = re.fullmatch(r"([ABCD])(\d+)", f)
-        if not m:
-            raise ValueError(f"bad class label {label!r}")
-        parsed.append((m.group(1), int(m.group(2))))
-    order = {"A": 0, "D": 1, "B": 2, "C": 2}
-    parsed.sort(key=lambda t: (order[t[0]], t[1], t[0]))
-    return "+".join(f"{f}{i}" for f, i in parsed)
 
 
 def load_corpus(name: Optional[str] = None) -> List[dict]:

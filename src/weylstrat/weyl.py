@@ -17,10 +17,21 @@ stopped at the first zero label, as the shifted folds drop singular points.
 `shifted_fold` is the one shifted Weyl-orbit sum (the Brauer-Klimyk rule)
 behind C tables, K entries and tensor multiplicities; `costrat.k_block` sums
 the same folds over many columns with one walk per distinct shifted point,
-and is tested against it. A group keeps, per dominant weight mu it is asked
-about, the fold of the orbit sum m_mu (its character expansion), so C tables
-of every class of a type share them; it keeps the orbit W.mu itself only
-when a caller asks for the orbit as a list (`dominant_orbit`).
+and is tested against it.
+
+A group keeps, per dominant weight mu it is asked about, the fold of the
+orbit sum m_mu (its character expansion), so C tables of every class of a
+type share them. `orbit_folds` folds the mus a table asks for along one of
+two paths, both through `shifted_fold`: each orbit W.mu point by point, or
+the points of W.delta positive at the zero labels J of mu (`coset_points`),
+shifted by mu. It takes the second only when walking W.delta and filtering
+it once per new J touches fewer points than the orbits would, so W.delta is
+held only by a group whose tables fold more orbit points than it has (a
+class-0 table from rank 3 on; never the near-full classes of rank 8, whose
+W.delta has 10,321,920 points). A group that took it keeps W.delta with the
+mask of positive labels of each point, and each J-list filtered from it. It
+keeps the orbit W.mu itself only when a caller asks for the orbit as a list
+(`dominant_orbit`), and then folds from that list.
 
 Cosets of a setwise stabilizer are orbit images: the left cosets w*Stab(S)
 correspond one-to-one with the images w(S) in the W-orbit of the root index
@@ -71,6 +82,10 @@ class WeylGroup:
         # per dominant weight: its orbit when asked for as a list, and the fold of its orbit sum
         self._orbits: Dict[Labels, List[Labels]] = {}
         self._folds: Dict[Labels, Dict[Labels, int]] = {}
+        # W.delta once walked, as (p - delta, sign) per point p under the key 0, the mask of the
+        # positive labels of each p, and per zero set J (a mask) the points positive at J
+        self._coset_points: Dict[int, List[Tuple[Labels, int]]] = {}
+        self._rho_masks: List[int] = []
 
     def __len__(self):
         return expected_group_order(self.rs)
@@ -196,17 +211,69 @@ class WeylGroup:
         return len(self) // parabolic_order(self.rs.cartan, [i for i, m in enumerate(mu) if not m])
 
     def orbit_fold(self, mu: Labels) -> Dict[Labels, int]:
-        """The Racah-Speiser row of the orbit sum m_mu, folded once per dominant mu and kept.
+        """The Racah-Speiser row of the orbit sum m_mu: orbit_folds([mu])[mu]."""
+        return self.orbit_folds([mu])[mu]
+
+    def orbit_folds(self, mus: Iterable[Labels]) -> Dict[Labels, Dict[Labels, int]]:
+        """The Racah-Speiser row of each orbit sum m_mu, folded once per dominant mu and kept.
 
         m_mu = sum over lambda of fold[lambda] * chi_lambda: the shifted fold at
-        lambda = 0 of the orbit points, each with coefficient 1. The orbit is
-        walked point by point and not kept.
+        lambda = 0 of the orbit points, each with coefficient 1. Write each
+        point as u(mu), u a minimal representative of u W_J, J the zero labels
+        of mu; then u(mu) + delta = u(mu + p) with p = u^-1(delta), and these p
+        are the points of W.delta positive at J. So the fold is also the
+        shifted fold at lambda = mu of the p - delta, each with sign(u), and
+        every mu + p lies nearer the dominant chamber than its u(mu) + delta.
+
+        The mus not yet folded take one path together. Walking W.delta (if not
+        yet walked) and filtering it once per new non-empty zero set costs |W|
+        points each; walking their orbits costs the sum of their orbit sizes.
+        The cheaper one is taken: the J-lists of W.delta, kept for later
+        calls, or each orbit, from `dominant_orbit`'s list when it is kept,
+        else walked.
         """
-        fold = self._folds.get(mu)
-        if fold is None:
-            points = ((nu, 1) for nu, _ in self.orbit_walk(mu))
-            fold = self._folds[mu] = shifted_fold(self, points, (0,) * len(mu))
-        return fold
+        folds = self._folds
+        wanted = dict.fromkeys(mus)
+        todo = [mu for mu in wanted if mu not in folds]
+        if todo:
+            zero_sets = [sum(1 << i for i, m in enumerate(mu) if not m) for mu in todo]
+            kept = self._coset_points
+            new = len(set(zero_sets).difference(kept, [0]))
+            buy = len(self) * ((0 not in kept) + new)
+            if buy < sum(map(self.orbit_size, todo)):
+                for mu, zeros in zip(todo, zero_sets):
+                    folds[mu] = shifted_fold(self, self.coset_points(zeros), mu)
+            else:
+                zero = (0,) * self.rs.rank
+                for mu in todo:
+                    orbit = self._orbits.get(mu)
+                    if orbit is None:
+                        points = ((nu, 1) for nu, _ in self.orbit_walk(mu))
+                    else:
+                        points = ((nu, 1) for nu in orbit)
+                    folds[mu] = shifted_fold(self, points, zero)
+        return {mu: folds[mu] for mu in wanted}
+
+    def coset_points(self, zeros: int) -> List[Tuple[Labels, int]]:
+        """(p - delta, sign) for the points p of W.delta positive at every label in the mask zeros.
+
+        These p are the u^-1(delta) for the minimal coset representatives u of
+        W/W_J, J the labels in zeros, and the sign is sign(u). W.delta is
+        walked once per group and kept as the list for zeros = 0; every other
+        list is filtered from it once and kept.
+        """
+        kept = self._coset_points
+        if 0 not in kept:
+            walk = kept[0] = []
+            for p, sign in self.orbit_walk((1,) * self.rs.rank):
+                walk.append((tuple(x - 1 for x in p), sign))
+                self._rho_masks.append(sum(1 << i for i, x in enumerate(p) if x > 0))
+        points = kept.get(zeros)
+        if points is None:
+            points = kept[zeros] = [
+                pt for pt, mask in zip(kept[0], self._rho_masks) if mask & zeros == zeros
+            ]
+        return points
 
     # -- subgroups and cosets ------------------------------------------------
 

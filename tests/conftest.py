@@ -8,7 +8,7 @@ import pytest
 from weylstrat.relcoeff import CoeffTable, subset_sums
 from weylstrat.repthy import dominant_weight_system
 from weylstrat.rootsys import LieType, _invert_rational, build_root_system
-from weylstrat.weyl import WeylElement, generate_group
+from weylstrat.weyl import WeylElement, generate_group, shifted_fold
 
 
 # every classical type up to rank 6
@@ -215,6 +215,15 @@ def k_block_oracle(rs, wg, dtable, cutoff_norm_sq, columns):
                 else:
                     entries.pop(key, None)
     return entries, incomplete
+
+
+def tree_walk_fold(wg, mu):
+    """The fold of the orbit sum m_mu point by point: the shifted fold at 0 of the orbit walk of mu.
+
+    The oracle for WeylGroup.orbit_folds, which may fold from the points of
+    W.delta instead; the dict keeps the rows whose sum is zero.
+    """
+    return shifted_fold(wg, ((nu, 1) for nu, _ in wg.orbit_walk(mu)), (0,) * len(mu))
 
 
 @functools.cache

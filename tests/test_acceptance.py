@@ -10,8 +10,8 @@ from fractions import Fraction as Q
 
 from weylstrat import costrat, relcoeff, repthy
 from weylstrat.lattice import TorusPoint, gamma_x, kernel_preset, pq_map
-from weylstrat.subsys import build_poset, enumerate_classes
-from weylstrat.verify import computed_tables, load_corpus, normalize_label, verify_group
+from weylstrat.subsys import build_poset, enumerate_classes, normalize_label
+from weylstrat.verify import computed_tables, load_corpus, verify_group
 
 from conftest import apply_labels, system, tuple_count_oracle
 from test_relcoeff import exhaustive_subset_sums, unreduced_coefficients

@@ -8,7 +8,8 @@ from weylstrat import relcoeff, repthy
 from weylstrat.cli import run
 from weylstrat.lattice import kernel_preset, pq_map
 from weylstrat.rootsys import LieType, build_root_system
-from weylstrat.verify import load_corpus, normalize_label
+from weylstrat.subsys import normalize_label
+from weylstrat.verify import load_corpus
 from weylstrat.weyl import generate_group
 
 
@@ -165,6 +166,10 @@ def test_usage_errors(tmp_path, capsys):
         kblock + ["--cutoff", "5", "--hbar", "1e308"],  # hbar * exponent is inf itself
         ["subsystems", "--family", "A", "--rank", "9"],  # past MAX_RANK
         ["gammax", "--family", "A", "--rank", "2", "--point", "A=1/2,0;A=0,0"],  # a repeated key
+        # an empty factor, never dropped to leave the A1 or A1+A1 table
+        ["coeffs", "--family", "A", "--rank", "3", "--class", "A1+"],
+        ["coeffs", "--family", "A", "--rank", "3", "--class", "+A1"],
+        ["coeffs", "--family", "A", "--rank", "3", "--class", "A1++A1"],
     ]:
         assert run(argv) == 2, argv
         err = capsys.readouterr().err
@@ -289,8 +294,9 @@ def test_label_normalization():
     assert normalize_label("B1+A1") == "A1+B1"
     assert normalize_label("C1+D2") == "D2+C1"
     assert normalize_label("0") == "0"
-    with pytest.raises(ValueError):
-        normalize_label("Q7")
+    for bad in ["Q7", "A1+", "+A1", "A1++A1", "A1+ +B1"]:
+        with pytest.raises(ValueError):
+            normalize_label(bad)
 
 
 def test_out_file(tmp_path, capsys):

@@ -21,8 +21,11 @@ from weylstrat.lattice import ExpKernel, PQRatio, check_kernel, kernel_preset, p
 from weylstrat.repthy import dominant_labels_within
 from weylstrat.rootsys import LieType, build_root_system
 from weylstrat.subsys import SubsystemClass, enumerate_classes, RootSubsystem
-from weylstrat.weyl import generate_group
-from conftest import apply_labels, coset_movers, inverse, label_mat, spread_coeff_table, system
+from weylstrat.weyl import WeylGroup, generate_group
+from conftest import (
+    RANK_SIX_TYPES, apply_labels, coset_movers, inverse, label_mat, spread_coeff_table, system,
+    tree_walk_fold,
+)
 
 
 # -- oracles ---------------------------------------------------------------------
@@ -334,21 +337,86 @@ def test_coeff_table_matches_spread_map_oracle(family, rank, kernel):
         assert got.stabilizer_order == want.stabilizer_order, label
 
 
+def dominant_values(wg, cls):
+    """The symmetrized map of a class at its dominant weights, folding no orbit."""
+    members = cls.representative.root_indices
+    if not members:
+        return denominator_values(wg, None)
+    complement = [i for i in range(len(wg.rs.roots)) if i not in members]
+    return symmetrize(wg, len(wg.coset_representatives(members)), subset_sums(wg.rs, complement))
+
+
+@pytest.mark.parametrize(
+    "family,rank,label", [(f, r, None) for f, r in RANK_SIX_TYPES if r <= 5] + [("A", 6, "0")]
+)
+def test_orbit_folds_match_the_tree_walk_oracle(family, rank, label):
+    # each class table's dominant weights folded in class order on one fresh group, zero
+    # keys included: class 0 comes first and, from rank 3 on, takes the W.delta lists.
+    # At rank 5 the classes other than 0 are those with at most 20 complement roots,
+    # as in test_rank_five: a larger subset-sum map takes 2-10 s to build.
+    rs, wg = system(family, rank)
+    fresh = WeylGroup(rs)
+    oracle = {}
+    for cls in enumerate_classes(rs, wg):
+        if label is not None and cls.label != label:
+            continue
+        if rank == 5 and len(cls) and len(rs.roots) - len(cls) > 20:
+            continue
+        mus = dominant_values(wg, cls)
+        folds = fresh.orbit_folds(mus)
+        for mu in mus:
+            if mu not in oracle:
+                oracle[mu] = tree_walk_fold(fresh, mu)
+            assert folds[mu] == oracle[mu], (cls.label, mu)
+        if cls.label == "0" and rank >= 3:
+            assert fresh._coset_points
+    # single small orbits on a fresh group: the origin and the first fundamental weight
+    fresh = WeylGroup(rs)
+    for mu in [(0,) * rank, (1,) + (0,) * (rank - 1)]:
+        assert fresh.orbit_fold(mu) == tree_walk_fold(fresh, mu)
+    assert not fresh._coset_points
+
+
+def test_full_class_at_rank_eight_walks_no_w_delta():
+    # |W| = 10321920 at B8; the full class folds the one-point orbit of 0
+    rs = build_root_system(LieType("B", 8))
+    wg = WeylGroup(rs)
+    full = max(enumerate_classes(rs, wg), key=len)
+    assert coeff_table(wg, full).entries == {(0,) * 8: 1}
+    assert not wg._coset_points
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
-def test_orbit_memo_is_order_free(family, rank):
-    # every class forward, reversed, and each on a fresh group gives the same tables
+def test_orbit_memo_is_order_free(family, rank, monkeypatch):
+    # every class forward, reversed, and each on a fresh group gives the same tables,
+    # although the fold path of each table depends on what its group has kept
     rs = build_root_system(LieType(family, rank))
     classes = enumerate_classes(rs, generate_group(rs))
+    coset_calls = []
+    coset_points = WeylGroup.coset_points
+
+    def counted(wg, zeros):
+        coset_calls.append(zeros)
+        return coset_points(wg, zeros)
+
+    monkeypatch.setattr(WeylGroup, "coset_points", counted)
+    paths = set()
 
     def tables(order, fresh):
-        wg = generate_group(rs)
-        return {
-            cls.label: coeff_table(generate_group(rs) if fresh else wg, cls) for cls in order
-        }
+        shared = generate_group(rs)
+        out = {}
+        for cls in order:
+            wg = generate_group(rs) if fresh else shared
+            folded, calls = len(wg._folds), len(coset_calls)
+            out[cls.label] = coeff_table(wg, cls)
+            if len(wg._folds) > folded:
+                paths.add("W.delta" if len(coset_calls) > calls else "orbits")
+        return out
 
     forward = tables(classes, False)
     assert tables(reversed(classes), False) == forward
     assert tables(classes, True) == forward
+    assert paths == {"W.delta", "orbits"}
 
 
 def moved_class(rs, cls, w):
