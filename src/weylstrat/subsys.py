@@ -143,10 +143,11 @@ def _label(family: str, parts: Tuple[Tuple[int, ...], ...]) -> str:
 def normalize_label(label: str) -> str:
     """Canonical factor order: A parts, then D parts, then B/C parts, each ascending.
 
-    Factors are joined by + (or ⊕); an empty factor, as in "A1+" or
-    "A1++A1", is refused with ValueError like any other malformed one.
+    Factors are joined by + (or ⊕); class 0 is "0". An empty label or an
+    empty factor, as in "A1+" or "A1++A1", is refused with ValueError like
+    any other malformed one.
     """
-    if label in ("0", ""):
+    if label == "0":
         return "0"
     parsed = []
     for f in label.replace("⊕", "+").split("+"):

@@ -22,16 +22,18 @@ and is tested against it.
 A group keeps, per dominant weight mu it is asked about, the fold of the
 orbit sum m_mu (its character expansion), so C tables of every class of a
 type share them. `orbit_folds` folds the mus a table asks for along one of
-two paths, both through `shifted_fold`: each orbit W.mu point by point, or
-the points of W.delta positive at the zero labels J of mu (`coset_points`),
-shifted by mu. It takes the second only when walking W.delta and filtering
-it once per new J touches fewer points than the orbits would, so W.delta is
-held only by a group whose tables fold more orbit points than it has (a
-class-0 table from rank 3 on; never the near-full classes of rank 8, whose
-W.delta has 10,321,920 points). A group that took it keeps W.delta with the
-mask of positive labels of each point, and each J-list filtered from it. It
-keeps the orbit W.mu itself only when a caller asks for the orbit as a list
-(`dominant_orbit`), and then folds from that list.
+two paths, both through `shifted_fold`: each orbit W.mu as the sorted list
+`dominant_orbit` keeps, or the points of W.delta positive at the zero labels
+J of mu (`coset_points`), shifted by mu. It takes the second only when
+walking W.delta and filtering it once per new J touches fewer points than
+the orbits hold, so W.delta is held only by a group whose tables fold more
+orbit points than it has (a class-0 table from rank 3 on; never the
+near-full classes of rank 8, whose W.delta has 10,321,920 points). A group
+that took it keeps W.delta with the mask of positive labels of each point,
+and each J-list filtered from it. The orbit lists serve the first path and
+`relcoeff.symmetrize`, which keeps every orbit a table other than class 0
+asks about before that table's folds, so the first path walks none of them
+again.
 
 Cosets of a setwise stabilizer are orbit images: the left cosets w*Stab(S)
 correspond one-to-one with the images w(S) in the W-orbit of the root index
@@ -210,10 +212,6 @@ class WeylGroup:
         """|W.mu| = |W| / |W_J| for a dominant mu, J its zero labels, walking no orbit."""
         return len(self) // parabolic_order(self.rs.cartan, [i for i, m in enumerate(mu) if not m])
 
-    def orbit_fold(self, mu: Labels) -> Dict[Labels, int]:
-        """The Racah-Speiser row of the orbit sum m_mu: orbit_folds([mu])[mu]."""
-        return self.orbit_folds([mu])[mu]
-
     def orbit_folds(self, mus: Iterable[Labels]) -> Dict[Labels, Dict[Labels, int]]:
         """The Racah-Speiser row of each orbit sum m_mu, folded once per dominant mu and kept.
 
@@ -227,10 +225,10 @@ class WeylGroup:
 
         The mus not yet folded take one path together. Walking W.delta (if not
         yet walked) and filtering it once per new non-empty zero set costs |W|
-        points each; walking their orbits costs the sum of their orbit sizes.
-        The cheaper one is taken: the J-lists of W.delta, kept for later
-        calls, or each orbit, from `dominant_orbit`'s list when it is kept,
-        else walked.
+        points each; the orbit path folds the sum of their orbit sizes, each
+        point with a longer dominant walk than its mu + p. The cheaper one is
+        taken: the J-lists of W.delta, kept for later calls, or each orbit as
+        `dominant_orbit` keeps it.
         """
         folds = self._folds
         wanted = dict.fromkeys(mus)
@@ -246,11 +244,7 @@ class WeylGroup:
             else:
                 zero = (0,) * self.rs.rank
                 for mu in todo:
-                    orbit = self._orbits.get(mu)
-                    if orbit is None:
-                        points = ((nu, 1) for nu, _ in self.orbit_walk(mu))
-                    else:
-                        points = ((nu, 1) for nu in orbit)
+                    points = ((nu, 1) for nu in self.dominant_orbit(mu))
                     folds[mu] = shifted_fold(self, points, zero)
         return {mu: folds[mu] for mu in wanted}
 

@@ -166,7 +166,8 @@ def test_usage_errors(tmp_path, capsys):
         kblock + ["--cutoff", "5", "--hbar", "1e308"],  # hbar * exponent is inf itself
         ["subsystems", "--family", "A", "--rank", "9"],  # past MAX_RANK
         ["gammax", "--family", "A", "--rank", "2", "--point", "A=1/2,0;A=0,0"],  # a repeated key
-        # an empty factor, never dropped to leave the A1 or A1+A1 table
+        # an empty label or factor, never read as class 0 or dropped to leave the A1 or A1+A1 table
+        ["coeffs", "--family", "A", "--rank", "1", "--class", ""],
         ["coeffs", "--family", "A", "--rank", "3", "--class", "A1+"],
         ["coeffs", "--family", "A", "--rank", "3", "--class", "+A1"],
         ["coeffs", "--family", "A", "--rank", "3", "--class", "A1++A1"],
@@ -294,7 +295,7 @@ def test_label_normalization():
     assert normalize_label("B1+A1") == "A1+B1"
     assert normalize_label("C1+D2") == "D2+C1"
     assert normalize_label("0") == "0"
-    for bad in ["Q7", "A1+", "+A1", "A1++A1", "A1+ +B1"]:
+    for bad in ["", "Q7", "A1+", "+A1", "A1++A1", "A1+ +B1"]:
         with pytest.raises(ValueError):
             normalize_label(bad)
 

@@ -113,7 +113,7 @@ def test_orbit_fold_is_the_inverse_kostka_row(group, data):
     rs, wg = system(*group)
     mu = tuple(data.draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank)))
     total = {mu: 0}
-    for lam, c in wg.orbit_fold(mu).items():
+    for lam, c in wg.orbit_folds([mu])[mu].items():
         for nu, m in weight_system(rs, wg, lam).dominant_entries.items():
             total[nu] = total.get(nu, 0) + c * m
     assert {nu: t for nu, t in total.items() if t} == {mu: 1}
