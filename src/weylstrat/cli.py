@@ -29,10 +29,6 @@ if TYPE_CHECKING:
     from .lattice import PQRatio, TorusPoint
 
 
-class UsageError(Exception):
-    pass
-
-
 def _build(args) -> WeylGroup:
     return generate_group(build_root_system(LieType(args.family, args.rank)))
 
@@ -40,14 +36,11 @@ def _build(args) -> WeylGroup:
 def _find_class(classes: List[SubsystemClass], label: str) -> SubsystemClass:
     if label == "full":
         return max(classes, key=len)
-    try:
-        want = normalize_label(label)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    want = normalize_label(label)
     for c in classes:
         if c.label == want:
             return c
-    raise UsageError(
+    raise ValueError(
         f"unknown class label {label!r}; available: " + ", ".join(c.label for c in classes)
     )
 
@@ -125,7 +118,7 @@ def cmd_subsystems(args) -> int:
 
 def cmd_hasse(args) -> int:
     if args.format == "csv":
-        raise UsageError("hasse supports only dot and json output")
+        raise ValueError("hasse supports only dot and json output")
     wg = _build(args)
     poset = build_poset(wg, enumerate_classes(wg.rs, wg))
     payload = {
@@ -183,13 +176,13 @@ def cmd_kblock(args) -> int:
     from . import costrat
 
     if args.cutoff is None:
-        raise UsageError("kblock requires --cutoff")
+        raise ValueError("kblock requires --cutoff")
     try:
         cutoff = Q(args.cutoff)
     except ZeroDivisionError:
-        raise UsageError(f"--cutoff {args.cutoff} is undefined") from None
+        raise ValueError(f"--cutoff {args.cutoff} is undefined") from None
     if cutoff < 0:
-        raise UsageError(f"--cutoff must be non-negative, got {args.cutoff}")
+        raise ValueError(f"--cutoff must be non-negative, got {args.cutoff}")
     cfg = None if args.hbar is None else costrat.HbarConfig(args.hbar)
     wg = _build(args)
     rs = wg.rs
@@ -258,21 +251,21 @@ def _parse_point(spec: str, rank: int) -> TorusPoint:
         if not chunk:
             continue
         if "=" not in chunk:
-            raise UsageError(f"bad --point component {chunk!r}; expected A=... or B=...")
+            raise ValueError(f"bad --point component {chunk!r}; expected A=... or B=...")
         key, vals = chunk.split("=", 1)
         key = key.strip().upper()
         if key not in ("A", "B"):
-            raise UsageError(f"bad --point key {key!r}")
+            raise ValueError(f"bad --point key {key!r}")
         if key in parts:
-            raise UsageError(f"repeated --point key {key!r}")
+            raise ValueError(f"repeated --point key {key!r}")
         try:
             parts[key] = [Q(tok) for tok in vals.split(",")]
         except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad rational in --point: {exc}") from None
+            raise ValueError(f"bad rational in --point: {exc}") from None
     a = parts.get("A", [Q(0)] * rank)
     b = parts.get("B", [Q(0)] * rank)
     if len(a) != rank or len(b) != rank:
-        raise UsageError(f"--point coordinates must have length {rank}")
+        raise ValueError(f"--point coordinates must have length {rank}")
     return TorusPoint.make(a, b)
 
 
@@ -280,7 +273,7 @@ def cmd_gammax(args) -> int:
     from .lattice import gamma_x
 
     if not args.point:
-        raise UsageError("gammax requires --point")
+        raise ValueError("gammax requires --point")
     wg = _build(args)
     rs = wg.rs
     ratios = _root_ratios(rs, args.kernel)
@@ -400,9 +393,6 @@ def run(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

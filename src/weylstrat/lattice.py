@@ -77,9 +77,7 @@ def kernel_preset(rs: RootSystem, name: str) -> ExpKernel:
         short = min(rs.root_norms)
         if all(x == short for x in rs.root_norms):
             raise ValueError("so-odd preset needs a short/long length split")
-        short_simple = [
-            i for i, a in enumerate(rs.simple_roots) if rs.pairing(a, a) == short
-        ]
+        short_simple = [j for j, i in enumerate(rs.simple_indices) if rs.root_norms[i] == short]
         if len(short_simple) != 1:
             raise ValueError(
                 f"so-odd preset is defined only when exactly one simple root is short "

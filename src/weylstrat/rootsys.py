@@ -112,7 +112,7 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
 
 
 class RootSystem:
-    """Root system with exact form, Dynkin-label conversions and named roots.
+    """Root system with exact form and Dynkin-label conversions.
 
     Roots are indexed positives-first in lexicographic coordinate order;
     root index i + num_positive is the negative of root index i.
@@ -250,35 +250,6 @@ class RootSystem:
         """Permutation of root indices induced by each root's reflection."""
         return self._reflection_perms
 
-    def named_root(self, kind: str, l: int) -> Vector:
-        """The distinguished roots alpha^A_l, alpha^B_l, alpha^C_l, tilde-alpha^C_l, alpha^D_l."""
-        n = self.rank
-        s = self.simple_roots
-        hi = {"A": n, "B": n - 1, "C": n - 1, "C~": n - 1, "D": n - 3}
-        if kind not in hi:
-            raise ValueError(f"unknown named-root kind {kind!r}")
-        if not 1 <= l <= hi[kind]:
-            raise ValueError(f"index l={l} out of range for kind {kind} in rank {n}")
-        i = l - 1
-        if kind == "A":
-            v = _sum_vecs(s[i:], self.dim)
-        elif kind == "B":
-            v = vec_add(s[i], vec_scale(2, _sum_vecs(s[i + 1 :], self.dim)))
-        elif kind == "C":
-            v = vec_add(vec_scale(2, _sum_vecs(s[i : n - 1], self.dim)), s[n - 1])
-        elif kind == "C~":
-            v = vec_add(
-                vec_add(s[i], vec_scale(2, _sum_vecs(s[i + 1 : n - 1], self.dim))), s[n - 1]
-            )
-        else:  # D
-            v = vec_add(
-                vec_add(s[i], vec_scale(2, _sum_vecs(s[i + 1 : n - 2], self.dim))),
-                vec_add(s[n - 2], s[n - 1]),
-            )
-        if v not in self.index:
-            raise ValueError(f"named root kind {kind} is not defined for {self.lie_type}")
-        return v
-
 
 def _reflection_perms(vecs: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
     """s_a(b) = b - (2 (a, b) / (a, a)) a as root index permutations, in integers.
@@ -296,14 +267,6 @@ def _reflection_perms(vecs: Sequence[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
             perm.append(index[tuple(y - c * x for x, y in zip(a, b))])
         perms.append(tuple(perm))
     return perms
-
-
-def _sum_vecs(vecs: Sequence[Vector], dim: int) -> Vector:
-    out = [Q(0)] * dim
-    for v in vecs:
-        for k, a in enumerate(v):
-            out[k] += a
-    return tuple(out)
 
 
 def _scaled(mat: List[List[Q]], den: int) -> List[List[int]]:

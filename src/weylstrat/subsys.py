@@ -1,10 +1,10 @@
 """Root subsystems: closure, conjugacy classes, and their partial order.
 
-Class enumeration follows the classical-series recipe: split off A factors by
-deleting a node, and other factors by first extending the remaining base with
-the negative of its highest root (or of the dual of the highest dual root).
-Labels come from the generating tuple, which keeps the non-conjugate pairs
-B1/A1, C1/A1, D2/A1+A1 and D3/A3 apart even though they are isomorphic.
+Classes are indexed by factor tuples (A parts, D parts, then B/C parts), and
+each factor of the representative is a root system of its type on its own
+block of orthonormal coordinates (see `_base_for_tuple`). Labels come from the
+tuple, which keeps the non-conjugate pairs B1/A1, C1/A1, D2/A1+A1 and D3/A3
+apart even though they are isomorphic.
 
 Conjugacy, canonical keys and the class order read only the W-orbit of a root
 index set, the images w(S) that `WeylGroup.coset_representatives` walks; no
@@ -17,10 +17,11 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction as Q
 from operator import add
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
-from .rootsys import RootSystem, Vector, vec_neg
+from .rootsys import RootSystem, Vector
 from .weyl import WeylGroup
 
 
@@ -160,55 +161,49 @@ def normalize_label(label: str) -> str:
     return "+".join(f"{f}{i}" for f, i in parsed)
 
 
+def _root(dim: int, *terms: Tuple[int, int]) -> Vector:
+    """The sum of c * e_k over the terms (k, c)."""
+    v = [0] * dim
+    for k, c in terms:
+        v[k] += c
+    return tuple(map(Q, v))
+
+
 def _base_for_tuple(rs: RootSystem, parts: Tuple[Tuple[int, ...], ...]) -> List[Vector]:
-    family = rs.lie_type.family
-    n = rs.rank
-    simple = rs.simple_roots
+    """A base of the class's representative: each factor spans a block of coordinates.
+
+    A_m blocks take m + 1 consecutive coordinates from the first on, and D blocks
+    follow, except that in family D the largest sits at the last coordinates.
+    B/C blocks tile down from the last coordinate, the first factor last. A
+    block's base is e_a - e_(a+1) inside it; D, B and C blocks add e_(b-1) + e_b,
+    e_b or 2e_b at their last coordinate b.
+    """
+    family, dim = rs.lie_type.family, rs.dim
+    blocks = []  # (kind, first coordinate, size)
+    start = 0
+    for m in parts[0]:
+        blocks.append(("A", start, m + 1))
+        start += m + 1
+    d_parts = list(parts[1]) if family != "A" else []
+    if family == "D" and d_parts:
+        m = d_parts.pop()
+        blocks.append(("D", dim - m, m))
+    for m in d_parts:
+        blocks.append(("D", start, m))
+        start += m
+    end = dim
+    for m in parts[2] if family in ("B", "C") else ():
+        end -= m
+        blocks.append((family, end, m))
+
     base: List[Vector] = []
-    i = parts[0]
-    # A factors occupy consecutive nodes with a one-node gap between factors
-    pos = 1
-    for m in i:
-        base.extend(simple[pos - 1 : pos - 1 + m])
-        pos += m + 1
-    a_end = sum(i) + len(i)  # i^r + r
-
-    if family == "A":
-        return base
-
-    if family == "D":
-        j = parts[1]
-        acc = 0
-        for idx, jm in enumerate(j):
-            if idx < len(j) - 1:
-                l = a_end + acc + 1
-                base.append(simple[l - 1])
-                base.append(vec_neg(rs.named_root("D", l)))
-                base.extend(simple[l : l + jm - 2])
-            else:  # largest D factor sits at the forked tail
-                base.extend(simple[n - jm :])
-            acc += jm
-        return base
-
-    # families B and C
-    j, k = parts[1], parts[2]
-    ext_d = "B" if family == "B" else "C~"
-    acc = 0
-    for jm in j:
-        l = a_end + acc + 1
-        base.append(simple[l - 1])
-        base.append(vec_neg(rs.named_root(ext_d, l)))
-        base.extend(simple[l : l + jm - 2])
-        acc += jm
-    ext_k = "A" if family == "B" else "C"
-    ksum = list(itertools.accumulate(k))
-    for m in range(len(k), 0, -1):
-        if m == 1:
-            base.extend(simple[n - k[0] :])
-        else:
-            l = n - ksum[m - 1] + 1
-            base.append(vec_neg(rs.named_root(ext_k, l)))
-            base.extend(simple[l - 1 : n - ksum[m - 2] - 1])
+    for kind, lo, size in blocks:
+        b = lo + size - 1
+        base += [_root(dim, (a, 1), (a + 1, -1)) for a in range(lo, b)]
+        if kind == "D":
+            base.append(_root(dim, (b - 1, 1), (b, 1)))
+        elif kind != "A":
+            base.append(_root(dim, (b, 1 if kind == "B" else 2)))
     return base
 
 

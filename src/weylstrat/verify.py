@@ -152,6 +152,12 @@ def _check_corpus(data) -> None:
         if not pairs_ok:
             raise ValueError(f"corpus row {lam} needs one [c, d] pair of strings or nulls "
                              f"for each of the {n_classes} classes")
+        for v in itertools.chain.from_iterable(values):
+            try:
+                if v is not None:
+                    Q(v)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"corpus row {lam} value {v!r} is not a rational") from None
 
 
 def verify_group(data: dict) -> Tuple[List[Mismatch], Tuple[int, ...]]:

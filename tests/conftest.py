@@ -7,13 +7,17 @@ import pytest
 
 from weylstrat.relcoeff import CoeffTable, subset_sums
 from weylstrat.repthy import dominant_weight_system
-from weylstrat.rootsys import LieType, _invert_rational, build_root_system
+from weylstrat.rootsys import MAX_RANK, LieType, _invert_rational, build_root_system
 from weylstrat.weyl import WeylElement, generate_group, shifted_fold
 
 
 # every classical type up to rank 6
 RANK_SIX_TYPES = [
     (f, r) for f, lo in [("A", 1), ("B", 2), ("C", 2), ("D", 4)] for r in range(lo, 7)
+]
+# every type the commands accept: A1-A8, B2-B8, C2-C8, D4-D8
+SUPPORTED_TYPES = [
+    (f, r) for f, lo in [("A", 1), ("B", 2), ("C", 2), ("D", 4)] for r in range(lo, MAX_RANK + 1)
 ]
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from weylstrat import relcoeff, repthy
+from weylstrat import relcoeff, repthy, verify
 from weylstrat.cli import run
 from weylstrat.lattice import kernel_preset, pq_map
 from weylstrat.rootsys import LieType, build_root_system
@@ -277,12 +277,21 @@ def _corpus_shapes():
         "values shorter than classes": edited(lambda d: d["rows"][1]["values"].pop()),
         "lambda of the wrong length": edited(lambda d: d["rows"][0]["lambda"].append(0)),
         "repeated lambda": edited(repeat_first_row),
+        "undefined value": edited(lambda d: d["rows"][0]["values"][0].__setitem__(0, "1/0")),
+        "value that is not a rational": edited(
+            lambda d: d["rows"][-1]["values"][-1].__setitem__(1, "abc")
+        ),
     }
 
 
 @pytest.mark.parametrize("shape", list(_corpus_shapes()))
-def test_verify_rejects_malformed_corpus(shape, tmp_path, capsys):
-    # exit 1 means only "verification mismatch": a bad file is one error line and exit 2
+def test_verify_rejects_malformed_corpus(shape, tmp_path, capsys, monkeypatch):
+    # exit 1 means only "verification mismatch": a bad file is one error line and
+    # exit 2, refused before any table is computed
+    def refuse(*_args):
+        raise AssertionError("C table computed for a malformed corpus")
+
+    monkeypatch.setattr(verify, "coeff_table", refuse)
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps(_corpus_shapes()[shape]))
     assert run(["verify", "--corpus", str(path)]) == 2

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from weylstrat.cli import run
+from conftest import SUPPORTED_TYPES
 
 # README's SO(5) example kernel, in the C2 numbering, for the --kernel FILE path
 KERNEL = "# SO(5): half step along the short coroot\n1/2 0\n0 1\n"
@@ -182,3 +183,16 @@ def test_output_matches_recorded_digest(cmd, tmp_path, capsys, monkeypatch):
 def test_matrix_covers_every_command_and_format():
     want = [f"{c} --format {f}" for c in COMMANDS for f in FORMATS] + EXTRA
     assert list(DIGESTS) == want
+
+
+# recorded before class representatives were built from coordinate blocks
+SUBSYSTEMS_JSON_DIGEST = "695231cea7818d94b564cf7603c7faa8d0c986253c08964049e6ed75c8fce688"
+
+
+def test_subsystems_json_at_every_supported_type(capsys):
+    # pins the root indices of every class representative of every type
+    h = hashlib.sha256()
+    for family, rank in SUPPORTED_TYPES:
+        assert run(["subsystems", "--family", family, "--rank", str(rank), "--format", "json"]) == 0
+        h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == SUBSYSTEMS_JSON_DIGEST

@@ -12,7 +12,7 @@ from weylstrat.rootsys import (
     vec_neg,
     vec_scale,
 )
-from conftest import RANK_SIX_TYPES, coroot_labels, pairing_tables, root_coords, system
+from conftest import RANK_SIX_TYPES, SUPPORTED_TYPES, coroot_labels, pairing_tables, root_coords, system
 
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -203,47 +203,7 @@ def test_dual_roots():
         rs.dual_root(vec_scale(3, alpha))
 
 
-def test_named_roots():
-    rs, _ = system("B", 3)
-    s = rs.simple_roots
-    expected = tuple(
-        a + 2 * b + 2 * c for a, b, c in zip(s[0], s[1], s[2])
-    )
-    assert rs.named_root("B", 1) == expected
-    assert rs.named_root("B", 1) in rs.index
-
-    rs_c, _ = system("C", 2)
-    a, b = rs_c.simple_roots
-    high = tuple(2 * x + y for x, y in zip(a, b))
-    assert rs_c.named_root("C", 1) == high
-    # highest root: no root exceeds it in the simple-root expansion
-    assert high in rs_c.index
-
-    rs_a, _ = system("A", 3)
-    assert rs_a.named_root("A", 3) == rs_a.simple_roots[2]
-
-    with pytest.raises(ValueError):
-        rs.named_root("D", 1)  # out of range for rank 3
-    with pytest.raises(ValueError):
-        rs.named_root("X", 1)
-
-
-def test_named_roots_are_roots():
-    for family, rank in [("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("D", 5)]:
-        rs, _ = system(family, rank)
-        kinds = {"B": ["A", "B"], "C": ["C", "C~"], "D": ["D"]}[family]
-        hi = {"A": rank, "B": rank - 1, "C": rank - 1, "C~": rank - 1, "D": rank - 3}
-        for kind in kinds:
-            for l in range(1, hi[kind] + 1):
-                assert rs.named_root(kind, l) in rs.index
-
-
-ORACLE_TYPES = [
-    (f, r) for f, lo in [("A", 1), ("B", 2), ("C", 2), ("D", 4)] for r in range(lo, 9)
-]
-
-
-@pytest.mark.parametrize("family,rank", ORACLE_TYPES)
+@pytest.mark.parametrize("family,rank", SUPPORTED_TYPES)
 def test_integer_tables_match_pairing_construction(family, rank):
     # every table built from integer dot products equals its Fraction-pairing build
     rs = root_system(family, rank)

@@ -16,7 +16,7 @@ from weylstrat.subsys import (
     poset_to_dot,
     span_subsystem,
 )
-from conftest import system
+from conftest import SUPPORTED_TYPES, system
 
 
 def classes_by_label(family, rank):
@@ -105,7 +105,10 @@ def test_classes_pairwise_nonconjugate(family, rank):
 
 
 def test_representative_matches_its_base_span():
-    for family, rank in [("B", 3), ("C", 3), ("D", 4)]:
+    # a base spans the representative, has one root per unit of the class's
+    # rank, and its roots meet pairwise at obtuse or right angles; with those
+    # it is linearly independent, hence a base of what it spans
+    for family, rank in SUPPORTED_TYPES:
         rs, wg, classes = classes_by_label(family, rank)
         for c in classes.values():
             sub = span_subsystem(rs, list(c.base))
@@ -113,6 +116,7 @@ def test_representative_matches_its_base_span():
             assert len(c.base) == sum(
                 int(f[1:]) for f in (c.label.split("+") if c.label != "0" else [])
             )
+            assert all(rs.pairing(a, b) <= 0 for a, b in itertools.combinations(c.base, 2))
 
 
 def test_conjugacy():
