@@ -262,6 +262,8 @@ def _parse_point(spec: str, rank: int) -> TorusPoint:
             parts[key] = [Q(tok) for tok in vals.split(",")]
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational in --point: {exc}") from None
+    if not parts:
+        raise ValueError(f"--point {spec!r} has no A=... or B=... component")
     a = parts.get("A", [Q(0)] * rank)
     b = parts.get("B", [Q(0)] * rank)
     if len(a) != rank or len(b) != rank:
@@ -272,8 +274,6 @@ def _parse_point(spec: str, rank: int) -> TorusPoint:
 def cmd_gammax(args) -> int:
     from .lattice import gamma_x
 
-    if not args.point:
-        raise ValueError("gammax requires --point")
     wg = _build(args)
     rs = wg.rs
     ratios = _root_ratios(rs, args.kernel)

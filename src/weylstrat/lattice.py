@@ -17,7 +17,7 @@ from fractions import Fraction as Q
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .rootsys import RootSystem, Vector, _invert_rational, _scaled
+from .rootsys import RootSystem, _invert_rational, _scaled
 from .subsys import RootSubsystem, _closed
 
 
@@ -131,19 +131,14 @@ def check_kernel(rs: RootSystem, kernel: ExpKernel) -> ExpKernel:
 # -- p/q ratios ---------------------------------------------------------------
 
 
-def pq_ratio(rs: RootSystem, kernel: ExpKernel, a: Vector) -> PQRatio:
-    """Coprime (p, q) with {t : t * a^vee in the kernel lattice} = (p/q)Z."""
-    return pq_map(rs, kernel)[rs.root_index(a)]
-
-
 def pq_map(rs: RootSystem, kernel: ExpKernel) -> List[PQRatio]:
-    """p/q for every root index, from one inversion of R.
+    """Coprime (p, q) for every root a, with {t : t * a^vee in the kernel lattice} = (p/q)Z.
 
-    In simple-coroot coordinates the kernel is K = Z^n R, and a root a has the
-    integral coroot coordinates c_j = <omega_j, a^vee> = 2 k(omega_j, a) / k(a, a).
-    With R^-1 = M / den for an integer M, t * c lies in K exactly when
-    t * (c M) / den is integral, so the t form (den / gcd(c M))Z. The roots a
-    and -a share p/q.
+    All come from one inversion of R. In simple-coroot coordinates the kernel
+    is K = Z^n R, and a root a has the integral coroot coordinates
+    c_j = <omega_j, a^vee> = 2 k(omega_j, a) / k(a, a). With R^-1 = M / den
+    for an integer M, t * c lies in K exactly when t * (c M) / den is
+    integral, so the t form (den / gcd(c M))Z. The roots a and -a share p/q.
     """
     inverse = _invert_rational([list(r) for r in kernel.rows])
     den = lcm(*(x.denominator for row in inverse for x in row))

@@ -17,11 +17,10 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from operator import add
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
-from .rootsys import RootSystem, Vector
+from .rootsys import RootSystem
 from .weyl import WeylGroup
 
 
@@ -38,7 +37,7 @@ class RootSubsystem:
 @dataclass(frozen=True)
 class SubsystemClass:
     label: str
-    base: Tuple[Vector, ...]
+    base: Tuple[int, ...]  # root indices
     representative: RootSubsystem
 
     def __len__(self):
@@ -55,10 +54,10 @@ class ClassPoset:
         return self.leq[(label1, label2)]
 
 
-def span_subsystem(rs: RootSystem, base: Sequence[Vector]) -> RootSubsystem:
-    """Smallest subset containing the base and stable under its own reflections."""
+def span_subsystem(rs: RootSystem, base: Sequence[int]) -> RootSubsystem:
+    """Smallest index set containing the base and stable under its own reflections."""
     perms = rs.reflection_perms()
-    current = {rs.root_index(a) for a in base}
+    current = set(base)
     changed = True
     while changed:
         changed = False
@@ -81,10 +80,6 @@ def _closed(rs: RootSystem, indices: FrozenSet[int]) -> bool:
         if k is not None and k not in indices:
             return False
     return True
-
-
-def is_closed(rs: RootSystem, sub: RootSubsystem) -> bool:
-    return _closed(rs, sub.root_indices)
 
 
 def canonical_key(wg: WeylGroup, indices: FrozenSet[int]) -> Tuple[int, ...]:
@@ -161,15 +156,15 @@ def normalize_label(label: str) -> str:
     return "+".join(f"{f}{i}" for f, i in parsed)
 
 
-def _root(dim: int, *terms: Tuple[int, int]) -> Vector:
-    """The sum of c * e_k over the terms (k, c)."""
-    v = [0] * dim
+def _root(rs: RootSystem, *terms: Tuple[int, int]) -> int:
+    """The index of the root that is the sum of c * e_k over the terms (k, c)."""
+    v = [0] * rs.dim
     for k, c in terms:
         v[k] += c
-    return tuple(map(Q, v))
+    return rs.index[tuple(v)]
 
 
-def _base_for_tuple(rs: RootSystem, parts: Tuple[Tuple[int, ...], ...]) -> List[Vector]:
+def _base_for_tuple(rs: RootSystem, parts: Tuple[Tuple[int, ...], ...]) -> List[int]:
     """A base of the class's representative: each factor spans a block of coordinates.
 
     A_m blocks take m + 1 consecutive coordinates from the first on, and D blocks
@@ -196,14 +191,14 @@ def _base_for_tuple(rs: RootSystem, parts: Tuple[Tuple[int, ...], ...]) -> List[
         end -= m
         blocks.append((family, end, m))
 
-    base: List[Vector] = []
+    base: List[int] = []
     for kind, lo, size in blocks:
         b = lo + size - 1
-        base += [_root(dim, (a, 1), (a + 1, -1)) for a in range(lo, b)]
+        base += [_root(rs, (a, 1), (a + 1, -1)) for a in range(lo, b)]
         if kind == "D":
-            base.append(_root(dim, (b - 1, 1), (b, 1)))
+            base.append(_root(rs, (b - 1, 1), (b, 1)))
         elif kind != "A":
-            base.append(_root(dim, (b, 1 if kind == "B" else 2)))
+            base.append(_root(rs, (b, 1 if kind == "B" else 2)))
     return base
 
 

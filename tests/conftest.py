@@ -85,10 +85,70 @@ def reflection(wg, root_index):
     return WeylElement(wg.rs.reflection_perms()[root_index], -1)
 
 
+# -- the Fraction vector layer: the oracle for the integer tables of RootSystem --
+
+
+@functools.cache
+def form_scale(rs):
+    """k = form_scale * (dot product), chosen so that short roots have k(a, a) = 2."""
+    return Q(2, min(sum(x * x for x in a) for a in rs.roots))
+
+
+def pairing(rs, a, b):
+    """k(a, b) of two coordinate vectors, as a Fraction."""
+    return form_scale(rs) * sum(map(mul, a, b))
+
+
+def simple_roots(rs):
+    return [rs.roots[i] for i in rs.simple_indices]
+
+
+@functools.cache
+def cartan_inverse(rs):
+    """The inverse of the Cartan matrix <alpha_i, alpha_j^vee>, from Fraction pairings."""
+    simple = simple_roots(rs)
+    cartan = [[2 * pairing(rs, ai, aj) / pairing(rs, aj, aj) for ai in simple] for aj in simple]
+    return _invert_rational(cartan)
+
+
+@functools.cache
+def fundamental_weights(rs):
+    """omega_i = sum_m cartan_inverse[m][i] * alpha_m, as Fraction vectors."""
+    inverse, simple = cartan_inverse(rs), simple_roots(rs)
+    return [
+        tuple(sum(row[i] * a[k] for row, a in zip(inverse, simple)) for k in range(rs.dim))
+        for i in range(rs.rank)
+    ]
+
+
+def to_labels(rs, x):
+    """Dynkin labels 2 k(x, alpha_j) / k(alpha_j, alpha_j) of a weight-lattice vector."""
+    labels = [2 * pairing(rs, x, a) / pairing(rs, a, a) for a in simple_roots(rs)]
+    assert all(l.denominator == 1 for l in labels), labels
+    return tuple(int(l) for l in labels)
+
+
+def from_labels(rs, labels):
+    """The vector sum_i labels[i] * omega_i."""
+    fund = fundamental_weights(rs)
+    return tuple(sum((l * w[k] for l, w in zip(labels, fund)), Q(0)) for k in range(rs.dim))
+
+
+def reflect(rs, a, x):
+    """The reflection x - (2 k(a, x) / k(a, a)) a of x in the hyperplane orthogonal to a."""
+    c = 2 * pairing(rs, a, x) / pairing(rs, a, a)
+    return tuple(y - c * z for z, y in zip(a, x))
+
+
+def half_sum(rs):
+    """delta, half the sum of the positive roots, as a Fraction vector."""
+    return tuple(Q(sum(col), 2) for col in zip(*rs.roots[: rs.num_positive]))
+
+
 def orbit(wg, x):
     """The W-orbit of a vector, through its label orbit."""
     rs = wg.rs
-    return [rs.from_labels(l) for l in wg.orbit_labels(rs.to_labels(x))]
+    return [from_labels(rs, l) for l in wg.orbit_labels(to_labels(rs, x))]
 
 
 def reflect_labels(wg, i, labels):
@@ -104,12 +164,12 @@ def reflect_labels(wg, i, labels):
 def dominant_representative(wg, x):
     """Pair (d, w) with w(x) = d dominant, reflecting at the first negative label."""
     rs = wg.rs
-    cur = rs.to_labels(x)
+    cur = to_labels(rs, x)
     w = wg.identity
     while True:
         i = next((j for j, l in enumerate(cur) if l < 0), None)
         if i is None:
-            return rs.from_labels(cur), w
+            return from_labels(rs, cur), w
         cur = reflect_labels(wg, i, cur)
         w = wg.compose(wg.generators[i], w)
 
@@ -137,7 +197,7 @@ def coset_movers(wg, root_indices):
 
 def root_coords(rs, lab):
     """Coordinates of a label vector over the simple roots."""
-    inv = rs.cartan_inverse
+    inv = cartan_inverse(rs)
     n = rs.rank
     return [sum(inv[i][j] * lab[j] for j in range(n)) for i in range(n)]
 
@@ -157,8 +217,8 @@ def tuple_dominant_data(wg, labels):
 @functools.cache
 def coroot_labels(rs):
     """<omega_i, a^vee> = 2 k(omega_i, a) / k(a, a) for every root a, in Fraction arithmetic."""
-    weights = rs.fundamental_weights()
-    return [tuple(2 * rs.pairing(w, a) / rs.pairing(a, a) for w in weights) for a in rs.roots]
+    weights = fundamental_weights(rs)
+    return [tuple(2 * pairing(rs, w, a) / pairing(rs, a, a) for w in weights) for a in rs.roots]
 
 
 @functools.cache
@@ -286,40 +346,25 @@ def spread_coeff_table(wg, cls, ratios=None):
 def pairing_tables(rs):
     """The RootSystem tables rebuilt from Fraction pairings of the root vectors.
 
-    The oracle for the integer construction: every table through rs.pairing,
-    the labels of a root through its pairings with the simple roots, the
-    fundamental weights as Fraction combinations of the simple roots, and
-    komega and gram as pairings of those weights.
+    The oracle for the integer construction: every table through `pairing`,
+    the labels of a root through its pairings with the simple roots, and
+    komega and gram as pairings of the Fraction fundamental weights.
     """
-    simple, positives = rs.simple_roots, rs.roots[: rs.num_positive]
-    zero = tuple(Q(0) for _ in range(rs.dim))
-
-    def vsum(vecs):
-        return functools.reduce(lambda x, y: tuple(a + b for a, b in zip(x, y)), vecs, zero)
-
-    def labels(x):
-        return tuple(2 * rs.pairing(x, aj) / rs.pairing(aj, aj) for aj in simple)
-
-    cartan = [[int(2 * rs.pairing(ai, aj) / rs.pairing(aj, aj)) for ai in simple] for aj in simple]
-    inverse = _invert_rational([[Q(c) for c in row] for row in cartan])
+    simple, positives = simple_roots(rs), rs.roots[: rs.num_positive]
+    cartan = [list(col) for col in zip(*(to_labels(rs, a) for a in simple))]
+    inverse = cartan_inverse(rs)
     cartan_den = math.lcm(*(x.denominator for row in inverse for x in row))
-    fund = [
-        vsum([tuple(row[i] * x for x in a) for row, a in zip(inverse, simple)])
-        for i in range(rs.rank)
-    ]
-    fund_gram = [[rs.pairing(a, b) for b in fund] for a in fund]
+    fund = fundamental_weights(rs)
+    fund_gram = [[pairing(rs, a, b) for b in fund] for a in fund]
     norm_den = math.lcm(*(x.denominator for row in fund_gram for x in row))
-    komega = [[rs.pairing(w, a) for w in fund] for a in positives]
+    komega = [[pairing(rs, w, a) for w in fund] for a in positives]
     assert all(x.denominator == 1 for row in komega for x in row)
     return {
-        "delta": tuple(x / 2 for x in vsum(positives)),
-        "root_norms": [rs.pairing(a, a) for a in rs.roots],
+        "root_norms": [pairing(rs, a, a) for a in rs.roots],
         "cartan": cartan,
-        "root_labels": [tuple(int(l) for l in labels(a)) for a in rs.roots],
-        "cartan_inverse": inverse,
+        "root_labels": [to_labels(rs, a) for a in rs.roots],
         "cartan_den": cartan_den,
         "scaled_cartan_inverse": [[int(x * cartan_den) for x in row] for row in inverse],
-        "fundamental_weights": fund,
         "norm_den": norm_den,
         "gram": [[int(x * norm_den) for x in row] for row in fund_gram],
         "komega": [[int(x) for x in row] for row in komega],

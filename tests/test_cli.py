@@ -88,6 +88,9 @@ def test_pq_and_gammax(capsys):
     assert payload["class"] == "D2"
     assert payload["closed"] is False
     assert len(payload["root_indices"]) == 4
+    # A defaults to zero, so a B component alone names a point
+    assert run(["gammax", "--family", "A", "--rank", "2", "--point", "B=0,0", "--format", "json"]) == 0
+    assert json.loads(out_of(capsys))["class"] == "A2"
 
 
 def test_kblock(capsys):
@@ -166,6 +169,10 @@ def test_usage_errors(tmp_path, capsys):
         kblock + ["--cutoff", "5", "--hbar", "1e308"],  # hbar * exponent is inf itself
         ["subsystems", "--family", "A", "--rank", "9"],  # past MAX_RANK
         ["gammax", "--family", "A", "--rank", "2", "--point", "A=1/2,0;A=0,0"],  # a repeated key
+        # a blank point, never read as the origin
+        ["gammax", "--family", "A", "--rank", "2", "--point", ""],
+        ["gammax", "--family", "A", "--rank", "2", "--point", " "],
+        ["gammax", "--family", "A", "--rank", "2", "--point", ";"],
         # an empty label or factor, never read as class 0 or dropped to leave the A1 or A1+A1 table
         ["coeffs", "--family", "A", "--rank", "1", "--class", ""],
         ["coeffs", "--family", "A", "--rank", "3", "--class", "A1+"],

@@ -58,6 +58,11 @@ EXTRA = [
     # default format, and a file target
     "hasse --family B --rank 2",
     "coeffs --family A --rank 1 --class 0 --format csv --out {out}",
+    # root coordinates at more types, recorded before roots held integer coordinates
+    "pq --family A --rank 3 --format json",
+    "pq --family B --rank 4 --kernel so-odd --format json",
+    "pq --family D --rank 5 --format json",
+    "gammax --family B --rank 3 --kernel so-odd --point A=1/2,0,0 --format json",
 ]
 
 
@@ -170,6 +175,10 @@ DIGESTS = {
     "verify --group Nope": "fb1ff8203a982a055ec14f08e176d44e36fde2f1dd0d66c8dedeb06cb70fc2b9",
     "hasse --family B --rank 2": "6ce80d9c7771ace44d5357af42d5b320997cbe8dae4e9da33794026dacecac5c",
     "coeffs --family A --rank 1 --class 0 --format csv --out {out}": "e7f222d1df55b789ccb9f903593fc8297d058086b8495757f1965f6644c7af00",
+    "pq --family A --rank 3 --format json": "f5b9802b749c2a50792520c8feff8ab12e997dca6127ce7bbb5dda3d4eb2d660",
+    "pq --family B --rank 4 --kernel so-odd --format json": "2fe330fe14a9eeac3084156f1ec61e3197386b5e6cf1e9ec6734614e81493f3f",
+    "pq --family D --rank 5 --format json": "ea6055196f831ad1715203e95d4eb69d253029179cf8e8e0b43d0f7fb16e22a7",
+    "gammax --family B --rank 3 --kernel so-odd --point A=1/2,0,0 --format json": "e720537647cd202a70fe02cfb11393f3fa93b91ebd2f930d33de52b4a59f66ad",
 }
 
 

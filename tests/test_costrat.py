@@ -88,7 +88,7 @@ def test_d_representative_independence():
     moved = frozenset(w.perm[i] for i in cls.representative.root_indices)
     alt = SubsystemClass(
         cls.label,
-        tuple(rs.roots[w.perm[rs.root_index(b)]] for b in cls.base),
+        tuple(w.perm[b] for b in cls.base),
         RootSubsystem(moved, cls.representative.closed, cls.label),
     )
     assert d_coeffs(rs, coeff_table(wg, alt)).entries == base
@@ -279,7 +279,7 @@ def test_kblock_columns_budget():
 @pytest.mark.parametrize("family,rank", RANK_SIX_TYPES)
 def test_cutoffs_near_delta_are_admitted(family, rank):
     rs, _ = system(family, rank)
-    delta_sq = rs.labels_norm_sq(rs.delta_labels)
+    delta_sq = rs.labels_norm_sq((1,) * rank)
     assert kblock_columns(rs, delta_sq) == [(0,) * rank]
     fundamentals = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
     wider = kblock_columns(rs, max(rs.labels_norm_sq([l + 1 for l in w]) for w in fundamentals))

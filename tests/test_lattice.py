@@ -14,11 +14,10 @@ from weylstrat.lattice import (
     kernel_from_file,
     kernel_preset,
     pq_map,
-    pq_ratio,
 )
 from weylstrat.rootsys import _invert_rational
 from weylstrat.subsys import enumerate_classes
-from conftest import inverse, label_mat, system
+from conftest import cartan_inverse, inverse, label_mat, system
 
 
 def test_presets():
@@ -122,7 +121,7 @@ def test_so5_ratios_with_brute_force_oracle():
                 vals.add(k1 * kernel.rows[0][j0] + k2 * kernel.rows[1][j0])
         positive = sorted(v for v in vals if v > 0)
         gen = positive[0]
-        got = pq_ratio(rs, kernel, rs.simple_roots[j0])
+        got = ratios[rs.simple_indices[j0]]
         assert Q(got.p, got.q) == gen
         # generated lattice really is gen * Z within the scan window
         assert all(v % gen == 0 for v in vals)
@@ -200,11 +199,12 @@ def _sweep_kernels(rs, count, seed):
     """Seeded kernels R = M * (fundamental coweight rows) that check_kernel accepts."""
     rng = random.Random(seed)
     n = rs.rank
+    cinv = cartan_inverse(rs)
     kept = []
     for _ in range(2000):
         m = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         rows = tuple(
-            tuple(sum(m[i][k] * rs.cartan_inverse[k][j] for k in range(n)) for j in range(n))
+            tuple(sum(m[i][k] * cinv[k][j] for k in range(n)) for j in range(n))
             for i in range(n)
         )
         try:
@@ -248,6 +248,6 @@ def test_pq_map_matches_brute_force_on_random_kernels(family, rank):
                 found[nonzero[0]].add(Q(v[nonzero[0]], den))
         for j in range(rank):
             gen = min(t for t in found[j] if t > 0)
-            got = rk[rs.root_index(rs.simple_roots[j])]
+            got = rk[rs.simple_indices[j]]
             assert Q(got.p, got.q) == gen
             assert all(t % gen == 0 for t in found[j])

@@ -23,8 +23,8 @@ from weylstrat.rootsys import LieType, build_root_system
 from weylstrat.subsys import SubsystemClass, enumerate_classes, RootSubsystem
 from weylstrat.weyl import WeylGroup, generate_group
 from conftest import (
-    RANK_SIX_TYPES, apply_labels, coset_movers, inverse, label_mat, spread_coeff_table, system,
-    tree_walk_fold,
+    RANK_SIX_TYPES, apply_labels, cartan_inverse, coset_movers, inverse, label_mat,
+    spread_coeff_table, system, tree_walk_fold,
 )
 
 
@@ -72,7 +72,7 @@ def norm_ball(rs, v):
     ||l + delta|| <= M + ||delta||.
     """
     max_norm = max((rs.labels_norm_sq(k) for k in v), default=Q(0))
-    delta_sq = rs.labels_norm_sq(rs.delta_labels)
+    delta_sq = rs.labels_norm_sq((1,) * rs.rank)
     return dominant_labels_within(rs, 2 * (max_norm + delta_sq))
 
 
@@ -259,7 +259,7 @@ def kernel_ratios(rs, kernel):
     if kernel == "so-odd":
         return pq_map(rs, kernel_preset(rs, kernel))
     if kernel == "coweight":
-        rows = rs.cartan_inverse
+        rows = cartan_inverse(rs)
     else:
         rows = [[Q(t) for t in row.split()] for row in kernel.split(";")]
     return pq_map(rs, check_kernel(rs, ExpKernel(tuple(map(tuple, rows)))))
@@ -424,7 +424,7 @@ def moved_class(rs, cls, w):
     moved = frozenset(w.perm[i] for i in cls.representative.root_indices)
     return SubsystemClass(
         cls.label,
-        tuple(rs.roots[w.perm[rs.root_index(b)]] for b in cls.base),
+        tuple(w.perm[b] for b in cls.base),
         RootSubsystem(moved, cls.representative.closed, cls.label),
     )
 

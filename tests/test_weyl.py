@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylstrat.relcoeff import coeff_table
-from weylstrat.rootsys import LieType, build_root_system, vec_neg, vec_scale
+from weylstrat.rootsys import LieType, build_root_system
 from weylstrat.subsys import RootSubsystem, are_conjugate, build_poset, enumerate_classes
 from weylstrat.weyl import expected_group_order, generate_group
 from conftest import (
-    RANK_SIX_TYPES, apply_labels, coset_movers, dominant_representative, inverse, label_mat,
-    orbit, reflect_labels, reflection, system, tuple_dominant_data, weight_system, word_element,
+    RANK_SIX_TYPES, apply_labels, coset_movers, dominant_representative, from_labels,
+    fundamental_weights, half_sum, inverse, label_mat, orbit, pairing, reflect, reflect_labels,
+    reflection, simple_roots, system, to_labels, tuple_dominant_data, weight_system,
+    word_element,
 )
 
 
@@ -41,17 +43,16 @@ def test_sign_is_homomorphism():
 
 def test_reflection_basics():
     rs, wg = system("C", 2)
-    alpha, beta = rs.simple_roots
-    assert rs.reflect(alpha, alpha) == vec_neg(alpha)
+    alpha, beta = simple_roots(rs)
+    assert reflect(rs, alpha, alpha) == tuple(-x for x in alpha)
     # sigma_alpha(beta) = beta + 2 alpha = the long root at the top of the string
     expected = tuple(b + 2 * a for a, b in zip(alpha, beta))
-    assert rs.reflect(alpha, beta) == expected
+    assert reflect(rs, alpha, beta) == expected
+    assert rs.reflection_perms()[rs.index[alpha]][rs.index[beta]] == rs.index[expected]
     # fixes the orthogonal hyperplane
     orth = (Q(1), Q(1))
-    assert rs.pairing(alpha, orth) == 0
-    assert rs.reflect(alpha, orth) == orth
-    with pytest.raises(ValueError):
-        rs.reflect((Q(3), Q(0)), alpha)
+    assert pairing(rs, alpha, orth) == 0
+    assert reflect(rs, alpha, orth) == orth
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2)])
@@ -71,7 +72,7 @@ def test_orbits():
     assert wg.orbit_labels((0,)) == [(0,)]
     assert wg.orbit_labels((2,)) == [(-2,), (2,)]
     rs2, wg2 = system("A", 2)
-    assert len(orbit(wg2, rs2.delta)) == 6  # delta is regular
+    assert len(orbit(wg2, half_sum(rs2))) == 6  # delta is regular
 
 
 def test_orbit_sizes_divide_group_order():
@@ -88,14 +89,15 @@ def test_orbit_sizes_divide_group_order():
 
 def test_dominant_representative():
     rs, wg = system("A", 1)
-    d, w = dominant_representative(wg, rs.from_labels([-2]))
-    assert rs.to_labels(d) == (2,) and w.sign == -1
-    d, w = dominant_representative(wg, rs.from_labels([3]))
-    assert rs.to_labels(d) == (3,) and w is wg.identity
+    d, w = dominant_representative(wg, from_labels(rs, [-2]))
+    assert to_labels(rs, d) == (2,) and w.sign == -1
+    d, w = dominant_representative(wg, from_labels(rs, [3]))
+    assert to_labels(rs, d) == (3,) and w is wg.identity
 
     rs2, wg2 = system("A", 2)
-    d, w = dominant_representative(wg2, vec_scale(-1, rs2.delta))
-    assert d == rs2.delta
+    delta = half_sum(rs2)
+    d, w = dominant_representative(wg2, tuple(-x for x in delta))
+    assert d == delta
     assert apply_labels(rs2, w, (-1, -1)) == (1, 1)
     assert w.sign == -1  # longest element of A2 has odd length
 
@@ -252,8 +254,8 @@ def test_sparse_reflections_match_dense_matrices(family, rank):
             assert reflect_labels(wg, i, lab) == dense_reflect(wg, i, lab)
         dom, length, regular = dense_dominant(wg, lab)
         assert wg.dominant_data(lab) == (dom, (-1) ** length, regular), lab
-        d, w = dominant_representative(wg, rs.from_labels(lab))
-        assert rs.to_labels(d) == dom
+        d, w = dominant_representative(wg, from_labels(rs, lab))
+        assert to_labels(rs, d) == dom
         assert apply_labels(rs, w, lab) == dom and w.sign == (-1) ** length
     # orbits of the fundamental weights and of one two-node weight stay small at rank 6
     units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
@@ -280,9 +282,9 @@ def test_composed_elements_match_dense_products(family, rank):
         assert wg.compose(w, winv) == wg.identity == wg.compose(winv, w)
         assert mat_mul(label_mat(rs, winv), dense) == ident
     # a reflection's label matrix, column i = s_a(omega_i), against Fraction coordinates
-    weights = rs.fundamental_weights()
+    weights = fundamental_weights(rs)
     for r in rng.sample(range(len(rs.roots)), min(5, len(rs.roots))):
-        cols = [rs.to_labels(rs.reflect(rs.roots[r], x)) for x in weights]
+        cols = [to_labels(rs, reflect(rs, rs.roots[r], x)) for x in weights]
         assert label_mat(rs, reflection(wg, r)) == tuple(zip(*cols)), r
 
 
