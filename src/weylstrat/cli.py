@@ -5,17 +5,19 @@ Output ordering is fully specified (classes by cardinality then label, rows
 lexicographic in Dynkin labels), so emission is byte-stable across runs.
 Exit codes: 0 success, 1 verification mismatch, 2 usage error.
 Each subcommand imports the table, lattice and verify modules it runs when it
-runs, so a command loads none that it does not call.
+runs, and `_emit` loads csv, and json's string encoder, only for the format it
+writes (json is read only by verify), so a command loads none that it does not
+call. JSON output has the layout of json.dumps(obj, indent=1), written by
+`_json`, which renders each label tuple once per depth.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
+from collections.abc import Iterator
 from fractions import Fraction as Q
+from functools import lru_cache, partial
 from itertools import chain
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
@@ -62,16 +64,73 @@ def _class_table(args, wg: WeylGroup):
     return cls, relcoeff.coeff_table(wg, cls, _root_ratios(wg.rs, args.kernel))
 
 
+def _json(obj) -> str:
+    """The text of json.dumps(obj, indent=1), for the values the CLI emits.
+
+    Takes str, int, bool, None, dicts with str keys, and lists, tuples and
+    iterators (generators, map, chain), each of the last three rendered as an
+    array. Anything else raises TypeError, as json.dumps does: sets too, since
+    their order is not fixed, and keys other than str, which the string
+    encoder refuses. A tuple of plain ints, such as a label, is rendered once
+    per depth and then looked up.
+    """
+    from json.encoder import encode_basestring_ascii as quote
+
+    memo: Dict[tuple, str] = {}
+
+    def render(o, depth: int) -> str:
+        if type(o) is tuple and all(type(x) is int for x in o):
+            key = (o, depth)
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = array(o, depth)
+            return text
+        if isinstance(o, str):
+            return quote(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, (list, tuple, Iterator)):
+            return array(o, depth)
+        if isinstance(o, dict):
+            parts = [quote(k) + ": " + render(v, depth + 1) for k, v in o.items()]
+            return join("{", parts, "}", depth)
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    def array(items, depth: int) -> str:
+        return join("[", [render(v, depth + 1) for v in items], "]", depth)
+
+    def join(open_: str, parts: List[str], close: str, depth: int) -> str:
+        if not parts:
+            return open_ + close
+        inner = "\n" + " " * (depth + 1)
+        # the brackets go on the end parts, so the joined text is never copied
+        parts[0] = open_ + inner + parts[0]
+        parts[-1] += "\n" + " " * depth + close
+        return ("," + inner).join(parts)
+
+    return render(obj, 0)
+
+
 def _emit(args, payload: Optional[dict], csv_rows: Optional[Iterable], text: Iterable[str]):
     """Render the selected --format only and write it to --out or stdout.
 
     json needs a payload and csv needs rows; any other request, and either of
-    those without its data, falls back to the text chunks.
+    those without its data, falls back to the text chunks. The output is
+    rendered whole before anything is written, so an error leaves no output.
     """
     if args.format == "json" and payload is not None:
         header = {"family": args.family, "rank": args.rank, "kernel": getattr(args, "kernel", "sc")}
-        out = json.dumps({"group": header, **payload}, indent=1) + "\n"
+        out = _json({"group": header, **payload}) + "\n"
     elif args.format == "csv" and csv_rows is not None:
+        import csv
+        import io
+
         buf = io.StringIO()
         csv.writer(buf).writerows(csv_rows)
         out = buf.getvalue()
@@ -190,31 +249,39 @@ def cmd_kblock(args) -> int:
     columns = costrat.kblock_columns(rs, norm_sq)  # before the tables, which may take long
     cls, table = _class_table(args, wg)
     block = costrat.k_block(wg, costrat.d_coeffs(rs, table), norm_sq, columns)
-    entries = []
-    for (row, col), v in sorted(block.entries.items()):
-        e = {"lambda_row": list(row), "lambda_col": list(col), "value": str(v)}
-        if cfg is not None:
-            ratio, _exp = costrat.norm_ratio(rs, cfg, row, col)
-            e["value_with_norms"] = repr(ratio * float(v))
-        entries.append(e)
+    items = sorted(block.entries.items())
     incomplete = sorted(block.incomplete_rows)
+    if cfg is None:
+        entries = (
+            {"lambda_row": row, "lambda_col": col, "value": str(v)} for (row, col), v in items
+        )
+    else:
+        # every format computes the ratios, so each refuses an --hbar that overflows one
+        norm = lru_cache(maxsize=None)(partial(costrat.shifted_norm_sq, rs))
+        ratios = [costrat.hbar_ratio(cfg, norm(row), norm(col))[0] for (row, col), _ in items]
+        entries = (
+            {
+                "lambda_row": row,
+                "lambda_col": col,
+                "value": str(v),
+                "value_with_norms": repr(ratio * float(v)),
+            }
+            for ((row, col), v), ratio in zip(items, ratios)
+        )
     payload = {
         "class": cls.label,
         "cutoff": str(cutoff),
         "entries": entries,
-        "possibly_incomplete_rows": [list(l) for l in incomplete],
+        "possibly_incomplete_rows": incomplete,
     }
+    name = lru_cache(maxsize=None)(_fmt_lambda)
     csv_rows = chain(
         [["lambda_row", "lambda_col", "value"]],
-        ([_fmt_lambda(e["lambda_row"]), _fmt_lambda(e["lambda_col"]), e["value"]] for e in entries),
+        ([name(row), name(col), str(v)] for (row, col), v in items),
     )
     text = chain(
-        (
-            f"{_fmt_lambda(e['lambda_row']):>10s} {_fmt_lambda(e['lambda_col']):>10s} "
-            f"{e['value']:>10s}\n"
-            for e in entries
-        ),
-        [f"# possibly incomplete columns near cutoff: {' '.join(map(_fmt_lambda, incomplete))}\n"]
+        (f"{name(row):>10s} {name(col):>10s} {v:>10d}\n" for (row, col), v in items),
+        [f"# possibly incomplete columns near cutoff: {' '.join(map(name, incomplete))}\n"]
         if incomplete
         else [],
     )
@@ -303,6 +370,8 @@ def cmd_verify(args) -> int:
     from . import verify as verify_mod
 
     if args.corpus:
+        import json
+
         with open(args.corpus) as fh:
             groups = [json.load(fh)]
     else:

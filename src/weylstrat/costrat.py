@@ -13,7 +13,8 @@ one to the dominant chamber once per block, through a table keyed by packed
 ints; `shifted_fold` stays the definition and is the tests' oracle for it.
 All K entries are stored in normalized form (the ratio of character norms is
 divided out), which keeps every table an exact integer and independent of
-hbar; the transcendental factor is reinstated on demand by norm_ratio.
+hbar; the transcendental factor is reinstated on demand by norm_ratio, or by
+hbar_ratio from shifted norms a caller computes once per distinct lambda.
 """
 
 from __future__ import annotations
@@ -207,13 +208,17 @@ def k_block(
     return KBlock(dtable.class_label, cutoff, entries, incomplete)
 
 
-def norm_ratio(
-    rs: RootSystem, cfg: HbarConfig, lam_num: Sequence[int], lam_den: Sequence[int]
-) -> Tuple[float, Q]:
-    """Ratio of character norms and the exact rational coefficient of hbar in its log."""
-    a = rs.labels_norm_sq([l + 1 for l in lam_num])
-    b = rs.labels_norm_sq([l + 1 for l in lam_den])
-    exponent = (a - b) / 2
+def shifted_norm_sq(rs: RootSystem, lam: Sequence[int]) -> Q:
+    """||lam + delta||^2, the norm that enters a character norm."""
+    return rs.labels_norm_sq([l + 1 for l in lam])
+
+
+def hbar_ratio(cfg: HbarConfig, norm_num: Q, norm_den: Q) -> Tuple[float, Q]:
+    """exp(hbar * e) and the exact e = (norm_num - norm_den) / 2, from two shifted norms.
+
+    Raises ValueError when the float overflows.
+    """
+    exponent = (norm_num - norm_den) / 2
     try:
         ratio = math.exp(cfg.hbar * float(exponent))
     except OverflowError:
@@ -221,6 +226,13 @@ def norm_ratio(
     if ratio == math.inf:
         raise ValueError(f"--hbar {cfg.hbar} overflows the norm ratio exp(hbar * {exponent})")
     return ratio, exponent
+
+
+def norm_ratio(
+    rs: RootSystem, cfg: HbarConfig, lam_num: Sequence[int], lam_den: Sequence[int]
+) -> Tuple[float, Q]:
+    """Ratio of character norms and the exact rational coefficient of hbar in its log."""
+    return hbar_ratio(cfg, shifted_norm_sq(rs, lam_num), shifted_norm_sq(rs, lam_den))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from weylstrat import relcoeff, repthy, verify
-from weylstrat.cli import run
+from weylstrat import costrat, relcoeff, repthy, verify
+from weylstrat.cli import _json, run
 from weylstrat.lattice import kernel_preset, pq_map
-from weylstrat.rootsys import LieType, build_root_system
+from weylstrat.rootsys import LieType, RootSystem, build_root_system
 from weylstrat.subsys import normalize_label
 from weylstrat.verify import load_corpus
 from weylstrat.weyl import generate_group
@@ -113,6 +115,41 @@ def test_kblock(capsys):
     assert float(diag["value_with_norms"]) == pytest.approx(2.0)  # equal norms cancel
     assert run(["kblock", "--family", "A", "--rank", "1", "--class", "0"]) == 2  # no cutoff
     capsys.readouterr()
+
+
+def test_kblock_hbar_takes_one_norm_per_label(monkeypatch, capsys):
+    calls = []
+    norm = RootSystem.labels_norm_sq
+
+    def counted(rs, labels):
+        calls.append(tuple(labels))
+        return norm(rs, labels)
+
+    monkeypatch.setattr(RootSystem, "labels_norm_sq", counted)
+    argv = ["kblock", "--family", "B", "--rank", "2", "--class", "0", "--cutoff", "16",
+            "--kernel", "so-odd", "--hbar", "1.0", "--format", "json"]
+    assert run(argv) == 0
+    entries = json.loads(out_of(capsys))["entries"]
+    labels = {tuple(e[k]) for e in entries for k in ("lambda_row", "lambda_col")}
+    assert len(entries) == 1486
+    assert sorted(calls) == sorted(tuple(l + 1 for l in lam) for lam in labels)
+    rs, cfg = build_root_system(LieType("B", 2)), costrat.HbarConfig(1.0)
+    for e in entries[::97]:
+        ratio, _ = costrat.norm_ratio(rs, cfg, e["lambda_row"], e["lambda_col"])
+        assert e["value_with_norms"] == repr(ratio * float(e["value"]))
+
+
+def test_kblock_hbar_overflow_writes_nothing_in_any_format(tmp_path, capsys):
+    target = tmp_path / "block.out"
+    for fmt in ("json", "csv", "text"):
+        argv = ["kblock", "--family", "B", "--rank", "2", "--class", "0", "--cutoff", "16",
+                "--kernel", "so-odd", "--hbar", "10", "--format", fmt]
+        assert run(argv) == 2, fmt
+        captured = capsys.readouterr()
+        assert captured.out == "" and "overflows the norm ratio" in captured.err, fmt
+        assert run(argv + ["--out", str(target)]) == 2, fmt
+        capsys.readouterr()
+        assert not target.exists(), fmt
 
 
 def test_kblock_rank_six_cutoff_near_delta(capsys):
@@ -338,3 +375,66 @@ def test_readme_cli_examples(capsys):
     for argv in examples:
         assert run(argv) == 0, argv
         assert out_of(capsys), argv
+
+
+# -- the JSON writer: json.dumps(obj, indent=1) is the oracle ---------------------
+
+TEXT = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", '\\"', "\x00\x08\t\n\x1f\x7f", "\u00e9\u2713\U0001d524", "\ud800", ""]
+)
+INTS = (
+    st.integers(-(2**70), 2**70)
+    | st.integers(2**64 + 1, 2**200)
+    | st.integers(-(2**200), -(2**64) - 1)
+)
+LABELS = st.lists(st.integers(-3, 12), max_size=4).map(tuple)
+LEAVES = st.none() | st.booleans() | INTS | TEXT | LABELS
+VALUES = st.recursive(
+    LEAVES,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, kids, max_size=4),
+    max_leaves=30,
+)
+# one label at several depths, where the writer renders it once per depth
+SHARED = st.tuples(LABELS, VALUES).map(lambda p: [p[0], [p[0], {"k": p[0]}], p[1], (p[0],), p[0]])
+
+
+def lazy(v):
+    """v with every list replaced by a generator over its items."""
+    if isinstance(v, list):
+        return (lazy(x) for x in v)
+    if isinstance(v, tuple):
+        return tuple(lazy(x) for x in v)
+    if isinstance(v, dict):
+        return {k: lazy(x) for k, x in v.items()}
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES | SHARED)
+def test_json_writer_is_json_dumps_indent_one(value):
+    want = json.dumps(value, indent=1)
+    assert _json(value) == want
+    assert _json(lazy(value)) == want
+
+
+def test_json_writer_edge_cases():
+    empties = [[], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[[], {"b": ()}]]]
+    assert _json(empties) == json.dumps(empties, indent=1)
+    assert _json([(x for x in ()), {"a": iter([])}]) == json.dumps([[], {"a": []}], indent=1)
+    # equal tuples that render differently never share a memo entry
+    mixed = [(1, 0), (True, False), [(1, 0)], ((1, 0),), (1, 0)]
+    assert _json(mixed) == json.dumps(mixed, indent=1)
+    assert _json(iter([(2,), [3]])) == json.dumps([[2], [3]], indent=1)
+    assert _json(-(2**100)) == str(-(2**100))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, [0.0], Fraction(1, 2), {"a": Fraction(1)}, {1, 2}, [frozenset()], [(1,), (Fraction(1),)],
+     [(0,), (0.0,)], {1: 2}, {"a": {(0,): 1}}, object(), {"a": b"bytes"}],
+)
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json(value)

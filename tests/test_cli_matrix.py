@@ -11,6 +11,7 @@ own usage message, whose wording can change between Python releases.
 """
 
 import hashlib
+import json
 import shlex
 from pathlib import Path
 
@@ -63,11 +64,15 @@ EXTRA = [
     "pq --family B --rank 4 --kernel so-odd --format json",
     "pq --family D --rank 5 --format json",
     "gammax --family B --rank 3 --kernel so-odd --point A=1/2,0,0 --format json",
+    # an empty K block, and the A3 block's csv and text, recorded before kblock rendered lazily
+    "kblock --family A --rank 2 --class 0 --cutoff 0 --format json",
+    "kblock --family A --rank 3 --class 0 --cutoff 10 --format csv",
+    "kblock --family A --rank 3 --class 0 --cutoff 10 --format text",
 ]
 
 
-def digest(cmd, capsys):
-    """sha256 over (exit code, stdout, stderr, --out file), each length-prefixed.
+def run_case(cmd, capsys):
+    """(exit code, stdout, stderr, --out file) of one case.
 
     Runs in the current directory, which must be empty and writable: the
     kernel path appears in the JSON header, so it has to be the same relative
@@ -77,9 +82,14 @@ def digest(cmd, capsys):
     kernel.write_text(KERNEL)
     code = run([a.format(kernel=kernel, out=out) for a in shlex.split(cmd)])
     captured = capsys.readouterr()
-    written = out.read_bytes() if out.exists() else b""
+    return code, captured.out, captured.err, out.read_bytes() if out.exists() else b""
+
+
+def digest(cmd, capsys):
+    """sha256 over run_case's four parts, each length-prefixed."""
+    code, out, err, written = run_case(cmd, capsys)
     h = hashlib.sha256()
-    for part in (str(code).encode(), captured.out.encode(), captured.err.encode(), written):
+    for part in (str(code).encode(), out.encode(), err.encode(), written):
         h.update(len(part).to_bytes(8, "big"))
         h.update(part)
     return h.hexdigest()
@@ -179,6 +189,9 @@ DIGESTS = {
     "pq --family B --rank 4 --kernel so-odd --format json": "2fe330fe14a9eeac3084156f1ec61e3197386b5e6cf1e9ec6734614e81493f3f",
     "pq --family D --rank 5 --format json": "ea6055196f831ad1715203e95d4eb69d253029179cf8e8e0b43d0f7fb16e22a7",
     "gammax --family B --rank 3 --kernel so-odd --point A=1/2,0,0 --format json": "e720537647cd202a70fe02cfb11393f3fa93b91ebd2f930d33de52b4a59f66ad",
+    "kblock --family A --rank 2 --class 0 --cutoff 0 --format json": "a489a71a6a3462c7fa3e4611697571957ed0e9c4c8498c525c411cc39784e16a",
+    "kblock --family A --rank 3 --class 0 --cutoff 10 --format csv": "6145b51c880822789363e7657398e30a42f9d6826f2756b8b575e60525e9b75d",
+    "kblock --family A --rank 3 --class 0 --cutoff 10 --format text": "1527dd29a3fc4ed1b55fc69d4641a014ef06b83cce5b00c6e8c4fbf341b8cdee",
 }
 
 
@@ -187,6 +200,18 @@ def test_output_matches_recorded_digest(cmd, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal
     assert digest(cmd, capsys) == DIGESTS[cmd]
+
+
+# verify writes its text report in every format
+JSON_CASES = [c for c in DIGESTS if c.endswith("--format json") and not c.startswith("verify")]
+
+
+@pytest.mark.parametrize("cmd", JSON_CASES)
+def test_json_output_is_json_dumps_indent_one(cmd, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _, _ = run_case(cmd, capsys)
+    assert code == 0
+    assert json.dumps(json.loads(out), indent=1) + "\n" == out
 
 
 def test_matrix_covers_every_command_and_format():
