@@ -28,7 +28,7 @@ from .subsys import (
 from .weyl import WeylGroup, generate_group
 
 if TYPE_CHECKING:
-    from .lattice import PQRatio, TorusPoint
+    from .lattice import TorusPoint
 
 
 def _build(args) -> WeylGroup:
@@ -47,13 +47,12 @@ def _find_class(classes: List[SubsystemClass], label: str) -> SubsystemClass:
     )
 
 
-def _root_ratios(rs, spec: str) -> List[PQRatio]:
-    """p/q of every root under --kernel: a preset (sc, so-odd) or a kernel matrix file."""
-    from .lattice import check_kernel, kernel_from_file, kernel_preset, pq_map
+def _kernel_scales(rs, spec: str) -> List[int]:
+    """q of every root under --kernel: a preset (sc, so-odd) or a kernel matrix file."""
+    from .lattice import kernel_from_file, kernel_preset, pq_map
 
-    if spec in ("sc", "so-odd"):
-        return pq_map(rs, kernel_preset(rs, spec))
-    return pq_map(rs, check_kernel(rs, kernel_from_file(spec)))
+    kernel = kernel_preset(rs, spec) if spec in ("sc", "so-odd") else kernel_from_file(spec)
+    return pq_map(rs, kernel)
 
 
 def _class_table(args, wg: WeylGroup):
@@ -61,7 +60,7 @@ def _class_table(args, wg: WeylGroup):
     from . import relcoeff
 
     cls = _find_class(enumerate_classes(wg.rs, wg), args.cls)
-    return cls, relcoeff.coeff_table(wg, cls, _root_ratios(wg.rs, args.kernel))
+    return cls, relcoeff.coeff_table(wg, cls, _kernel_scales(wg.rs, args.kernel))
 
 
 def _json(obj) -> str:
@@ -291,13 +290,13 @@ def cmd_kblock(args) -> int:
 
 def cmd_pq(args) -> int:
     rs = build_root_system(LieType(args.family, args.rank))
-    ratios = _root_ratios(rs, args.kernel)
+    scales = _kernel_scales(rs, args.kernel)
     rows = [
         {
             "root": [str(x) for x in rs.roots[i]],
             "labels": list(rs.root_labels(i)),
-            "p": ratios[i].p,
-            "q": ratios[i].q,
+            "p": 1,  # p is 1: every kernel that pq_map accepts contains the coroot lattice
+            "q": scales[i],
         }
         for i in range(len(rs.roots))
     ]
@@ -343,9 +342,9 @@ def cmd_gammax(args) -> int:
 
     wg = _build(args)
     rs = wg.rs
-    ratios = _root_ratios(rs, args.kernel)
+    scales = _kernel_scales(rs, args.kernel)
     point = _parse_point(args.point, rs.rank)
-    sub = gamma_x(rs, ratios, point)
+    sub = gamma_x(rs, scales, point)
     label = next(
         (c.label for c in enumerate_classes(rs, wg) if are_conjugate(wg, sub, c.representative)),
         None,

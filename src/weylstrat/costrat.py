@@ -3,9 +3,10 @@
 D tables are read off the symmetrized subset-sum map that gives the C table
 (`CoeffTable.dominant_values`); no weight system is computed for them.
 Freudenthal's recursion (`repthy.dominant_weight_system`) serves only
-`repthy.tensor_coeff` and the test oracles.
+`repthy.tensor_coeff` and the test oracles, so this module loads `repthy`
+only in `kblock_columns`, for its dominant-label walk.
 
-Column lambda of a K block is `repthy.shifted_fold` at lambda of the W-orbit
+Column lambda of a K block is `weyl.shifted_fold` at lambda of the W-orbit
 points of the D table, each carrying its D value; the C table is column 0 of
 that block. `k_block` sums the same folds, but the shifted points
 lambda + nu + delta recur from column to column, so it reflects each distinct
@@ -28,22 +29,18 @@ from typing import Dict, List, Sequence, Set, Tuple
 from .relcoeff import CoeffTable
 from .rootsys import Labels, RootSystem
 from .subsys import ClassPoset
-from .weyl import WeylGroup
-from . import repthy
+from .weyl import WeylGroup, shifted_fold
 
 
 @dataclass
 class DCoeffTable:
     """Reduced D coefficients, supported on the dominant weights of the table irreps."""
 
-    class_label: str
     entries: Dict[Labels, int]
 
 
 @dataclass
 class KBlock:
-    class_label: str
-    cutoff_norm_sq: Q
     entries: Dict[Tuple[Labels, Labels], int]  # (row lambda', column lambda) -> value
     incomplete_rows: Set[Labels] = field(default_factory=set)
 
@@ -83,7 +80,7 @@ def d_coeffs(rs: RootSystem, table: CoeffTable) -> DCoeffTable:
     values = table.dominant_values
     if not below.issuperset(values):
         raise AssertionError("symmetrized map is not the table's character sum")
-    return DCoeffTable(table.class_label, {mu: values.get(mu, 0) for mu in sorted(below)})
+    return DCoeffTable({mu: values.get(mu, 0) for mu in sorted(below)})
 
 
 def orbit_shifts(wg: WeylGroup, dtable: DCoeffTable) -> List[Labels]:
@@ -112,8 +109,7 @@ def k_entry(
     wg: WeylGroup, dtable: DCoeffTable, lam_row: Sequence[int], lam_col: Sequence[int]
 ) -> int:
     """Normalized K entry: row lam_row of the shifted fold of the D orbits at lam_col."""
-    points = repthy.orbit_points(wg, dtable.entries)
-    return repthy.shifted_fold(wg, points, lam_col).get(tuple(lam_row), 0)
+    return shifted_fold(wg, wg.orbit_points(dtable.entries), lam_col).get(tuple(lam_row), 0)
 
 
 # kblock_columns refuses a cutoff that admits more columns than this
@@ -126,7 +122,9 @@ def kblock_columns(rs: RootSystem, cutoff_norm_sq: Q) -> List[Labels]:
     Raises ValueError past MAX_COLUMNS columns, having evaluated at most about
     2 * rank * MAX_COLUMNS norms, however large the cutoff.
     """
-    columns = repthy.dominant_labels_within(rs, Q(cutoff_norm_sq), limit=MAX_COLUMNS)
+    from .repthy import dominant_labels_within
+
+    columns = dominant_labels_within(rs, Q(cutoff_norm_sq), limit=MAX_COLUMNS)
     if len(columns) > MAX_COLUMNS:
         raise ValueError(f"norm cutoff too large: more than {MAX_COLUMNS} K-block columns")
     return columns
@@ -143,7 +141,7 @@ def k_block(
     any table in `cli.cmd_kblock`, once for every block in vanishing_system);
     any other dominant columns are folded the same way.
 
-    Column lam is repthy.shifted_fold at lam of the D orbit points, but the
+    Column lam is shifted_fold at lam of the D orbit points, but the
     point lam + nu + delta recurs across columns, so each distinct point is
     reflected to the dominant chamber once per block. Points are packed into
     ints in mixed radix: digit i is (lam_i - min lam_i) + (nu_i - min nu_i)
@@ -156,7 +154,7 @@ def k_block(
     cutoff = Q(cutoff_norm_sq)
     # an integer scaled norm exceeds norm_den * cutoff iff it exceeds its floor
     scaled_cutoff = math.floor(cutoff * rs.norm_den)
-    points = repthy.orbit_points(wg, dtable.entries)
+    points = wg.orbit_points(dtable.entries)
     entries: Dict[Tuple[Labels, Labels], int] = {}
     incomplete: Set[Labels] = set()
     nus = [nu for nu, _ in points]
@@ -205,7 +203,7 @@ def k_block(
         for row, val in fold.items():
             if val:
                 entries[(row, lam)] = val
-    return KBlock(dtable.class_label, cutoff, entries, incomplete)
+    return KBlock(entries, incomplete)
 
 
 def shifted_norm_sq(rs: RootSystem, lam: Sequence[int]) -> Q:

@@ -1,23 +1,24 @@
-"""Exponential-kernel lattices and the per-root coprime ratios p/q.
+"""Exponential-kernel lattices and the integer q of every root.
 
 The kernel of exp on the maximal torus is described by a rational matrix R
 whose rows expand its generators over the basis of (2*pi*i)-scaled coroots of
 the simple roots. The simply connected group has R = identity; SO(2n+1) adds
 a half-step along the unique short simple coroot. For a root a, the ratio
 p_a/q_a generates the lattice K ∩ ℝ·a^∨ of kernel points on the line of the
-coroot, computed through R^-1; membership of a in the subsystem of a torus
-point then reduces to a rational integrality test, with no transcendental
-arithmetic anywhere.
+coroot. Every kernel accepted here contains the coroot lattice, so p_a = 1 and
+`pq_map` returns q_a alone, computed through R^-1; membership of a in the
+subsystem of a torus point then reduces to a rational integrality test, with
+no transcendental arithmetic anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import gcd, lcm
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .rootsys import RootSystem, _invert_rational, _scaled
+from .rootsys import RootSystem, _invert_rational
 from .subsys import RootSubsystem, _closed
 
 
@@ -39,16 +40,6 @@ class ExpKernel:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-
-@dataclass(frozen=True)
-class PQRatio:
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.q <= 0 or gcd(self.p, self.q) != 1:
-            raise ValueError("need coprime p, q with q > 0")
 
 
 @dataclass(frozen=True)
@@ -128,37 +119,33 @@ def check_kernel(rs: RootSystem, kernel: ExpKernel) -> ExpKernel:
     return kernel
 
 
-# -- p/q ratios ---------------------------------------------------------------
+# -- q per root ---------------------------------------------------------------
 
 
-def pq_map(rs: RootSystem, kernel: ExpKernel) -> List[PQRatio]:
-    """Coprime (p, q) for every root a, with {t : t * a^vee in the kernel lattice} = (p/q)Z.
+def pq_map(rs: RootSystem, kernel: ExpKernel) -> List[int]:
+    """q of every root a, with {t : t * a^vee in the kernel lattice} = (1/q)Z.
 
-    All come from one inversion of R. In simple-coroot coordinates the kernel
-    is K = Z^n R, and a root a has the integral coroot coordinates
-    c_j = <omega_j, a^vee> = 2 k(omega_j, a) / k(a, a). With R^-1 = M / den
-    for an integer M, t * c lies in K exactly when t * (c M) / den is
-    integral, so the t form (den / gcd(c M))Z. The roots a and -a share p/q.
+    The kernel goes through `check_kernel` first, presets included, so it
+    contains the coroot lattice and R^-1 is an integer matrix M. In
+    simple-coroot coordinates the kernel is K = Z^n R, and a root a has the
+    integral coroot coordinates c_j = <omega_j, a^vee> = 2 k(omega_j, a) / k(a, a).
+    So t * c lies in K exactly when t * (c M) is integral, and the t form
+    (1/q)Z with q = gcd(c M): p is 1 for every root. The roots a and -a share q.
     """
-    inverse = _invert_rational([list(r) for r in kernel.rows])
-    den = lcm(*(x.denominator for row in inverse for x in row))
-    scaled = _scaled(inverse, den)
+    check_kernel(rs, kernel)
+    inverse = [[int(x) for x in row] for row in _invert_rational([list(r) for r in kernel.rows])]
     out = []
     for i in range(rs.num_positive):
         c = [2 * k // rs.root_norms[i] for k in rs.komega[i]]
-        g = gcd(*(sum(ci * row[j] for ci, row in zip(c, scaled)) for j in range(rs.rank)))
-        ratio = Q(den, g)
-        out.append(PQRatio(ratio.numerator, ratio.denominator))
+        out.append(gcd(*(sum(ci * row[j] for ci, row in zip(c, inverse)) for j in range(rs.rank))))
     return out + out
 
 
 # -- Gamma_x membership test ---------------------------------------------------
 
 
-def gamma_x(
-    rs: RootSystem, ratios: Sequence[PQRatio], x: TorusPoint
-) -> RootSubsystem:
-    """Roots whose reflection fixes x: (q/p)*a(A) integral and a(B) = 0."""
+def gamma_x(rs: RootSystem, scales: Optional[Sequence[int]], x: TorusPoint) -> RootSubsystem:
+    """Roots whose reflection fixes x: q*a(A) integral and a(B) = 0; every q is 1 for None."""
     n = rs.rank
     if len(x.a_coords) != n:
         raise ValueError("torus point has wrong rank")
@@ -167,7 +154,7 @@ def gamma_x(
         lab = rs.root_labels(i)
         a_val = sum(x.a_coords[j] * lab[j] for j in range(n))
         b_val = sum(x.b_coords[j] * lab[j] for j in range(n))
-        if b_val == 0 and (Q(ratios[i].q, ratios[i].p) * a_val).denominator == 1:
+        if b_val == 0 and (a_val * (scales[i] if scales else 1)).denominator == 1:
             members.append(i)
     indices = frozenset(members)
     return RootSubsystem(indices, _closed(rs, indices))

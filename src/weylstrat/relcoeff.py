@@ -1,13 +1,13 @@
 """Signed subset sums and reduced character coefficients.
 
 The generating map V counts subsets of the complement of a subsystem by the
-parity-weighted number of ways their (ratio-scaled) root sums hit each weight;
+parity-weighted number of ways their (q-scaled) root sums hit each weight;
 it is folded one root pair at a time on weights packed into ints. Its sum over
 the cosets of the stabilizer is W-invariant, so it is the orbit sums m_mu
 weighted by n_cosets * O(mu) / |W.mu|, where O(mu) sums V over the orbit:
 `symmetrize` walks each orbit of V once and keeps those weights at dominant
 mu. For the class 0, V is (-1)^N times the square of the Weyl denominator
-of the ratio-scaled roots, and `denominator_values` reads the same weights
+of the q-scaled roots, and `denominator_values` reads the same weights
 off one pass over the orbit of their rho_q, building no V. The reduced
 coefficients are these weights times the character expansions of the m_mu
 (`WeylGroup.orbit_folds`, asked once per table and folded once per type and
@@ -25,32 +25,19 @@ from dataclasses import dataclass
 from operator import add, mul
 from typing import Dict, Optional, Sequence
 
-from .lattice import PQRatio
 from .rootsys import Labels, RootSystem
 from .subsys import SubsystemClass
 from .weyl import WeylGroup
-from . import repthy
 
 
 @dataclass
 class CoeffTable:
     """Reduced coefficients (the C-over-N column) for one subsystem class."""
 
-    class_label: str
     entries: Dict[Labels, int]
     stabilizer_order: int
     # the non-zero values of the symmetrized map at dominant weights
     dominant_values: Dict[Labels, int]
-
-
-def _root_scales(rs: RootSystem, ratios: Optional[Sequence[PQRatio]]) -> Sequence[int]:
-    """q of every root, all 1 for None (sc); p = 1 once the kernel holds the coroot lattice."""
-    if ratios is None:
-        return [1] * len(rs.roots)
-    for r in ratios:
-        if r.p != 1:
-            raise ValueError(f"ratio {r.p}/{r.q}: the kernel does not contain the coroot lattice")
-    return [r.q for r in ratios]
 
 
 # subset_sums refuses a map whose support passes this many weights
@@ -60,9 +47,9 @@ MAX_SUPPORT = 2_000_000
 def subset_sums(
     rs: RootSystem,
     complement: Sequence[int],
-    ratios: Optional[Sequence[PQRatio]] = None,
+    scales: Optional[Sequence[int]] = None,
 ) -> Dict[Labels, int]:
-    """The product of (1 - e^a) over the complement roots a, as {labels: coefficient}.
+    """The product of (1 - e^(q_a a)) over the complement roots a, as {labels: coefficient}.
 
     Folds the roots one factor at a time instead of walking 2^n subsets, a
     root and its negative as one factor 2 - e^a - e^-a whenever their scaled
@@ -71,9 +58,10 @@ def subset_sums(
     largest |label i| any subset sum can reach, and taken as a digit of radix
     2 * bound[i] + 1, so adding packed weights never carries. Raises
     ValueError as soon as the support passes MAX_SUPPORT weights, so the map
-    never holds more than about twice that many.
+    never holds more than about twice that many. The q_a are scales, all 1 for None.
     """
-    scales = _root_scales(rs, ratios)
+    if scales is None:
+        scales = [1] * len(rs.roots)
     shifts = {idx: tuple(scales[idx] * l for l in rs.root_labels(idx)) for idx in complement}
     bounds = [sum(abs(s[i]) for s in shifts.values()) for i in range(rs.rank)]
     places = [1]
@@ -149,8 +137,8 @@ def symmetrize(wg: WeylGroup, n_cosets: int, v: Dict[Labels, int]) -> Dict[Label
 MAX_ORBIT_POINTS = 20_000_000
 
 
-def denominator_values(wg: WeylGroup, ratios: Optional[Sequence[PQRatio]]) -> Dict[Labels, int]:
-    """symmetrize(wg, 1, subset_sums(rs, every root, ratios)), from one pass over W.rho_q.
+def denominator_values(wg: WeylGroup, scales: Optional[Sequence[int]]) -> Dict[Labels, int]:
+    """symmetrize(wg, 1, subset_sums(rs, every root, scales)), from one pass over W.rho_q.
 
     A kernel between the coroots and the coweights is W-stable, so q is
     constant on W-orbits of roots and the q_a a form a root system with the
@@ -163,8 +151,7 @@ def denominator_values(wg: WeylGroup, ratios: Optional[Sequence[PQRatio]]) -> Di
     soon as the orbits of the dominant weights reached, cancelled or not, pass
     MAX_ORBIT_POINTS points, since each one left is folded point by point.
     """
-    scales = _root_scales(wg.rs, ratios)
-    rho = tuple(scales[i] for i in wg.rs.simple_indices)
+    rho = tuple(scales[i] if scales else 1 for i in wg.rs.simple_indices)
     sums: Dict[Labels, int] = {}
     points = 0
     for x, sign in wg.orbit_walk(rho):
@@ -189,7 +176,7 @@ def denominator_values(wg: WeylGroup, ratios: Optional[Sequence[PQRatio]]) -> Di
 
 
 def coeff_table(
-    wg: WeylGroup, cls: SubsystemClass, ratios: Optional[Sequence[PQRatio]] = None
+    wg: WeylGroup, cls: SubsystemClass, scales: Optional[Sequence[int]] = None
 ) -> CoeffTable:
     """Reduced coefficients of the class relation in the normalized character basis.
 
@@ -201,17 +188,16 @@ def coeff_table(
     from one `WeylGroup.orbit_folds` call that wg keeps for the next class. The table
     also keeps the map's values at dominant weights. The class 0 (no members)
     takes those values from `denominator_values` instead, under every kernel.
-    Ratios must have p = 1, as under every kernel that `lattice.check_kernel`
-    accepts; otherwise ValueError.
+    scales are the q of every root (`lattice.pq_map`), all 1 for None.
     """
     members = cls.representative.root_indices
     if not members:
         n_cosets = 1
-        dominant = denominator_values(wg, ratios)
+        dominant = denominator_values(wg, scales)
     else:
         complement = [i for i in range(len(wg.rs.roots)) if i not in members]
         n_cosets = len(wg.coset_representatives(members))
-        dominant = symmetrize(wg, n_cosets, subset_sums(wg.rs, complement, ratios))
+        dominant = symmetrize(wg, n_cosets, subset_sums(wg.rs, complement, scales))
 
     folds = wg.orbit_folds(dominant)
     acc: Dict[Labels, int] = {}
@@ -219,9 +205,4 @@ def coeff_table(
         for row, c in folds[mu].items():
             acc[row] = acc.get(row, 0) + share * c
     entries = {k: c for k, c in sorted(acc.items()) if c}
-    return CoeffTable(cls.label, entries, len(wg) // n_cosets, dominant)
-
-
-def identity_value(rs: RootSystem, table: CoeffTable) -> int:
-    """Sum of coefficient times irrep dimension; zero for every non-full class."""
-    return sum(c * repthy.weyl_dim(rs, lam) for lam, c in table.entries.items())
+    return CoeffTable(entries, len(wg) // n_cosets, dominant)

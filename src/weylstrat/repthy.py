@@ -8,9 +8,10 @@ and entirely in integers: norms are the root system's scaled integer norms
 membership of lambda - mu is divisibility of the scaled inverse Cartan
 coordinates by cartan_den. The recursion always resolves to positive
 integers. `shifted_fold`, imported from `weyl`, is the one shifted Weyl-orbit
-sum (the Brauer-Klimyk rule): K blocks, K entries and tensor multiplicities
-call it here, and `WeylGroup.orbit_folds` folds the orbit sums behind C tables
-with it. The transcendental norm prefactors never enter here.
+sum (the Brauer-Klimyk rule): tensor multiplicities call it here, K blocks and
+K entries in `costrat`, and `WeylGroup.orbit_folds` folds the orbit sums
+behind C tables with it. `identity_value` checks a C table against
+`weyl_dim`. The transcendental norm prefactors never enter here.
 """
 
 from __future__ import annotations
@@ -19,10 +20,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .rootsys import Labels, RootSystem
 from .weyl import WeylGroup, shifted_fold
+
+if TYPE_CHECKING:
+    from .relcoeff import CoeffTable
 
 
 @dataclass(frozen=True)
@@ -141,9 +145,9 @@ def weyl_dim(rs: RootSystem, labels: Sequence[int]) -> int:
     return dim
 
 
-def orbit_points(wg: WeylGroup, dominant: Dict[Labels, int]) -> List[Tuple[Labels, int]]:
-    """(nu, c) for every nu in the W-orbit of each dominant mu with non-zero value c."""
-    return [(nu, c) for mu, c in dominant.items() if c for nu in wg.dominant_orbit(mu)]
+def identity_value(rs: RootSystem, table: CoeffTable) -> int:
+    """Sum of coefficient times irrep dimension; zero for every non-full class."""
+    return sum(c * weyl_dim(rs, lam) for lam, c in table.entries.items())
 
 
 def tensor_coeff(
@@ -151,7 +155,7 @@ def tensor_coeff(
 ) -> int:
     """Multiplicity of the irrep lam2 inside (irrep lam_fac) tensor (irrep lam)."""
     ws = dominant_weight_system(wg.rs, wg, lam_fac)
-    total = shifted_fold(wg, orbit_points(wg, ws.dominant_entries), lam).get(tuple(lam2), 0)
+    total = shifted_fold(wg, wg.orbit_points(ws.dominant_entries), lam).get(tuple(lam2), 0)
     if total < 0:
         raise AssertionError("negative tensor multiplicity")
     return total

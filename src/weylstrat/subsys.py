@@ -28,7 +28,6 @@ from .weyl import WeylGroup
 class RootSubsystem:
     root_indices: FrozenSet[int]
     closed: bool
-    label: str = ""
 
     def __len__(self):
         return len(self.root_indices)
@@ -207,10 +206,8 @@ def enumerate_classes(rs: RootSystem, wg: WeylGroup) -> List[SubsystemClass]:
     out = []
     for parts in _family_tuples(rs.lie_type.family, rs.rank):
         base = _base_for_tuple(rs, parts)
-        sub = span_subsystem(rs, base)
         label = _label(rs.lie_type.family, parts)
-        sub = RootSubsystem(sub.root_indices, sub.closed, label)
-        out.append(SubsystemClass(label, tuple(base), sub))
+        out.append(SubsystemClass(label, tuple(base), span_subsystem(rs, base)))
     out.sort(key=lambda c: (len(c), c.label))
     return out
 

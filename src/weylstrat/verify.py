@@ -101,18 +101,17 @@ def _column_diff(
     corpus_label: str,
     column: int,
     corpus_rows: Dict[Labels, list],
-    table_entries: Dict[Labels, object],
+    table_entries: Dict[Labels, int],
     perm: Tuple[int, ...],
 ) -> List[Mismatch]:
-    """Diff one class column; column 0 is the C values, 1 the D values."""
+    """Diff one class column of parsed values; column 0 is the C values, 1 the D values."""
     kind = "c" if column == 0 else "d"
     bad = []
     seen = set()
     for lam, values in corpus_rows.items():
-        raw = values[column]
-        expected = Q(raw) if raw is not None else Q(0)
+        expected = values[column]
         ours = _inverse_permute(lam, perm)
-        got = Q(table_entries.get(ours, 0))
+        got = table_entries.get(ours, 0)
         seen.add(ours)
         if expected != got:
             bad.append(Mismatch(group, corpus_label, lam, kind, str(expected), str(got)))
@@ -128,8 +127,12 @@ def _inverse_permute(lam: Sequence[int], perm: Tuple[int, ...]) -> Labels:
     return tuple(lam[dst] for dst in perm)
 
 
-def _check_corpus(data) -> None:
-    """ValueError unless data has the keys, types and sizes of one group's corpus."""
+def _parsed_rows(data) -> Dict[Labels, list]:
+    """The corpus rows as {lambda: one [c, d] pair per class}, each value parsed once.
+
+    A null value is 0, and an integral one an int. ValueError unless data has
+    the keys, types and sizes of one group's corpus.
+    """
     keys = {"group": str, "family": str, "rank": int, "classes": list, "rows": list}
     if type(data) is not dict or any(type(data.get(k)) is not t for k, t in keys.items()) or any(
         type(label) is not str for label in data["classes"]
@@ -137,14 +140,13 @@ def _check_corpus(data) -> None:
         raise ValueError("corpus must be an object with string group and family, integer "
                          "rank, a list of class-label strings and a list of rows")
     rank, n_classes = data["rank"], len(data["classes"])
-    seen = set()
+    rows: Dict[Labels, list] = {}
     for row in data["rows"]:
         lam, values = (row.get("lambda"), row.get("values")) if type(row) is dict else (None, None)
         if type(lam) is not list or len(lam) != rank or any(type(x) is not int for x in lam):
             raise ValueError(f"corpus row lambda {lam!r} is not a list of {rank} integers")
-        if tuple(lam) in seen:
+        if tuple(lam) in rows:
             raise ValueError(f"corpus row lambda {lam} appears more than once")
-        seen.add(tuple(lam))
         pairs_ok = type(values) is list and len(values) == n_classes and all(
             type(pair) is list and len(pair) == 2 and all(v is None or type(v) is str for v in pair)
             for pair in values
@@ -152,20 +154,26 @@ def _check_corpus(data) -> None:
         if not pairs_ok:
             raise ValueError(f"corpus row {lam} needs one [c, d] pair of strings or nulls "
                              f"for each of the {n_classes} classes")
-        for v in itertools.chain.from_iterable(values):
-            try:
-                if v is not None:
-                    Q(v)
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"corpus row {lam} value {v!r} is not a rational") from None
+        rows[tuple(lam)] = [[_value(lam, v) for v in pair] for pair in values]
+    return rows
+
+
+def _value(lam: list, text: Optional[str]):
+    """A corpus value: 0 for null, an int when integral, else its Fraction."""
+    if text is None:
+        return 0
+    try:
+        q = Q(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"corpus row {lam} value {text!r} is not a rational") from None
+    return q.numerator if q.denominator == 1 else q
 
 
 def verify_group(data: dict) -> Tuple[List[Mismatch], Tuple[int, ...]]:
     """Diff one group's tables; returns mismatches and the fork permutation used."""
-    _check_corpus(data)
+    corpus_rows = _parsed_rows(data)
     group = data["group"]
     family, rank = data["family"], data["rank"]
-    corpus_rows = {tuple(r["lambda"]): r["values"] for r in data["rows"]}
     tables = computed_tables(family, rank, data["classes"])
 
     def diff_under(perm: Tuple[int, ...]) -> List[Mismatch]:

@@ -88,9 +88,10 @@ class WeylGroup:
         # positive labels of each p, and per zero set J (a mask) the points positive at J
         self._coset_points: Dict[int, List[Tuple[Labels, int]]] = {}
         self._rho_masks: List[int] = []
+        self._order = expected_group_order(rs)
 
     def __len__(self):
-        return expected_group_order(self.rs)
+        return self._order
 
     @cached_property
     def elements(self) -> List[WeylElement]:
@@ -207,6 +208,10 @@ class WeylGroup:
         if orbit is None:
             orbit = self._orbits[mu] = self.orbit_labels(mu)
         return orbit
+
+    def orbit_points(self, dominant: Dict[Labels, int]) -> List[Tuple[Labels, int]]:
+        """(nu, c) for every nu in the W-orbit of each dominant mu with non-zero value c."""
+        return [(nu, c) for mu, c in dominant.items() if c for nu in self.dominant_orbit(mu)]
 
     def orbit_size(self, mu: Labels) -> int:
         """|W.mu| = |W| / |W_J| for a dominant mu, J its zero labels, walking no orbit."""

@@ -309,7 +309,7 @@ def shifted_row(wg, nu):
     return (tuple(d - 1 for d in dom), sign) if regular else None
 
 
-def spread_coeff_table(wg, cls, ratios=None):
+def spread_coeff_table(wg, cls, scales=None):
     """The C table through the spread symmetrized map, folded one point at a time.
 
     V is binned by the dominant image of each key, each non-zero bin is spread
@@ -319,7 +319,7 @@ def spread_coeff_table(wg, cls, ratios=None):
     group, so the spread maps of every class of a type share them.
     """
     members = cls.representative.root_indices
-    v = subset_sums(wg.rs, [i for i in range(len(wg.rs.roots)) if i not in members], ratios)
+    v = subset_sums(wg.rs, [i for i in range(len(wg.rs.roots)) if i not in members], scales)
     n_cosets = len(wg.coset_representatives(members))
     bins = {}
     for key, val in v.items():
@@ -340,7 +340,7 @@ def spread_coeff_table(wg, cls, ratios=None):
             folded[row] = folded.get(row, 0) + sign * c
     entries = {k: c for k, c in sorted(folded.items()) if c}
     dominant = {k: c for k, c in spread.items() if min(k) >= 0}
-    return CoeffTable(cls.label, entries, len(wg) // n_cosets, dominant)
+    return CoeffTable(entries, len(wg) // n_cosets, dominant)
 
 
 def pairing_tables(rs):

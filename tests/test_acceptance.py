@@ -174,7 +174,7 @@ def test_criterion_6_vanishing_sum_rule():
         classes = {c.label: c for c in enumerate_classes(rs, wg)}
         for label in data["classes"]:
             ct = relcoeff.coeff_table(wg, classes[normalize_label(label)])
-            ok &= relcoeff.identity_value(rs, ct) == 0
+            ok &= repthy.identity_value(rs, ct) == 0
             checked += 1
     # spot value: the rank-2 unitary group, generic class
     rs3, wg3 = system("A", 2)
@@ -190,9 +190,7 @@ def test_criterion_7_non_simply_connected_lattice():
     classes = {c.label: c for c in enumerate_classes(rs, wg)}
     so = pq_map(rs, kernel_preset(rs, "so-odd"))
     sc = pq_map(rs, kernel_preset(rs, "sc"))
-    ok = all(
-        (r.p, r.q) == ((1, 2) if rs.root_norms[i] == 2 else (1, 1)) for i, r in enumerate(so)
-    )
+    ok = all(q == (2 if rs.root_norms[i] == 2 else 1) for i, q in enumerate(so))
     gx = gamma_x(rs, sc, TorusPoint.make([0, Q(1, 2)]))
     ok &= gx.root_indices == classes["C1+C1"].representative.root_indices
     gy = gamma_x(rs, so, TorusPoint.make([Q(1, 4), 0]))
@@ -202,11 +200,11 @@ def test_criterion_7_non_simply_connected_lattice():
     closed_count = 0
     for family, rank in [("B", 2), ("C", 2), ("B", 3), ("C", 3)]:
         rs2, wg2 = system(family, rank)
-        ratios = pq_map(rs2, kernel_preset(rs2, "sc"))
+        scales = pq_map(rs2, kernel_preset(rs2, "sc"))
         for _ in range(50):
             a = [Q(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(rank)]
             b = [Q(rng.randint(-8, 8), rng.randint(1, 8)) for _ in range(rank)]
-            sub = gamma_x(rs2, ratios, TorusPoint.make(a, b))
+            sub = gamma_x(rs2, scales, TorusPoint.make(a, b))
             ok &= sub.closed
             closed_count += 1
     report(7, "exp-kernel ratios and point probes", ok, f"{closed_count} probes closed")

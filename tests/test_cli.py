@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -298,6 +301,55 @@ def test_verify_detects_injected_fault(tmp_path, capsys):
     out = out_of(capsys)
     assert out.count("mismatch") == 1
     assert "expected=999" in out and "got=15" in out
+
+
+def test_verify_mismatch_report_keeps_its_bytes(tmp_path, capsys):
+    # each value is parsed once: "-3/6" and "2/1" print in lowest terms, a null
+    # value is expected as 0, and a computed entry with no corpus row is "absent"
+    data = load_corpus("SU(3)")[0]
+    data["rows"][0]["values"][0][0] = "999"
+    data["rows"][1]["values"][0][1] = "-3/6"
+    data["rows"][2]["values"][1][0] = "2/1"
+    data["rows"][4]["values"][1][1] = None
+    del data["rows"][3]
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(data))
+    assert run(["verify", "--corpus", str(path)]) == 1
+    assert out_of(capsys) == (
+        "FAIL SU(3): 15 table entries\n"
+        "  mismatch group=SU(3) class=0 lambda=00 column=c expected=999 got=15\n"
+        "  mismatch group=SU(3) class=0 lambda=22 column=c expected=absent got=-1\n"
+        "  mismatch group=SU(3) class=0 lambda=03 column=d expected=-1/2 got=2\n"
+        "  mismatch group=SU(3) class=0 lambda=22 column=d expected=absent got=-1\n"
+        "  mismatch group=SU(3) class=A1 lambda=11 column=c expected=2 got=-5\n"
+        "  mismatch group=SU(3) class=A1 lambda=30 column=d expected=0 got=1\n"
+        "6 MISMATCHES\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["verify", "--group", "SU(2)"], ["weylstrat.lattice", "weylstrat.repthy"]),
+        (["coeffs", "--family", "A", "--rank", "2", "--class", "A1"], ["weylstrat.repthy"]),
+    ],
+)
+def test_commands_load_only_the_modules_they_call(argv, absent):
+    # a fresh process, since this one has imported every module
+    code = (
+        "import sys\n"
+        "from weylstrat.cli import run\n"
+        f"assert run({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('weylstrat.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(costrat.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1]
+    for name in absent:
+        assert repr(name) not in loaded, loaded
 
 
 def _corpus_shapes():

@@ -17,7 +17,7 @@ from weylstrat.costrat import (
 )
 from weylstrat.lattice import kernel_preset, pq_map
 from weylstrat.relcoeff import coeff_table
-from weylstrat.repthy import dominant_labels_within, dominant_weight_system, orbit_points
+from weylstrat.repthy import dominant_labels_within, dominant_weight_system
 from weylstrat.rootsys import RootSystem
 from weylstrat.subsys import SubsystemClass, RootSubsystem, build_poset, enumerate_classes
 from weylstrat.weyl import shifted_fold
@@ -63,9 +63,9 @@ def test_spin7_d3_d_values():
 def test_d_table_matches_freudenthal(family, rank, kernel):
     # the binned D table against the weight-system sum: values, zeros and key order
     rs, wg, classes = tables_of(family, rank)
-    ratios = None if kernel == "sc" else pq_map(rs, kernel_preset(rs, kernel))
+    scales = None if kernel == "sc" else pq_map(rs, kernel_preset(rs, kernel))
     for label, cls in classes.items():
-        t = coeff_table(wg, cls, ratios)
+        t = coeff_table(wg, cls, scales)
         want = freudenthal_d_entries(rs, wg, t)
         assert list(d_coeffs(rs, t).entries.items()) == list(want.items()), label
 
@@ -89,7 +89,7 @@ def test_d_representative_independence():
     alt = SubsystemClass(
         cls.label,
         tuple(w.perm[b] for b in cls.base),
-        RootSubsystem(moved, cls.representative.closed, cls.label),
+        RootSubsystem(moved, cls.representative.closed),
     )
     assert d_coeffs(rs, coeff_table(wg, alt)).entries == base
 
@@ -153,10 +153,10 @@ def test_k_block_su2():
 def test_c_table_is_k_column_zero(family, rank, kernel):
     # the C table is the lambda = 0 column of the K block built from the D table
     rs, wg, classes = tables_of(family, rank)
-    ratios = None if kernel == "sc" else pq_map(rs, kernel_preset(rs, kernel))
+    scales = None if kernel == "sc" else pq_map(rs, kernel_preset(rs, kernel))
     zero = (0,) * rank
     for label, cls in classes.items():
-        t = coeff_table(wg, cls, ratios)
+        t = coeff_table(wg, cls, scales)
         cut = max(rs.labels_norm_sq([l + 1 for l in lam]) for lam in t.entries)
         block = k_block(wg, d_coeffs(rs, t), cut, [zero])
         assert {row: v for (row, col), v in block.entries.items()} == t.entries, label
@@ -164,7 +164,7 @@ def test_c_table_is_k_column_zero(family, rank, kernel):
 
 def shifted_fold_block(rs, wg, dtable, cutoff_norm_sq, columns):
     """K-block entries, in k_block's key order, and incomplete columns: one shifted_fold per column."""
-    points = orbit_points(wg, dtable.entries)
+    points = wg.orbit_points(dtable.entries)
     entries, incomplete = {}, set()
     for lam in columns:
         for row, val in shifted_fold(wg, points, lam).items():
@@ -204,9 +204,9 @@ ORACLE_CASES = [
 def test_k_block_matches_per_contribution_oracle(family, rank, kernel, radius, radius2):
     # every class: the block from the packed lookup table against one fold per column
     rs, wg, classes = tables_of(family, rank)
-    ratios = None if kernel == "sc" else pq_map(rs, kernel_preset(rs, kernel))
+    scales = None if kernel == "sc" else pq_map(rs, kernel_preset(rs, kernel))
     for label, cls in classes.items():
-        d = d_coeffs(rs, coeff_table(wg, cls, ratios))
+        d = d_coeffs(rs, coeff_table(wg, cls, scales))
         assert all(type(v) is int for v in d.entries.values()), label
         for r in (radius, radius2):
             cutoff = Q(r) ** 2
@@ -219,8 +219,8 @@ def test_k_block_matches_per_contribution_oracle(family, rank, kernel, radius, r
 def test_k_block_with_caller_columns(family, rank, label, kernel):
     # columns kblock_columns would not return set the radices of the packed keys too
     rs, wg, classes = tables_of(family, rank)
-    ratios = None if kernel == "sc" else pq_map(rs, kernel_preset(rs, kernel))
-    d = d_coeffs(rs, coeff_table(wg, classes[label], ratios))
+    scales = None if kernel == "sc" else pq_map(rs, kernel_preset(rs, kernel))
+    d = d_coeffs(rs, coeff_table(wg, classes[label], scales))
     cutoff = Q(6) ** 2
     columns = kblock_columns(rs, cutoff)
     far = max(kblock_columns(rs, Q(9) ** 2), key=lambda lam: rs.labels_norm_sq(lam))

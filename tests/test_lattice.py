@@ -7,7 +7,6 @@ import pytest
 
 from weylstrat.lattice import (
     ExpKernel,
-    PQRatio,
     TorusPoint,
     check_kernel,
     gamma_x,
@@ -52,8 +51,8 @@ def test_kernel_validation_and_file(tmp_path):
     ident = tmp_path / "ident.txt"
     ident.write_text("1 0\n0 1\n")
     rs, wg = system("C", 2)
-    ratios = pq_map(rs, kernel_from_file(str(ident)))
-    assert all((r.p, r.q) == (1, 1) for r in ratios)
+    scales = pq_map(rs, kernel_from_file(str(ident)))
+    assert all(q == 1 for q in scales)
     empty = tmp_path / "empty.txt"
     empty.write_text("\n")
     with pytest.raises(ValueError):
@@ -77,7 +76,7 @@ def test_presets_pass_kernel_checks(family, rank):
 
 @pytest.mark.parametrize("family,rank", [("B", 2), ("B", 3), ("B", 4), ("C", 2)])
 def test_kernels_containing_coroots_give_p_one(family, rank, tmp_path):
-    # each simple coroot lies in K, so 1 is in every projection lattice (p/q)Z
+    # each simple coroot lies in K, so 1 is in every projection lattice (1/q)Z: an int q
     rs, _ = system(family, rank)
     kernels = [kernel_preset(rs, name) for name in ("sc", "so-odd")]
     if family == "C":
@@ -85,32 +84,38 @@ def test_kernels_containing_coroots_give_p_one(family, rank, tmp_path):
         so5.write_text("# SO(5) in the C2 numbering (first simple root short)\n1/2 0\n0 1\n")
         kernels.append(check_kernel(rs, kernel_from_file(str(so5))))
     for kernel in kernels:
-        assert all(r.p == 1 for r in pq_map(rs, kernel))
+        assert all(type(q) is int and q >= 1 for q in pq_map(rs, kernel))
     # not vacuous: the SO(2n+1) kernel gives q = 2 on some roots
-    assert {r.q for r in pq_map(rs, kernels[1])} == {1, 2}
+    assert set(pq_map(rs, kernels[1])) == {1, 2}
 
 
-def test_pq_requires_coprime():
-    with pytest.raises(ValueError):
-        PQRatio(2, 4)
-    with pytest.raises(ValueError):
-        PQRatio(1, 0)
+def test_pq_map_refuses_a_kernel_missing_the_coroot_lattice(tmp_path):
+    # presets and files take one path: pq_map runs check_kernel, with its message
+    rs, _ = system("C", 2)
+    path = tmp_path / "double.txt"
+    path.write_text("2 0\n0 2\n")
+    kernel = kernel_from_file(str(path))
+    message = "kernel does not contain the coroot lattice (R^-1 is not integral)"
+    for refuse in (check_kernel, pq_map):
+        with pytest.raises(ValueError) as exc:
+            refuse(rs, kernel)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("B", 3)])
 def test_simply_connected_all_ones(family, rank):
     rs, wg = system(family, rank)
-    ratios = pq_map(rs, kernel_preset(rs, "sc"))
-    assert all((r.p, r.q) == (1, 1) for r in ratios)
+    scales = pq_map(rs, kernel_preset(rs, "sc"))
+    assert all(q == 1 for q in scales)
 
 
 def test_so5_ratios_with_brute_force_oracle():
     rs, wg = system("C", 2)
     kernel = kernel_preset(rs, "so-odd")
-    ratios = pq_map(rs, kernel)
+    scales = pq_map(rs, kernel)
     for i in range(len(rs.roots)):
-        expected = (1, 2) if rs.root_norms[i] == 2 else (1, 1)
-        assert (ratios[i].p, ratios[i].q) == expected
+        expected = 2 if rs.root_norms[i] == 2 else 1
+        assert scales[i] == expected
 
     # independent oracle on simple roots: scan small integer solution vectors
     for j0 in range(2):
@@ -121,43 +126,42 @@ def test_so5_ratios_with_brute_force_oracle():
                 vals.add(k1 * kernel.rows[0][j0] + k2 * kernel.rows[1][j0])
         positive = sorted(v for v in vals if v > 0)
         gen = positive[0]
-        got = ratios[rs.simple_indices[j0]]
-        assert Q(got.p, got.q) == gen
+        assert Q(1, scales[rs.simple_indices[j0]]) == gen
         # generated lattice really is gen * Z within the scan window
         assert all(v % gen == 0 for v in vals)
 
 
 def test_pq_constant_on_length_classes():
     rs, wg = system("B", 3)
-    ratios = pq_map(rs, kernel_preset(rs, "so-odd"))
+    scales = pq_map(rs, kernel_preset(rs, "so-odd"))
     by_norm = {}
-    for i, r in enumerate(ratios):
-        by_norm.setdefault(rs.root_norms[i], set()).add((r.p, r.q))
+    for i, q in enumerate(scales):
+        by_norm.setdefault(rs.root_norms[i], set()).add(q)
     assert all(len(v) == 1 for v in by_norm.values())
 
 
 def test_gamma_x_identity_is_full():
     rs, wg = system("C", 2)
-    ratios = pq_map(rs, kernel_preset(rs, "sc"))
-    sub = gamma_x(rs, ratios, TorusPoint.make([0, 0]))
+    scales = pq_map(rs, kernel_preset(rs, "sc"))
+    sub = gamma_x(rs, scales, TorusPoint.make([0, 0]))
     assert sub.root_indices == frozenset(range(len(rs.roots)))
 
 
 def test_spin5_so5_worked_example():
     rs, wg = system("C", 2)
     classes = {c.label: c for c in enumerate_classes(rs, wg)}
-    sc_ratios = pq_map(rs, kernel_preset(rs, "sc"))
-    so_ratios = pq_map(rs, kernel_preset(rs, "so-odd"))
+    sc_scales = pq_map(rs, kernel_preset(rs, "sc"))
+    so_scales = pq_map(rs, kernel_preset(rs, "so-odd"))
     # X = half of the long simple coroot step: fixes exactly the long roots
-    gx = gamma_x(rs, sc_ratios, TorusPoint.make([0, Q(1, 2)]))
+    gx = gamma_x(rs, sc_scales, TorusPoint.make([0, Q(1, 2)]))
     assert gx.root_indices == classes["C1+C1"].representative.root_indices
     assert gx.closed
     # Y = quarter step along the short coroot: fixes exactly the short roots
-    gy = gamma_x(rs, so_ratios, TorusPoint.make([Q(1, 4), 0]))
+    gy = gamma_x(rs, so_scales, TorusPoint.make([Q(1, 4), 0]))
     assert gy.root_indices == classes["D2"].representative.root_indices
     assert not gy.closed
     # the same Y under the simply connected kernel keeps only the orthogonal pair
-    gy_sc = gamma_x(rs, sc_ratios, TorusPoint.make([Q(1, 4), 0]))
+    gy_sc = gamma_x(rs, sc_scales, TorusPoint.make([Q(1, 4), 0]))
     assert gy_sc.closed
 
 
@@ -172,9 +176,9 @@ def _random_point(rng, rank):
 def test_simply_connected_probes_are_closed(family, rank):
     rng = random.Random(5)
     rs, wg = system(family, rank)
-    ratios = pq_map(rs, kernel_preset(rs, "sc"))
+    scales = pq_map(rs, kernel_preset(rs, "sc"))
     for _ in range(60):
-        sub = gamma_x(rs, ratios, _random_point(rng, rank))
+        sub = gamma_x(rs, scales, _random_point(rng, rank))
         assert sub.closed
 
 
@@ -182,7 +186,7 @@ def test_gamma_x_equivariance():
     # coroot coordinates transform by the transposed label matrix of the inverse
     rng = random.Random(9)
     rs, wg = system("C", 2)
-    ratios = pq_map(rs, kernel_preset(rs, "so-odd"))
+    scales = pq_map(rs, kernel_preset(rs, "so-odd"))
     n = rs.rank
     for _ in range(40):
         pt = _random_point(rng, n)
@@ -190,8 +194,8 @@ def test_gamma_x_equivariance():
         m = label_mat(rs, inverse(w))
         wa = tuple(sum(m[r][c] * pt.a_coords[r] for r in range(n)) for c in range(n))
         wb = tuple(sum(m[r][c] * pt.b_coords[r] for r in range(n)) for c in range(n))
-        lhs = gamma_x(rs, ratios, TorusPoint.make(wa, wb)).root_indices
-        rhs = frozenset(w.perm[i] for i in gamma_x(rs, ratios, pt).root_indices)
+        lhs = gamma_x(rs, scales, TorusPoint.make(wa, wb)).root_indices
+        rhs = frozenset(w.perm[i] for i in gamma_x(rs, scales, pt).root_indices)
         assert lhs == rhs
 
 
@@ -225,14 +229,14 @@ def test_pq_map_matches_brute_force_on_random_kernels(family, rank):
     assert len(kernels) == 6
     # some kept lattice lies strictly between the coroots and the coweights
     assert any(x.denominator != 1 for k in kernels for row in k.rows for x in row)
-    ratios = [pq_map(rs, k) for k in kernels]
+    scales = [pq_map(rs, k) for k in kernels]
     # q > 1 needs every root to pair evenly with a^vee, which only B_n and C2 allow
-    has_q = any(r.q > 1 for rk in ratios for r in rk)
+    has_q = any(q > 1 for qk in scales for q in qk)
     assert has_q == (family == "B" or (family, rank) == ("C", 2))
-    for kernel, rk in zip(kernels, ratios):
+    for kernel, qk in zip(kernels, scales):
         by_norm = {}
-        for i, r in enumerate(rk):
-            by_norm.setdefault(rs.root_norms[i], set()).add((r.p, r.q))
+        for i, q in enumerate(qk):
+            by_norm.setdefault(rs.root_norms[i], set()).add(q)
         assert all(len(v) == 1 for v in by_norm.values())
         # independent oracle: the t with k R = t e_j over a window of integral k. Each
         # e_j lies in K, so the generator t <= 1 has k = t * (row j of R^-1) in the window.
@@ -248,6 +252,5 @@ def test_pq_map_matches_brute_force_on_random_kernels(family, rank):
                 found[nonzero[0]].add(Q(v[nonzero[0]], den))
         for j in range(rank):
             gen = min(t for t in found[j] if t > 0)
-            got = rk[rs.simple_indices[j]]
-            assert Q(got.p, got.q) == gen
+            assert Q(1, qk[rs.simple_indices[j]]) == gen
             assert all(t % gen == 0 for t in found[j])

@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from weylstrat.relcoeff import coeff_table, identity_value
+from weylstrat.relcoeff import coeff_table
+from weylstrat.repthy import identity_value
 from weylstrat.subsys import enumerate_classes
 from conftest import system, tuple_count_oracle, word_element
 from test_relcoeff import moved_class

@@ -8,7 +8,8 @@ and no moved representative here (tests/test_rank_five.py has both).
 
 import pytest
 
-from weylstrat.relcoeff import coeff_table, identity_value
+from weylstrat.relcoeff import coeff_table
+from weylstrat.repthy import identity_value
 from weylstrat.subsys import enumerate_classes
 from conftest import system, tuple_count_oracle
 from test_rank_five import MAX_COMPLEMENT

@@ -185,18 +185,16 @@ def test_orbit_walk_matches_full_scans(family, rank):
     for c in classes.values():
         members = c.representative.root_indices
         moved = frozenset(w.perm[i] for i in members)
-        subs += [RootSubsystem(members, c.representative.closed, c.label),
-                 RootSubsystem(moved, c.representative.closed, c.label)]
-    for sub in subs:
+        subs += [(c.label, RootSubsystem(members, c.representative.closed)),
+                 (c.label, RootSubsystem(moved, c.representative.closed))]
+    for _, sub in subs:
         assert canonical_key(wg, sub.root_indices) == scan_canonical_key(wg, sub.root_indices)
-    for sub1, sub2 in itertools.product(subs, repeat=2):
+    for (label1, sub1), (label2, sub2) in itertools.product(subs, repeat=2):
         s1, s2 = sub1.root_indices, sub2.root_indices
-        assert are_conjugate(wg, sub1, sub2) == scan_conjugate(wg, s1, s2) == (
-            sub1.label == sub2.label
-        )
-        cls1 = SubsystemClass(sub1.label, (), sub1)
-        cls2 = SubsystemClass(sub2.label, (), sub2)
-        assert class_leq(wg, cls1, cls2) == scan_leq(wg, s1, s2), (sub1.label, sub2.label)
+        assert are_conjugate(wg, sub1, sub2) == scan_conjugate(wg, s1, s2) == (label1 == label2)
+        cls1 = SubsystemClass(label1, (), sub1)
+        cls2 = SubsystemClass(label2, (), sub2)
+        assert class_leq(wg, cls1, cls2) == scan_leq(wg, s1, s2), (label1, label2)
 
 
 def test_class_leq_basics():
