@@ -96,7 +96,13 @@ def kernel_from_file(path: str) -> ExpKernel:
 
 
 def check_kernel(rs: RootSystem, kernel: ExpKernel) -> ExpKernel:
-    """The kernel itself, once its rank is rs.rank and it lies between coroots and coweights.
+    """The kernel itself, once its rank is rs.rank and it lies between coroots and coweights."""
+    _integral_inverse(rs, kernel)
+    return kernel
+
+
+def _integral_inverse(rs: RootSystem, kernel: ExpKernel) -> List[List[int]]:
+    """R^-1 as integers; ValueError unless the kernel passes `check_kernel`.
 
     The coroot lattice lies inside the kernel exactly when each simple coroot
     (a row of the identity) is an integral combination of the rows of R, that
@@ -116,7 +122,7 @@ def check_kernel(rs: RootSystem, kernel: ExpKernel) -> ExpKernel:
                 raise ValueError(
                     "kernel is not inside the coweight lattice (R * cartan is not integral)"
                 )
-    return kernel
+    return [[x.numerator for x in row] for row in inverse]
 
 
 # -- q per root ---------------------------------------------------------------
@@ -125,15 +131,14 @@ def check_kernel(rs: RootSystem, kernel: ExpKernel) -> ExpKernel:
 def pq_map(rs: RootSystem, kernel: ExpKernel) -> List[int]:
     """q of every root a, with {t : t * a^vee in the kernel lattice} = (1/q)Z.
 
-    The kernel goes through `check_kernel` first, presets included, so it
-    contains the coroot lattice and R^-1 is an integer matrix M. In
-    simple-coroot coordinates the kernel is K = Z^n R, and a root a has the
-    integral coroot coordinates c_j = <omega_j, a^vee> = 2 k(omega_j, a) / k(a, a).
+    The kernel goes through the checks of `check_kernel` first, presets
+    included, so it contains the coroot lattice and R^-1 is an integer matrix
+    M. In simple-coroot coordinates the kernel is K = Z^n R, and a root a has
+    the integral coroot coordinates c_j = <omega_j, a^vee> = 2 k(omega_j, a) / k(a, a).
     So t * c lies in K exactly when t * (c M) is integral, and the t form
     (1/q)Z with q = gcd(c M): p is 1 for every root. The roots a and -a share q.
     """
-    check_kernel(rs, kernel)
-    inverse = [[int(x) for x in row] for row in _invert_rational([list(r) for r in kernel.rows])]
+    inverse = _integral_inverse(rs, kernel)
     out = []
     for i in range(rs.num_positive):
         c = [2 * k // rs.root_norms[i] for k in rs.komega[i]]
@@ -144,8 +149,8 @@ def pq_map(rs: RootSystem, kernel: ExpKernel) -> List[int]:
 # -- Gamma_x membership test ---------------------------------------------------
 
 
-def gamma_x(rs: RootSystem, scales: Optional[Sequence[int]], x: TorusPoint) -> RootSubsystem:
-    """Roots whose reflection fixes x: q*a(A) integral and a(B) = 0; every q is 1 for None."""
+def gamma_x(rs: RootSystem, scales: Sequence[int], x: TorusPoint) -> RootSubsystem:
+    """Roots whose reflection fixes x: q*a(A) integral and a(B) = 0."""
     n = rs.rank
     if len(x.a_coords) != n:
         raise ValueError("torus point has wrong rank")
@@ -154,7 +159,7 @@ def gamma_x(rs: RootSystem, scales: Optional[Sequence[int]], x: TorusPoint) -> R
         lab = rs.root_labels(i)
         a_val = sum(x.a_coords[j] * lab[j] for j in range(n))
         b_val = sum(x.b_coords[j] * lab[j] for j in range(n))
-        if b_val == 0 and (a_val * (scales[i] if scales else 1)).denominator == 1:
+        if b_val == 0 and (a_val * scales[i]).denominator == 1:
             members.append(i)
     indices = frozenset(members)
     return RootSubsystem(indices, _closed(rs, indices))

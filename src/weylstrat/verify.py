@@ -130,8 +130,8 @@ def _inverse_permute(lam: Sequence[int], perm: Tuple[int, ...]) -> Labels:
 def _parsed_rows(data) -> Dict[Labels, list]:
     """The corpus rows as {lambda: one [c, d] pair per class}, each value parsed once.
 
-    A null value is 0, and an integral one an int. ValueError unless data has
-    the keys, types and sizes of one group's corpus.
+    A null value is 0. ValueError unless data has the keys, types and sizes of
+    one group's corpus.
     """
     keys = {"group": str, "family": str, "rank": int, "classes": list, "rows": list}
     if type(data) is not dict or any(type(data.get(k)) is not t for k, t in keys.items()) or any(
@@ -159,14 +159,13 @@ def _parsed_rows(data) -> Dict[Labels, list]:
 
 
 def _value(lam: list, text: Optional[str]):
-    """A corpus value: 0 for null, an int when integral, else its Fraction."""
+    """A corpus value: 0 for null, else its Fraction."""
     if text is None:
         return 0
     try:
-        q = Q(text)
+        return Q(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"corpus row {lam} value {text!r} is not a rational") from None
-    return q.numerator if q.denominator == 1 else q
 
 
 def verify_group(data: dict) -> Tuple[List[Mismatch], Tuple[int, ...]]:
