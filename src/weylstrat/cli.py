@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 from .rootsys import LieType, build_root_system
 from .subsys import (
-    SubsystemClass, are_conjugate, build_poset, enumerate_classes, normalize_label, poset_to_dot,
+    SubsystemClass, build_poset, enumerate_classes, normalize_label, poset_to_dot,
 )
 from .weyl import WeylGroup, generate_group
 
@@ -345,8 +345,9 @@ def cmd_gammax(args) -> int:
     scales = _kernel_scales(rs, args.kernel)
     point = _parse_point(args.point, rs.rank)
     sub = gamma_x(rs, scales, point)
+    orbit = wg.coset_representatives(sub.root_indices)
     label = next(
-        (c.label for c in enumerate_classes(rs, wg) if are_conjugate(wg, sub, c.representative)),
+        (c.label for c in enumerate_classes(rs, wg) if c.representative.root_indices in orbit),
         None,
     )
     payload = {

@@ -8,10 +8,10 @@ only in `kblock_columns`, for its dominant-label walk.
 
 Column lambda of a K block is `weyl.shifted_fold` at lambda of the W-orbit
 points of the D table, each carrying its D value; the C table is column 0 of
-that block. `k_block` sums the same folds, but the shifted points
-lambda + nu + delta recur from column to column, so it reflects each distinct
-one to the dominant chamber once per block, through a table keyed by packed
-ints; `shifted_fold` stays the definition and is the tests' oracle for it.
+that block. `k_block` takes every column from one `weyl.shifted_folds` call,
+which reflects each distinct shifted point lambda + nu + delta once per block
+and leaves out the rows past the cutoff; `shifted_fold` stays the definition
+and is the tests' oracle for it.
 All K entries are stored in normalized form (the ratio of character norms is
 divided out), which keeps every table an exact integer and independent of
 hbar; the transcendental factor is reinstated on demand by norm_ratio, or by
@@ -23,13 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from operator import add, mul, sub
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .relcoeff import CoeffTable
 from .rootsys import Labels, RootSystem
 from .subsys import ClassPoset
-from .weyl import WeylGroup, shifted_fold
+from .weyl import WeylGroup, shifted_fold, shifted_folds
 
 
 @dataclass
@@ -140,64 +139,12 @@ def k_block(
     kblock_columns(wg.rs, cutoff_norm_sq), walked once by the caller (before
     any table in `cli.cmd_kblock`, once for every block in vanishing_system);
     any other dominant columns are folded the same way.
-
-    Column lam is shifted_fold at lam of the D orbit points, but the
-    point lam + nu + delta recurs across columns, so each distinct point is
-    reflected to the dominant chamber once per block. Points are packed into
-    ints in mixed radix: digit i is (lam_i - min lam_i) + (nu_i - min nu_i)
-    over the columns and the orbit points, so the key of lam + nu + delta is
-    the key of lam plus the key of nu, and never carries. Each key maps to
-    (row, sign, far), far when the row is past the cutoff, or to () when the
-    point is singular; the table lives only for this call.
     """
-    rs = wg.rs
-    cutoff = Q(cutoff_norm_sq)
     # an integer scaled norm exceeds norm_den * cutoff iff it exceeds its floor
-    scaled_cutoff = math.floor(cutoff * rs.norm_den)
-    points = wg.orbit_points(dtable.entries)
+    bound = math.floor(Q(cutoff_norm_sq) * wg.rs.norm_den)
     entries: Dict[Tuple[Labels, Labels], int] = {}
     incomplete: Set[Labels] = set()
-    nus = [nu for nu, _ in points]
-    col_lo = list(map(min, zip(*columns)))
-    nu_lo = list(map(min, zip(*nus)))
-    radices = [
-        hi - lo + hi2 - lo2 + 1
-        for hi, lo, hi2, lo2 in zip(map(max, zip(*columns)), col_lo, map(max, zip(*nus)), nu_lo)
-    ]
-    places = [1]
-    for r in radices[:-1]:
-        places.append(places[-1] * r)
-    packed = [(sum(map(mul, map(sub, nu, nu_lo), places)), nu, c) for nu, c in points]
-
-    lookup: Dict[int, tuple] = {}
-    rows: Dict[Labels, Tuple[Labels, bool]] = {}  # dominant -> (row, far), one norm per row
-    for lam in columns:
-        base = sum(map(mul, map(sub, lam, col_lo), places))
-        shift = [x + 1 for x in lam]
-        fold: Dict[Labels, int] = {}
-        far = False
-        for key, nu, c in packed:
-            key += base
-            hit = lookup.get(key)
-            if hit is None:
-                found = wg.regular_dominant(list(map(add, shift, nu)))
-                hit = ()
-                if found is not None:
-                    dom, sign = found
-                    known = rows.get(dom)
-                    if known is None:
-                        known = rows[dom] = (
-                            tuple(d - 1 for d in dom),
-                            rs.scaled_norm(dom) > scaled_cutoff,
-                        )
-                    hit = (known[0], sign, known[1])
-                lookup[key] = hit
-            if hit:
-                row, sign, past = hit
-                if past:
-                    far = True
-                else:
-                    fold[row] = fold.get(row, 0) + sign * c
+    for lam, fold, far in shifted_folds(wg, wg.orbit_points(dtable.entries), columns, bound):
         if far:
             incomplete.add(lam)
         for row, val in fold.items():

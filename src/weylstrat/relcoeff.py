@@ -11,9 +11,9 @@ of the q-scaled roots, and `denominator_values` reads the same weights
 off one pass over the orbit of their rho_q, building no V. The reduced
 coefficients are these weights times the character expansions of the m_mu
 (`WeylGroup.orbit_folds`, asked once per table and folded once per type and
-mu, from each orbit or from the walk of W.delta that the group keeps), all in
-integer label arithmetic. The weights are the D table (see `costrat.d_coeffs`), so no
-weight system is ever computed here.
+mu, from each orbit or, one `shifted_folds` call per zero set, from the kept
+W.delta), all in integer label arithmetic. The weights are the D table (see
+`costrat.d_coeffs`), so no weight system is ever computed here.
 
 Two budgets bound the work: MAX_SUPPORT weights of a subset-sum map, and
 MAX_ORBIT_POINTS orbit points behind a class-0 table.
@@ -153,11 +153,13 @@ def denominator_values(wg: WeylGroup, scales: Optional[Sequence[int]]) -> Dict[L
     """
     rho = tuple(scales[i] if scales else 1 for i in wg.rs.simple_indices)
     sums: Dict[Labels, int] = {}
+    sizes: Dict[Labels, int] = {}  # |W.mu|, taken when mu is first reached
     points = 0
     for x, sign in wg.orbit_walk(rho):
         mu = wg.dominant_data(list(map(add, x, rho)))[0]
         if mu not in sums:
-            points += wg.orbit_size(mu)
+            sizes[mu] = wg.orbit_size(mu)
+            points += sizes[mu]
             if points > MAX_ORBIT_POINTS:
                 raise ValueError(
                     f"class-0 table too large: more than {MAX_ORBIT_POINTS} orbit points"
@@ -168,7 +170,7 @@ def denominator_values(wg: WeylGroup, scales: Optional[Sequence[int]]) -> Dict[L
     out: Dict[Labels, int] = {}
     for mu, total in sums.items():
         if total:
-            share, rem = divmod(scale * total, wg.orbit_size(mu))
+            share, rem = divmod(scale * total, sizes[mu])
             if rem:
                 raise AssertionError(f"orbit sum of V at {mu} is not a multiple of |W.mu|")
             out[mu] = share

@@ -6,9 +6,10 @@ block of orthonormal coordinates (see `_base_for_tuple`). Labels come from the
 tuple, which keeps the non-conjugate pairs B1/A1, C1/A1, D2/A1+A1 and D3/A3
 apart even though they are isomorphic.
 
-Conjugacy, canonical keys and the class order read only the W-orbit of a root
-index set, the images w(S) that `WeylGroup.coset_representatives` walks; no
-Weyl element is built.
+Canonical keys and the class order read only the W-orbit of a root index set,
+the images w(S) that `WeylGroup.coset_representatives` walks; no Weyl element
+is built. So does the class of a subsystem (`cli.cmd_gammax`): the first
+class whose representative lies in that orbit.
 """
 
 from __future__ import annotations
@@ -212,26 +213,14 @@ def enumerate_classes(rs: RootSystem, wg: WeylGroup) -> List[SubsystemClass]:
     return out
 
 
-# -- conjugacy and order -----------------------------------------------------
-
-
-def _norm_counter(rs: RootSystem, indices) -> Counter:
-    return Counter(rs.root_norms[i] for i in indices)
-
-
-def are_conjugate(wg: WeylGroup, sub1: RootSubsystem, sub2: RootSubsystem) -> bool:
-    """True iff some Weyl image of sub1's index set is sub2's."""
-    s1, s2 = sub1.root_indices, sub2.root_indices
-    if len(s1) != len(s2) or _norm_counter(wg.rs, s1) != _norm_counter(wg.rs, s2):
-        return False
-    return s2 in wg.coset_representatives(s1)
+# -- class order -------------------------------------------------------------
 
 
 def _may_fit(rs: RootSystem, s1: FrozenSet[int], s2: FrozenSet[int]) -> bool:
     """Whether s2 has at least as many roots of each length as s1, so an image could fit."""
     if len(s1) > len(s2):
         return False
-    c1, c2 = _norm_counter(rs, s1), _norm_counter(rs, s2)
+    c1, c2 = (Counter(rs.root_norms[i] for i in s) for s in (s1, s2))
     return all(c1[k] <= c2[k] for k in c1)
 
 

@@ -15,25 +15,22 @@ carries the sign of each point's depth. `dominant_data` reflects one list in
 place at its first negative label; `regular_dominant` is the same walk
 stopped at the first zero label, as the shifted folds drop singular points.
 `shifted_fold` is the one shifted Weyl-orbit sum (the Brauer-Klimyk rule)
-behind C tables, K entries and tensor multiplicities; `costrat.k_block` sums
-the same folds over many columns with one walk per distinct shifted point,
-and is tested against it.
+behind C tables, K entries and tensor multiplicities, and the tests' oracle
+for `shifted_folds`: the same sum at many lambdas with one walk per distinct
+shifted point, which folds every K block and the W.delta path below.
 
 A group keeps, per dominant weight mu it is asked about, the fold of the
 orbit sum m_mu (its character expansion), so C tables of every class of a
-type share them. `orbit_folds` folds the mus a table asks for along one of
-two paths, both through `shifted_fold`: each orbit W.mu as the sorted list
-`dominant_orbit` keeps, or the points of W.delta positive at the zero labels
-J of mu (`coset_points`), shifted by mu. It takes the second only when
-walking W.delta and filtering it once per new J touches fewer points than
-the orbits hold, so W.delta is held only by a group whose tables fold more
-orbit points than it has (a class-0 table from rank 3 on; never the
-near-full classes of rank 8, whose W.delta has 10,321,920 points). A group
-that took it keeps W.delta with the mask of positive labels of each point,
-and each J-list filtered from it. The orbit lists serve the first path and
-`relcoeff.symmetrize`, which keeps every orbit a table other than class 0
-asks about before that table's folds, so the first path walks none of them
-again.
+type share them. `orbit_folds` folds each orbit W.mu as the sorted list
+`dominant_orbit` keeps or, when walking W.delta and filtering it once per
+new zero set J touches fewer points, the points of W.delta positive at J
+(`coset_points`) with the mus of J as the lambdas of one `shifted_folds`
+call. So W.delta is held only by a group whose tables fold more orbit points
+than it has (a class-0 table from rank 3 on; never the near-full classes of
+rank 8, whose W.delta has 10,321,920 points), with each J-list filtered from
+it. The orbit lists serve the first path and `relcoeff.symmetrize`, which
+keeps every orbit a table other than class 0 asks about before that table's
+folds, so the first path walks none of them again.
 
 Cosets of a setwise stabilizer are orbit images: the left cosets w*Stab(S)
 correspond one-to-one with the images w(S) in the W-orbit of the root index
@@ -51,8 +48,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import factorial
-from operator import add
+from operator import add, mul, sub
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .rootsys import Labels, RootSystem
@@ -84,10 +82,9 @@ class WeylGroup:
         # per dominant weight: its orbit when asked for as a list, and the fold of its orbit sum
         self._orbits: Dict[Labels, List[Labels]] = {}
         self._folds: Dict[Labels, Dict[Labels, int]] = {}
-        # W.delta once walked, as (p - delta, sign) per point p under the key 0, the mask of the
-        # positive labels of each p, and per zero set J (a mask) the points positive at J
-        self._coset_points: Dict[int, List[Tuple[Labels, int]]] = {}
-        self._rho_masks: List[int] = []
+        # W.delta once walked, as (p - delta, sign) per point p under the key (), and per
+        # zero set J (a tuple of label indices) the points positive at J
+        self._coset_points: Dict[Tuple[int, ...], List[Tuple[Labels, int]]] = {}
         self._order = expected_group_order(rs)
 
     def __len__(self):
@@ -230,48 +227,52 @@ class WeylGroup:
 
         The mus not yet folded take one path together. Walking W.delta (if not
         yet walked) and filtering it once per new non-empty zero set costs |W|
-        points each; the orbit path folds the sum of their orbit sizes, each
-        point with a longer dominant walk than its mu + p. The cheaper one is
-        taken: the J-lists of W.delta, kept for later calls, or each orbit as
-        `dominant_orbit` keeps it.
+        points each; the orbit path folds |W| / |W_J| points per mu of zero
+        set J, each with a longer dominant walk than its mu + p. The cheaper
+        is taken: each orbit as `dominant_orbit` keeps it, or per J one
+        `shifted_folds` call over its J-list, kept for later calls, bounded
+        by the largest ||mu + delta||^2, which no row passes (||mu + p|| <=
+        ||mu + delta||).
         """
         folds = self._folds
         wanted = dict.fromkeys(mus)
-        todo = [mu for mu in wanted if mu not in folds]
-        if todo:
-            zero_sets = [sum(1 << i for i, m in enumerate(mu) if not m) for mu in todo]
+        groups: Dict[Tuple[int, ...], List[Labels]] = {}
+        for mu in wanted:
+            if mu not in folds:
+                groups.setdefault(tuple(i for i, m in enumerate(mu) if not m), []).append(mu)
+        if groups:
             kept = self._coset_points
-            new = len(set(zero_sets).difference(kept, [0]))
-            buy = len(self) * ((0 not in kept) + new)
-            if buy < sum(map(self.orbit_size, todo)):
-                for mu, zeros in zip(todo, zero_sets):
-                    folds[mu] = shifted_fold(self, self.coset_points(zeros), mu)
+            new = len(set(groups).difference(kept, [()]))
+            buy = len(self) * ((() not in kept) + new)
+            rent = sum(len(g) * self.orbit_size(g[0]) for g in groups.values())
+            if buy < rent:
+                for zeros, group in groups.items():
+                    bound = max(self.rs.scaled_norm([m + 1 for m in mu]) for mu in group)
+                    for mu, fold, _ in shifted_folds(self, self.coset_points(zeros), group, bound):
+                        folds[mu] = fold
             else:
                 zero = (0,) * self.rs.rank
-                for mu in todo:
+                for mu in chain.from_iterable(groups.values()):
                     points = ((nu, 1) for nu in self.dominant_orbit(mu))
                     folds[mu] = shifted_fold(self, points, zero)
         return {mu: folds[mu] for mu in wanted}
 
-    def coset_points(self, zeros: int) -> List[Tuple[Labels, int]]:
-        """(p - delta, sign) for the points p of W.delta positive at every label in the mask zeros.
+    def coset_points(self, zeros: Tuple[int, ...]) -> List[Tuple[Labels, int]]:
+        """(p - delta, sign) for the points p of W.delta positive at every label in zeros.
 
         These p are the u^-1(delta) for the minimal coset representatives u of
-        W/W_J, J the labels in zeros, and the sign is sign(u). W.delta is
-        walked once per group and kept as the list for zeros = 0; every other
-        list is filtered from it once and kept.
+        W/W_J, J = zeros, and the sign is sign(u). W.delta is walked once per
+        group and kept as the list for J = (); every other list is filtered
+        from it once, on the labels p_i - 1 >= 0 at i in J, and kept.
         """
         kept = self._coset_points
-        if 0 not in kept:
-            walk = kept[0] = []
-            for p, sign in self.orbit_walk((1,) * self.rs.rank):
-                walk.append((tuple(x - 1 for x in p), sign))
-                self._rho_masks.append(sum(1 << i for i, x in enumerate(p) if x > 0))
+        if () not in kept:
+            kept[()] = [
+                (tuple(x - 1 for x in p), sign) for p, sign in self.orbit_walk((1,) * self.rs.rank)
+            ]
         points = kept.get(zeros)
         if points is None:
-            points = kept[zeros] = [
-                pt for pt, mask in zip(kept[0], self._rho_masks) if mask & zeros == zeros
-            ]
+            points = kept[zeros] = [pt for pt in kept[()] if all(pt[0][i] >= 0 for i in zeros)]
         return points
 
     # -- subgroups and cosets ------------------------------------------------
@@ -325,6 +326,62 @@ def shifted_fold(
             row = tuple(d - 1 for d in dom)
             out[row] = out.get(row, 0) + sign * c
     return out
+
+
+def shifted_folds(
+    wg: WeylGroup, points: Sequence[Tuple[Labels, int]], lams: Sequence[Labels], bound: int
+) -> Iterator[Tuple[Labels, Dict[Labels, int], bool]]:
+    """(lam, fold, far) per lam in turn: shifted_fold at lam without the rows past bound.
+
+    A row is past bound when norm_den * ||row + delta||^2 exceeds it; far says
+    whether lam lands on one. Each distinct point lam + nu + delta is reflected
+    once per call, through a table keyed by packed ints, and each distinct
+    row's norm is taken once. Digit i of a key is (lam_i - min lam_i) +
+    (nu_i - min nu_i) over the lams and points, so the key of lam + nu + delta
+    is the key of lam plus that of nu and never carries. Each key maps to
+    (row, sign, far), or to () for a singular point; each fold lives until the
+    next is asked for.
+    """
+    rs = wg.rs
+    nus = [nu for nu, _ in points]
+    lam_lo = list(map(min, zip(*lams)))
+    nu_lo = list(map(min, zip(*nus)))
+    radices = [
+        hi - lo + hi2 - lo2 + 1
+        for hi, lo, hi2, lo2 in zip(map(max, zip(*lams)), lam_lo, map(max, zip(*nus)), nu_lo)
+    ]
+    places = [1]
+    for r in radices[:-1]:
+        places.append(places[-1] * r)
+    packed = [(sum(map(mul, map(sub, nu, nu_lo), places)), nu, c) for nu, c in points]
+
+    lookup: Dict[int, tuple] = {}
+    rows: Dict[Labels, Tuple[Labels, bool]] = {}  # dominant -> (row, far), one norm per row
+    for lam in lams:
+        base = sum(map(mul, map(sub, lam, lam_lo), places))
+        shift = [x + 1 for x in lam]
+        fold: Dict[Labels, int] = {}
+        far = False
+        for key, nu, c in packed:
+            key += base
+            hit = lookup.get(key)
+            if hit is None:
+                found = wg.regular_dominant(list(map(add, shift, nu)))
+                hit = ()
+                if found is not None:
+                    dom, sign = found
+                    known = rows.get(dom)
+                    if known is None:
+                        known = rows[dom] = (tuple(d - 1 for d in dom), rs.scaled_norm(dom) > bound)
+                    hit = (known[0], sign, known[1])
+                lookup[key] = hit
+            if hit:
+                row, sign, past = hit
+                if past:
+                    far = True
+                else:
+                    fold[row] = fold.get(row, 0) + sign * c
+        yield lam, fold, far
 
 
 def parabolic_order(cartan: Sequence[Sequence[int]], nodes: Iterable[int]) -> int:

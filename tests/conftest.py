@@ -195,6 +195,19 @@ def coset_movers(wg, root_indices):
     return movers
 
 
+def are_conjugate(wg, sub1, sub2):
+    """True iff some Weyl image of sub1's index set is sub2's.
+
+    Subsystems of different sizes or root lengths are not compared further;
+    otherwise the W-orbit of sub1's index set is walked.
+    """
+    s1, s2 = sub1.root_indices, sub2.root_indices
+    norms = wg.rs.root_norms
+    if sorted(norms[i] for i in s1) != sorted(norms[i] for i in s2):
+        return False
+    return s2 in wg.coset_representatives(s1)
+
+
 def root_coords(rs, lab):
     """Coordinates of a label vector over the simple roots."""
     inv = cartan_inverse(rs)

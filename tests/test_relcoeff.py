@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weylstrat
+from weylstrat import weyl
 from weylstrat.relcoeff import (
     coeff_table,
     denominator_values,
@@ -416,6 +417,47 @@ def test_orbit_memo_is_order_free(family, rank, monkeypatch):
     assert tables(reversed(classes), False) == forward
     assert tables(classes, True) == forward
     assert paths == {"W.delta", "orbits"}
+
+
+@pytest.mark.parametrize("family,rank,label", [
+    ("A", 3, None), ("B", 3, None), ("C", 3, None), ("D", 4, None), ("D", 5, "A1+A1"),
+])
+def test_w_delta_path_folds_once_per_zero_set(family, rank, label, monkeypatch):
+    # every class in order on one group (or one class on a fresh group): a table on the
+    # W.delta path makes one shifted_folds call per zero set of the weights it has not
+    # folded yet, with that zero set's kept W.delta list as points and those weights as
+    # columns, and no row of any fold passes the bound
+    rs = build_root_system(LieType(family, rank))
+    wg = generate_group(rs)
+    calls = []
+    shifted_folds = weyl.shifted_folds
+
+    def counted(group, points, lams, bound):
+        calls.append((points, lams))
+        for lam, fold, far in shifted_folds(group, points, lams, bound):
+            assert not far, lam
+            yield lam, fold, far
+
+    monkeypatch.setattr(weyl, "shifted_folds", counted)
+    paths = []
+    for cls in enumerate_classes(rs, wg):
+        if label is not None and cls.label != label:
+            continue
+        folded = set(wg._folds)
+        del calls[:]
+        table = coeff_table(wg, cls)
+        zero_sets = {}
+        for mu in table.dominant_values:
+            if mu not in folded:
+                zero_sets.setdefault(tuple(i for i, m in enumerate(mu) if not m), []).append(mu)
+        if calls:
+            paths.append(cls.label)
+            assert len(calls) == len(zero_sets), cls.label
+            for points, lams in calls:
+                zeros = tuple(i for i, m in enumerate(lams[0]) if not m)
+                assert points is wg._coset_points[zeros], cls.label
+                assert lams == zero_sets[zeros], cls.label
+    assert (paths[0] == "0") if label is None else (paths == [label])
 
 
 def moved_class(rs, cls, w):

@@ -8,7 +8,6 @@ from weylstrat.subsys import (
     RootSubsystem,
     SubsystemClass,
     _closed,
-    are_conjugate,
     build_poset,
     canonical_key,
     class_leq,
@@ -16,7 +15,7 @@ from weylstrat.subsys import (
     poset_to_dot,
     span_subsystem,
 )
-from conftest import SUPPORTED_TYPES, simple_roots, system
+from conftest import SUPPORTED_TYPES, are_conjugate, simple_roots, system
 
 
 def classes_by_label(family, rank):

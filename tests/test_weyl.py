@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from weylstrat.relcoeff import coeff_table
 from weylstrat.rootsys import LieType, build_root_system
-from weylstrat.subsys import RootSubsystem, are_conjugate, build_poset, enumerate_classes
+from weylstrat.subsys import RootSubsystem, build_poset, enumerate_classes
 from weylstrat.weyl import expected_group_order, generate_group
 from conftest import (
-    RANK_SIX_TYPES, apply_labels, coset_movers, dominant_representative, from_labels,
+    RANK_SIX_TYPES, apply_labels, are_conjugate, coset_movers, dominant_representative, from_labels,
     fundamental_weights, half_sum, inverse, label_mat, orbit, pairing, reflect, reflect_labels,
     reflection, simple_roots, system, to_labels, tuple_dominant_data, weight_system,
     word_element,
