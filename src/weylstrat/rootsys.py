@@ -4,7 +4,10 @@ Families A, B, C, D are realized in orthonormal coordinates (A_n inside the
 trace-zero hyperplane of an (n+1)-dimensional space, B/C/D in n dimensions),
 and every root is a tuple of integer coordinates. The form k is the dot
 product scaled so that short roots have k(a, a) = 2; this normalization
-cancels in every reduced coefficient downstream.
+cancels in every reduced coefficient downstream. `block_base` is the one
+recipe that places the simple roots of a type on a block of coordinates: the
+root system's own base is the block that starts at coordinate 0, and `subsys`
+builds every class representative from such blocks.
 
 Every table is built from integer dot products and exact floor division:
 root norms, the Cartan matrix, root labels, the pairings `komega` of
@@ -64,19 +67,20 @@ def _unit(dim: int, i: int) -> Vector:
     return tuple(int(k == i) for k in range(dim))
 
 
-def _simple_roots(t: LieType) -> List[Vector]:
-    n = t.rank
-    if t.family == "A":
-        e = lambda i: _unit(n + 1, i)
-        return [vec_sub(e(i), e(i + 1)) for i in range(n)]
-    e = lambda i: _unit(n, i)
-    simple = [vec_sub(e(i), e(i + 1)) for i in range(n - 1)]
-    if t.family == "B":
-        simple.append(e(n - 1))
-    elif t.family == "C":
-        simple.append(vec_add(e(n - 1), e(n - 1)))
-    else:  # D
-        simple.append(vec_add(e(n - 2), e(n - 1)))
+def block_base(kind: str, m: int, lo: int, dim: int) -> List[Vector]:
+    """Simple roots of a kind_m system on the coordinates from lo on, in dim dimensions.
+
+    A_m takes m + 1 coordinates and every other kind m. The base is
+    e_a - e_(a+1) inside the block, and B_m, C_m and D_m add e_b, 2e_b or
+    e_(b-1) + e_b at the block's last coordinate b.
+    """
+    z = (0,) * dim
+    b = lo + m - (kind != "A")
+    simple = [z[:a] + (1, -1) + z[a + 2 :] for a in range(lo, b)]
+    if kind == "D":
+        simple.append(z[: b - 1] + (1, 1) + z[b + 1 :])
+    elif kind != "A":
+        simple.append(z[:b] + (1 if kind == "B" else 2,) + z[b + 1 :])
     return simple
 
 
@@ -120,7 +124,7 @@ class RootSystem:
         self.roots: List[Vector] = positives + [tuple(-x for x in a) for a in positives]
         self.dim = len(positives[0])
         self.index: dict = {a: i for i, a in enumerate(self.roots)}
-        simple = _simple_roots(lie_type)
+        simple = block_base(lie_type.family, n, 0, self.dim)
         self.simple_indices: List[int] = [self.index[a] for a in simple]
 
         self.root_norms: List[int] = [scale * _dot(a, a) for a in self.roots]

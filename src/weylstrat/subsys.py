@@ -1,10 +1,12 @@
 """Root subsystems: closure, conjugacy classes, and their partial order.
 
-Classes are indexed by factor tuples (A parts, D parts, then B/C parts), and
-each factor of the representative is a root system of its type on its own
-block of orthonormal coordinates (see `_base_for_tuple`). Labels come from the
-tuple, which keeps the non-conjugate pairs B1/A1, C1/A1, D2/A1+A1 and D3/A3
-apart even though they are isomorphic.
+A class is one list of (kind, m) factors in label order: A parts, then D
+parts from D2, then B/C parts, each ascending. Its label is the factors joined
+by + ("0" for none), which keeps the non-conjugate pairs B1/A1, C1/A1,
+D2/A1+A1 and D3/A3 apart even though they are isomorphic. Each factor of the
+representative is a root system of its kind on its own block of orthonormal
+coordinates, with the base that `rootsys.block_base` gives that block (see
+`enumerate_classes`).
 
 Canonical keys and the class order read only the W-orbit of a root index set,
 the images w(S) that `WeylGroup.coset_representatives` walks; no Weyl element
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
-from .rootsys import RootSystem
+from .rootsys import RootSystem, block_base
 from .weyl import WeylGroup
 
 
@@ -90,50 +92,35 @@ def canonical_key(wg: WeylGroup, indices: FrozenSet[int]) -> Tuple[int, ...]:
 # -- class enumeration -------------------------------------------------------
 
 
-def _nondecreasing(min_entry: int, budget: int, cost) -> Iterator[Tuple[int, ...]]:
-    """All nondecreasing tuples with entries >= min_entry and cost(t) <= budget."""
+# factor kinds in label order; B and C never occur in one type
+_KIND_ORDER = {"A": 0, "D": 1, "B": 2, "C": 2}
+_MIN_SIZE = {"A": 1, "D": 2, "B": 1, "C": 1}
 
-    def rec(prefix: Tuple[int, ...], lo: int) -> Iterator[Tuple[int, ...]]:
+
+def _width(kind: str, m: int) -> int:
+    """Coordinates a kind_m factor takes: m + 1 for A_m, m for the others."""
+    return m + (kind == "A")
+
+
+def _factor_lists(family: str, n: int) -> Iterator[List[Tuple[str, int]]]:
+    """Every list of (kind, m) factors in label order whose blocks fit the coordinates.
+
+    The kinds are A, then D, then the family's own B or C (family A has only A
+    and family D no third kind), each kind's sizes ascending. Family A has n + 1
+    coordinates and the others n.
+    """
+    kinds = {"A": "A", "D": "AD"}.get(family, "AD" + family)
+
+    def rec(prefix: List[Tuple[str, int]], first: int, least: int, left: int):
         yield prefix
-        v = lo
-        while cost(prefix + (v,)) <= budget:
-            yield from rec(prefix + (v,), v)
-            v += 1
+        for k in range(first, len(kinds)):
+            kind = kinds[k]
+            m = least if k == first else _MIN_SIZE[kind]
+            while _width(kind, m) <= left:
+                yield from rec(prefix + [(kind, m)], k, m, left - _width(kind, m))
+                m += 1
 
-    yield from rec((), min_entry)
-
-
-def _family_tuples(family: str, n: int) -> Iterator[Tuple[Tuple[int, ...], ...]]:
-    if family == "A":
-        for i in _nondecreasing(1, n, lambda t: sum(t) + len(t) - 1):
-            yield (i,)
-        return
-    if family == "D":
-        for i in _nondecreasing(1, n, lambda t: sum(t) + len(t)):
-            left = n - sum(i) - len(i)
-            for j in _nondecreasing(2, left, sum):
-                yield (i, j)
-        return
-    # B and C share the (A..., D..., B/C...) pattern
-    for i in _nondecreasing(1, n, lambda t: sum(t) + len(t)):
-        left_d = n - sum(i) - len(i)
-        for j in _nondecreasing(2, left_d, sum):
-            left_k = left_d - sum(j)
-            for k in _nondecreasing(1, left_k, sum):
-                yield (i, j, k)
-
-
-def _label(family: str, parts: Tuple[Tuple[int, ...], ...]) -> str:
-    factors: List[str] = []
-    i = parts[0]
-    factors += [f"A{m}" for m in i]
-    if family in ("B", "C", "D"):
-        j = parts[1]
-        factors += [f"D{m}" for m in j]
-    if family in ("B", "C"):
-        k = parts[2]
-        factors += [f"{family}{m}" for m in k]
-    return "+".join(factors) if factors else "0"
+    yield from rec([], 0, 1, n + (family == "A"))
 
 
 def normalize_label(label: str) -> str:
@@ -151,63 +138,33 @@ def normalize_label(label: str) -> str:
         if not m:
             raise ValueError(f"bad class label {label!r}")
         parsed.append((m.group(1), int(m.group(2))))
-    order = {"A": 0, "D": 1, "B": 2, "C": 2}
-    parsed.sort(key=lambda t: (order[t[0]], t[1], t[0]))
+    parsed.sort(key=lambda t: (_KIND_ORDER[t[0]], t[1], t[0]))
     return "+".join(f"{f}{i}" for f, i in parsed)
 
 
-def _root(rs: RootSystem, *terms: Tuple[int, int]) -> int:
-    """The index of the root that is the sum of c * e_k over the terms (k, c)."""
-    v = [0] * rs.dim
-    for k, c in terms:
-        v[k] += c
-    return rs.index[tuple(v)]
+def enumerate_classes(rs: RootSystem, wg: WeylGroup) -> List[SubsystemClass]:
+    """One class per factor list, ordered by (cardinality, label).
 
-
-def _base_for_tuple(rs: RootSystem, parts: Tuple[Tuple[int, ...], ...]) -> List[int]:
-    """A base of the class's representative: each factor spans a block of coordinates.
-
-    A_m blocks take m + 1 consecutive coordinates from the first on, and D blocks
-    follow, except that in family D the largest sits at the last coordinates.
-    B/C blocks tile down from the last coordinate, the first factor last. A
-    block's base is e_a - e_(a+1) inside it; D, B and C blocks add e_(b-1) + e_b,
-    e_b or 2e_b at their last coordinate b.
+    Each factor's base is `block_base` on its own block of coordinates. A
+    blocks take the coordinates from the first on and D blocks follow, except
+    that in family D the last factor, if it is a D, sits at the last
+    coordinates. B/C blocks tile down from the last coordinate, the first
+    factor last.
     """
     family, dim = rs.lie_type.family, rs.dim
-    blocks = []  # (kind, first coordinate, size)
-    start = 0
-    for m in parts[0]:
-        blocks.append(("A", start, m + 1))
-        start += m + 1
-    d_parts = list(parts[1]) if family != "A" else []
-    if family == "D" and d_parts:
-        m = d_parts.pop()
-        blocks.append(("D", dim - m, m))
-    for m in d_parts:
-        blocks.append(("D", start, m))
-        start += m
-    end = dim
-    for m in parts[2] if family in ("B", "C") else ():
-        end -= m
-        blocks.append((family, end, m))
-
-    base: List[int] = []
-    for kind, lo, size in blocks:
-        b = lo + size - 1
-        base += [_root(rs, (a, 1), (a + 1, -1)) for a in range(lo, b)]
-        if kind == "D":
-            base.append(_root(rs, (b - 1, 1), (b, 1)))
-        elif kind != "A":
-            base.append(_root(rs, (b, 1 if kind == "B" else 2)))
-    return base
-
-
-def enumerate_classes(rs: RootSystem, wg: WeylGroup) -> List[SubsystemClass]:
-    """One class per admissible factor tuple, ordered by (cardinality, label)."""
     out = []
-    for parts in _family_tuples(rs.lie_type.family, rs.rank):
-        base = _base_for_tuple(rs, parts)
-        label = _label(rs.lie_type.family, parts)
+    for factors in _factor_lists(family, rs.rank):
+        base: List[int] = []
+        lo, hi = 0, dim
+        for i, (kind, m) in enumerate(factors):
+            width = _width(kind, m)
+            if kind in "BC" or (kind == family == "D" and i == len(factors) - 1):
+                hi -= width
+                start = hi
+            else:
+                start, lo = lo, lo + width
+            base += [rs.index[r] for r in block_base(kind, m, start, dim)]
+        label = "+".join(f"{kind}{m}" for kind, m in factors) or "0"
         out.append(SubsystemClass(label, tuple(base), span_subsystem(rs, base)))
     out.sort(key=lambda c: (len(c), c.label))
     return out

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylstrat import costrat, relcoeff, repthy, verify
-from weylstrat.cli import _json, run
+from weylstrat.cli import _find_class, _json, run
 from weylstrat.lattice import kernel_preset, pq_map
 from weylstrat.rootsys import LieType, RootSystem, build_root_system
-from weylstrat.subsys import normalize_label
+from weylstrat.subsys import enumerate_classes, normalize_label
 from weylstrat.verify import load_corpus
 from weylstrat.weyl import generate_group
+from conftest import SUPPORTED_TYPES, system
 
 
 def out_of(capsys):
@@ -403,6 +404,19 @@ def test_label_normalization():
     for bad in ["", "Q7", "A1+", "+A1", "A1++A1", "A1+ +B1"]:
         with pytest.raises(ValueError):
             normalize_label(bad)
+
+
+@pytest.mark.parametrize("family,rank", SUPPORTED_TYPES)
+def test_every_printed_label_is_normal_and_names_its_class(family, rank, capsys):
+    # the enumerator lists factors in the order normalize_label sorts them to,
+    # so every label the CLI prints is accepted back by --class as that class
+    assert run(["subsystems", "--family", family, "--rank", str(rank), "--format", "json"]) == 0
+    printed = [c["label"] for c in json.loads(out_of(capsys))["classes"]]
+    classes = enumerate_classes(*system(family, rank))
+    assert printed == [c.label for c in classes]
+    for label, cls in zip(printed, classes):
+        assert normalize_label(label) == label
+        assert _find_class(classes, label) is cls
 
 
 def test_out_file(tmp_path, capsys):

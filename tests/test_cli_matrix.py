@@ -230,3 +230,36 @@ def test_subsystems_json_at_every_supported_type(capsys):
         assert run(["subsystems", "--family", family, "--rank", str(rank), "--format", "json"]) == 0
         h.update(capsys.readouterr().out.encode())
     assert h.hexdigest() == SUBSYSTEMS_JSON_DIGEST
+
+
+# recorded before classes were lists of (kind, m) factors; the D4 and D6 digests
+# move when the second W-class of each even partition at D_n is listed (ROADMAP
+# item 2), since each such class adds a node to the poset
+HASSE_JSON_DIGESTS = {
+    "A1": "73fec8b441e006067f8b9ab929a653a9dd33c491133c3e05294623f7cb536c25",
+    "A2": "707f7363f472e9594691e37a6a0d723c5e950b1a2c33477692a3985b64a2a039",
+    "A3": "f318d8ce2020f4eadf2d567539b945f8392585eaf5f7d41b1175937eab34a864",
+    "A4": "3377b097c50b3dfa1cda4342212051f5b37cf3d10a254cd69a7cdc4a04f69929",
+    "A5": "5dd6c76b62d2073303e71c508b4d5fb867c78660e02295efdd7c68f2c79efca8",
+    "A6": "f330443b8fde758986648a0d78532ec25cda96e51ddaef2272c159d73e7758dd",
+    "B2": "d26ced0f0d38b613f7706a977eaf6340a1bfb039fa78d8c3f60e292448b4dc1b",
+    "B3": "cb78c538751e4bd4b2f94884faa4f84e7be2203b639aa8a4783c48373e4e006f",
+    "B4": "986e8178210cde2a5b280a005e0adb356a90e17ff13c1ab773ce0dee9a607010",
+    "B5": "629579b6596f9f70a87a2bde93a156a0b7b56279fa82032d1f08af7a2202d294",
+    "B6": "fb755756146847ad5305b7ddd6aab23c16169fce9c183a429f90ff60760d5ee6",
+    "C2": "5c2afdb19e374c1860a5252cd4fa887e13c57c1a15c7f0e0eeb4f09b23908e13",
+    "C3": "e5c1d4d4247b988de09089c240b2ccf3338d10d173502824859ef7c572ddca09",
+    "C4": "0937efad7ff059a85ec09ed210a09dceff4d9f29c966f5c1e5e2d68f29744471",
+    "C5": "a54adab629f2e995a0c4119ecf95ad9cc25f1753de347ed2c46ee9f5b27a55d6",
+    "C6": "fb95ff1bfceb5cf8e76965dee80f8bf837b15fdb4d4bc4f9f2ba17a98c0f6924",
+    "D4": "d33fb8138bf954961102a0a3f18247c674b96ae1c5e74369969e41a905fd6e80",
+    "D5": "7885608c342ea9f52443a09fb6cab08436eaf29d5d4a31a7f0d0495ef0b34776",
+    "D6": "2d6d554f2a4e35f0ceda5950bdb2d32098c9ad428fda72ad1611b5fbeb383da4",
+}
+
+
+@pytest.mark.parametrize("family,rank", [(f, r) for f, r in SUPPORTED_TYPES if r <= 6])
+def test_hasse_json_up_to_rank_six(family, rank, capsys):
+    assert run(["hasse", "--family", family, "--rank", str(rank), "--format", "json"]) == 0
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == HASSE_JSON_DIGESTS[f"{family}{rank}"]
