@@ -249,7 +249,7 @@ def cmd_kblock(args) -> int:
     cls, table = _class_table(args, wg)
     block = costrat.k_block(wg, costrat.d_coeffs(rs, table), norm_sq, columns)
     items = sorted(block.entries.items())
-    incomplete = sorted(block.incomplete_rows)
+    incomplete = sorted(block.incomplete_columns)
     if cfg is None:
         entries = (
             {"lambda_row": row, "lambda_col": col, "value": str(v)} for (row, col), v in items
@@ -395,6 +395,8 @@ def cmd_verify(args) -> int:
     lines.append(("OK" if not total_bad else f"{total_bad} MISMATCHES") + "\n")
     _emit(args, None, None, lines)  # the report is text in every --format
     return 0 if not total_bad else 1
+
+
 # -- parser ---------------------------------------------------------------------
 
 
@@ -435,7 +437,7 @@ def _make_parser() -> argparse.ArgumentParser:
             sp.add_argument("--hbar", type=float, default=None)
         sp.set_defaults(func=fn)
 
-    sp = sub.add_parser("pq", help="coprime p/q ratio per root for a kernel")
+    sp = sub.add_parser("pq", help="integer q per root (p is 1) for a kernel")
     common(sp)
     sp.add_argument("--kernel", default="sc")
     sp.set_defaults(func=cmd_pq)

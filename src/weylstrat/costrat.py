@@ -1,5 +1,9 @@
 """Costratification data: D coefficient tables and normalized K-matrix blocks.
 
+This module keeps what the `dcoeffs` and `kblock` commands print: D tables, K
+blocks, and the hbar ratios that `kblock --hbar` multiplies in. `is_stable`
+marks the columns where a K block has its closed form.
+
 D tables are read off the symmetrized subset-sum map that gives the C table
 (`CoeffTable.dominant_values`); no weight system is computed for them.
 Freudenthal's recursion (`repthy.dominant_weight_system`) serves only
@@ -14,8 +18,8 @@ and leaves out the rows past the cutoff; `shifted_fold` stays the definition
 and is the tests' oracle for it.
 All K entries are stored in normalized form (the ratio of character norms is
 divided out), which keeps every table an exact integer and independent of
-hbar; the transcendental factor is reinstated on demand by norm_ratio, or by
-hbar_ratio from shifted norms a caller computes once per distinct lambda.
+hbar; the transcendental factor is reinstated on demand by hbar_ratio, from
+shifted norms a caller computes once per distinct lambda.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from .relcoeff import CoeffTable
 from .rootsys import Labels, RootSystem
-from .subsys import ClassPoset
-from .weyl import WeylGroup, shifted_fold, shifted_folds
+from .weyl import WeylGroup, shifted_folds
 
 
 @dataclass
@@ -41,7 +44,7 @@ class DCoeffTable:
 @dataclass
 class KBlock:
     entries: Dict[Tuple[Labels, Labels], int]  # (row lambda', column lambda) -> value
-    incomplete_rows: Set[Labels] = field(default_factory=set)
+    incomplete_columns: Set[Labels] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -82,14 +85,6 @@ def d_coeffs(rs: RootSystem, table: CoeffTable) -> DCoeffTable:
     return DCoeffTable({mu: values.get(mu, 0) for mu in sorted(below)})
 
 
-def orbit_shifts(wg: WeylGroup, dtable: DCoeffTable) -> List[Labels]:
-    """Every weight in the Weyl orbits of the D-table support."""
-    out: Set[Labels] = set()
-    for mu in dtable.entries:
-        out.update(wg.orbit_labels(mu))
-    return sorted(out)
-
-
 def is_stable(wg: WeylGroup, dtable: DCoeffTable, lam: Sequence[int]) -> bool:
     """True iff lam plus every orbit point of the D-table support stays dominant.
 
@@ -97,18 +92,9 @@ def is_stable(wg: WeylGroup, dtable: DCoeffTable, lam: Sequence[int]) -> bool:
     non-dominant shifts are what break it, and those only involve non-dominant
     orbit points of the support.
     """
-    lam = tuple(lam)
-    for mu in orbit_shifts(wg, dtable):
-        if any(a + b < 0 for a, b in zip(lam, mu)):
-            return False
-    return True
-
-
-def k_entry(
-    wg: WeylGroup, dtable: DCoeffTable, lam_row: Sequence[int], lam_col: Sequence[int]
-) -> int:
-    """Normalized K entry: row lam_row of the shifted fold of the D orbits at lam_col."""
-    return shifted_fold(wg, wg.orbit_points(dtable.entries), lam_col).get(tuple(lam_row), 0)
+    return all(
+        a + b >= 0 for mu in dtable.entries for nu in wg.dominant_orbit(mu) for a, b in zip(lam, nu)
+    )
 
 
 # kblock_columns refuses a cutoff that admits more columns than this
@@ -137,8 +123,8 @@ def k_block(
     A column is flagged incomplete when its fold lands on a row past the
     cutoff, whether or not that row sums to zero. columns are
     kblock_columns(wg.rs, cutoff_norm_sq), walked once by the caller (before
-    any table in `cli.cmd_kblock`, once for every block in vanishing_system);
-    any other dominant columns are folded the same way.
+    any table in `cli.cmd_kblock`); any other dominant columns are folded the
+    same way.
     """
     # an integer scaled norm exceeds norm_den * cutoff iff it exceeds its floor
     bound = math.floor(Q(cutoff_norm_sq) * wg.rs.norm_den)
@@ -171,50 +157,3 @@ def hbar_ratio(cfg: HbarConfig, norm_num: Q, norm_den: Q) -> Tuple[float, Q]:
     if ratio == math.inf:
         raise ValueError(f"--hbar {cfg.hbar} overflows the norm ratio exp(hbar * {exponent})")
     return ratio, exponent
-
-
-def norm_ratio(
-    rs: RootSystem, cfg: HbarConfig, lam_num: Sequence[int], lam_den: Sequence[int]
-) -> Tuple[float, Q]:
-    """Ratio of character norms and the exact rational coefficient of hbar in its log."""
-    return hbar_ratio(cfg, shifted_norm_sq(rs, lam_num), shifted_norm_sq(rs, lam_den))
-
-
-@dataclass(frozen=True)
-class VanishingRow:
-    class_label: str
-    lam: Labels
-    coefficients: Tuple[Tuple[Labels, int], ...]
-
-
-def vanishing_system(
-    wg: WeylGroup,
-    poset: ClassPoset,
-    base_label: str,
-    cutoff_norm_sq: Q,
-    dtables: Dict[str, DCoeffTable],
-) -> List[VanishingRow]:
-    """Finite truncation of the linear conditions carving out the subspace of a class.
-
-    One row per (class r with r not >= the base class, dominant lambda within
-    the cutoff); each row lists the normalized K entries over the rows within
-    the cutoff. This is a truncation only: rows flagged incomplete in the
-    underlying block may be missing far columns. The columns are
-    kblock_columns(wg.rs, cutoff_norm_sq), walked once and shared by every
-    block, so a cutoff past MAX_COLUMNS columns raises ValueError.
-    """
-    labels = {c.label for c in poset.classes}
-    if base_label not in labels:
-        raise ValueError(f"unknown class label {base_label!r}")
-    excluded = [c for c in poset.classes if not poset.is_leq(base_label, c.label)]
-    columns = kblock_columns(wg.rs, cutoff_norm_sq)
-    rows: List[VanishingRow] = []
-    for cls in excluded:
-        block = k_block(wg, dtables[cls.label], cutoff_norm_sq, columns)
-        per_col: Dict[Labels, List[Tuple[Labels, int]]] = {}
-        for (row, col), val in block.entries.items():
-            per_col.setdefault(col, []).append((row, val))
-        for lam in columns:
-            coeffs = tuple(sorted(per_col.get(lam, [])))
-            rows.append(VanishingRow(cls.label, lam, coeffs))
-    return rows

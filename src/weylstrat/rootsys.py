@@ -6,8 +6,9 @@ and every root is a tuple of integer coordinates. The form k is the dot
 product scaled so that short roots have k(a, a) = 2; this normalization
 cancels in every reduced coefficient downstream. `block_base` is the one
 recipe that places the simple roots of a type on a block of coordinates: the
-root system's own base is the block that starts at coordinate 0, and `subsys`
-builds every class representative from such blocks.
+root system's own base is the block that starts at coordinate 0, its roots
+are that base closed under its reflections, and `subsys` builds every class
+representative from such blocks.
 
 Every table is built from integer dot products and exact floor division:
 root norms, the Cartan matrix, root labels, the pairings `komega` of
@@ -21,7 +22,6 @@ at the API edge, in `labels_norm_sq`, and in `_invert_rational`, which gives
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd, lcm
@@ -55,18 +55,6 @@ class LieType:
         return f"{self.family}{self.rank}"
 
 
-def vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def _unit(dim: int, i: int) -> Vector:
-    return tuple(int(k == i) for k in range(dim))
-
-
 def block_base(kind: str, m: int, lo: int, dim: int) -> List[Vector]:
     """Simple roots of a kind_m system on the coordinates from lo on, in dim dimensions.
 
@@ -82,23 +70,6 @@ def block_base(kind: str, m: int, lo: int, dim: int) -> List[Vector]:
     elif kind != "A":
         simple.append(z[:b] + (1 if kind == "B" else 2,) + z[b + 1 :])
     return simple
-
-
-def _all_positive_roots(t: LieType) -> List[Vector]:
-    n = t.rank
-    if t.family == "A":
-        e = lambda i: _unit(n + 1, i)
-        return [vec_sub(e(i), e(j)) for i, j in itertools.combinations(range(n + 1), 2)]
-    e = lambda i: _unit(n, i)
-    pos = []
-    for i, j in itertools.combinations(range(n), 2):
-        pos.append(vec_sub(e(i), e(j)))
-        pos.append(vec_add(e(i), e(j)))
-    if t.family == "B":
-        pos.extend(e(i) for i in range(n))
-    elif t.family == "C":
-        pos.extend(vec_add(e(i), e(i)) for i in range(n))
-    return pos
 
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -119,12 +90,12 @@ class RootSystem:
         # k = scale * (dot product); chosen so short roots have k(a,a) = 2
         scale = 2 if lie_type.family == "B" else 1
 
-        positives = sorted(_all_positive_roots(lie_type))
+        self.dim = n + (lie_type.family == "A")
+        simple = block_base(lie_type.family, n, 0, self.dim)
+        positives = _positive_roots(simple)
         self.num_positive = len(positives)
         self.roots: List[Vector] = positives + [tuple(-x for x in a) for a in positives]
-        self.dim = len(positives[0])
         self.index: dict = {a: i for i, a in enumerate(self.roots)}
-        simple = block_base(lie_type.family, n, 0, self.dim)
         self.simple_indices: List[int] = [self.index[a] for a in simple]
 
         self.root_norms: List[int] = [scale * _dot(a, a) for a in self.roots]
@@ -175,21 +146,39 @@ class RootSystem:
         return self._reflection_perms
 
 
-def _reflection_perms(vecs: Sequence[Vector], index: dict) -> List[Tuple[int, ...]]:
-    """s_a(b) = b - (2 (a, b) / (a, a)) a as root index permutations, in integers.
+def _reflect(a: Vector, b: Vector) -> Vector:
+    """s_a(b) = b - (2 (a, b) / (a, a)) a, in integers.
 
     Every root has integer coordinates and 2 (a, b) / (a, a) is a Cartan
-    integer, so the floor division is exact; the form scale cancels.
+    integer, so the floor division is exact; the form scale cancels. A b
+    orthogonal to a is returned as it is.
     """
-    perms = []
-    for a in vecs:
-        aa = _dot(a, a)
-        perm = []
-        for b in vecs:
-            c = 2 * _dot(a, b) // aa
-            perm.append(index[tuple(y - c * x for x, y in zip(a, b))])
-        perms.append(tuple(perm))
-    return perms
+    ab = _dot(a, b)
+    if not ab:
+        return b
+    c = 2 * ab // _dot(a, a)
+    return tuple(y - c * x for x, y in zip(a, b))
+
+
+def _positive_roots(simple: List[Vector]) -> List[Vector]:
+    """The lexicographically positive roots, sorted.
+
+    The simple reflections generate W, and every root is W-conjugate to a
+    simple root, so closing the simple roots under their reflections gives
+    every root.
+    """
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        frontier = {_reflect(a, b) for b in frontier for a in simple} - roots
+        roots |= frontier
+    zero = (0,) * len(simple[0])
+    return sorted(r for r in roots if r > zero)
+
+
+def _reflection_perms(vecs: Sequence[Vector], index: dict) -> List[Tuple[int, ...]]:
+    """Each s_a as a permutation of root indices."""
+    return [tuple(index[_reflect(a, b)] for b in vecs) for a in vecs]
 
 
 def _scaled(mat: List[List[Q]], den: int) -> List[List[int]]:

@@ -224,6 +224,9 @@ def test_criterion_8_stable_k_rows():
                 if costrat.is_stable(wg, d, lam)
             ][:20]
             ok &= len(stable) == 20
+            # one block over the stable columns, its cutoff the widest window read below
+            cutoff = max(rs.labels_norm_sq([l + 3 for l in lam]) for lam in stable)
+            block = costrat.k_block(wg, d, cutoff, stable).entries
             for lam in stable:
                 on_orbit = {}
                 for mu, dval in d.entries.items():
@@ -232,12 +235,14 @@ def test_criterion_8_stable_k_rows():
                         lam2 = tuple(a + b for a, b in zip(lam, mu2))
                         if all(x >= 0 for x in lam2):
                             on_orbit[lam2] = dval
-                for lam2, dval in on_orbit.items():
-                    ok &= costrat.k_entry(wg, d, lam2, lam) == dval
-                    checked += 1
                 window = repthy.dominant_labels_within(rs, rs.labels_norm_sq([l + 3 for l in lam]))
+                # a row past the cutoff is left out of the block and would read as 0
+                ok &= all(costrat.shifted_norm_sq(rs, r) <= cutoff for r in [*on_orbit, *window])
+                for lam2, dval in on_orbit.items():
+                    ok &= block.get((lam2, lam), 0) == dval
+                    checked += 1
                 for lam2 in window:
                     if lam2 not in on_orbit:
-                        ok &= costrat.k_entry(wg, d, lam2, lam) == 0
+                        ok &= block.get((lam2, lam), 0) == 0
                         checked += 1
     report(8, "stable-row K identity", ok, f"{checked} entries checked")

@@ -139,7 +139,8 @@ def test_kblock_hbar_takes_one_norm_per_label(monkeypatch, capsys):
     assert sorted(calls) == sorted(tuple(l + 1 for l in lam) for lam in labels)
     rs, cfg = build_root_system(LieType("B", 2)), costrat.HbarConfig(1.0)
     for e in entries[::97]:
-        ratio, _ = costrat.norm_ratio(rs, cfg, e["lambda_row"], e["lambda_col"])
+        norms = (costrat.shifted_norm_sq(rs, e[k]) for k in ("lambda_row", "lambda_col"))
+        ratio, _ = costrat.hbar_ratio(cfg, *norms)
         assert e["value_with_norms"] == repr(ratio * float(e["value"]))
 
 

@@ -7,19 +7,17 @@ from weylstrat.costrat import (
     MAX_COLUMNS,
     HbarConfig,
     d_coeffs,
+    hbar_ratio,
     is_stable,
     k_block,
-    k_entry,
     kblock_columns,
-    norm_ratio,
-    orbit_shifts,
-    vanishing_system,
+    shifted_norm_sq,
 )
 from weylstrat.lattice import kernel_preset, pq_map
 from weylstrat.relcoeff import coeff_table
 from weylstrat.repthy import dominant_labels_within, dominant_weight_system
 from weylstrat.rootsys import RootSystem
-from weylstrat.subsys import SubsystemClass, RootSubsystem, build_poset, enumerate_classes
+from weylstrat.subsys import SubsystemClass, RootSubsystem, enumerate_classes
 from weylstrat.weyl import shifted_fold
 from conftest import RANK_SIX_TYPES, freudenthal_d_entries, k_block_oracle, system
 
@@ -113,22 +111,11 @@ def test_d_equals_c_when_weight_appears_only_in_own_system():
 def test_is_stable():
     rs, wg, classes = tables_of("A", 1)
     d = d_coeffs(rs, coeff_table(wg, classes["0"]))
-    assert orbit_shifts(wg, d) == [(-2,), (0,), (2,)]
+    assert sorted(nu for mu in d.entries for nu in wg.dominant_orbit(mu)) == [(-2,), (0,), (2,)]
     assert not is_stable(wg, d, (0,))  # the -2 shift leaves the chamber
     assert not is_stable(wg, d, (1,))
     assert is_stable(wg, d, (2,))
     assert is_stable(wg, d, (7,))
-
-
-def test_k_entries_su2():
-    rs, wg, classes = tables_of("A", 1)
-    d = d_coeffs(rs, coeff_table(wg, classes["0"]))
-    assert k_entry(wg, d, (6,), (4,)) == -1
-    assert k_entry(wg, d, (4,), (4,)) == 2
-    assert k_entry(wg, d, (2,), (4,)) == -1
-    assert k_entry(wg, d, (0,), (4,)) == 0
-    # diagonal entry at a stable column picks out the zero-weight coefficient
-    assert k_entry(wg, d, (5,), (5,)) == d.entries[(0,)]
 
 
 def test_k_block_su2():
@@ -141,12 +128,14 @@ def test_k_block_su2():
     block = k_block(wg, d, cutoff, kblock_columns(rs, cutoff))
     row4 = {k: v for k, v in block.entries.items() if k[1] == (4,)}
     assert row4 == {((2,), (4,)): -1, ((4,), (4,)): 2, ((6,), (4,)): -1}
+    # diagonal entry at a stable column picks out the zero-weight coefficient
+    assert block.entries[((5,), (5,))] == d.entries[(0,)]
     # stable columns agree with D-table lookups on shifted orbits
     for lam2, lam in block.entries:
         if is_stable(wg, d, lam):
             diff = lam2[0] - lam[0]
             assert block.entries[(lam2, lam)] == d.entries[(abs(diff),)]
-    assert (8,) in block.incomplete_rows
+    assert (8,) in block.incomplete_columns
 
 
 @pytest.mark.parametrize("family, rank, kernel", KERNEL_CASES)
@@ -179,8 +168,8 @@ def assert_block_matches_oracles(rs, wg, d, cutoff, columns, label):
     block = k_block(wg, d, cutoff, columns)
     entries, incomplete = shifted_fold_block(rs, wg, d, cutoff, columns)
     assert list(block.entries.items()) == list(entries.items()), label
-    assert block.incomplete_rows == incomplete, label
-    assert (block.entries, block.incomplete_rows) == k_block_oracle(rs, wg, d, cutoff, columns), label
+    assert block.incomplete_columns == incomplete, label
+    assert (block.entries, block.incomplete_columns) == k_block_oracle(rs, wg, d, cutoff, columns), label
     assert all(type(v) is int for v in block.entries.values()), label
     return block
 
@@ -228,12 +217,12 @@ def test_k_block_with_caller_columns(family, rank, label, kernel):
     zero = (0,) * rank
     for cols in ([zero], columns[::-2], [far], [far] + columns[:2], columns):
         block = assert_block_matches_oracles(rs, wg, d, cutoff, cols, (label, cols))
-        assert {lam for _, lam in block.entries} | block.incomplete_rows <= set(cols)
-    assert far in k_block(wg, d, cutoff, [far]).incomplete_rows
+        assert {lam for _, lam in block.entries} | block.incomplete_columns <= set(cols)
+    assert far in k_block(wg, d, cutoff, [far]).incomplete_columns
     # no columns, given or from a cutoff below ||delta||^2 (kblock --cutoff 0)
     for cut, cols in ((cutoff, []), (Q(0), kblock_columns(rs, Q(0)))):
         block = k_block(wg, d, cut, cols)
-        assert block.entries == {} and block.incomplete_rows == set()
+        assert block.entries == {} and block.incomplete_columns == set()
     assert kblock_columns(rs, Q(0)) == []
 
 
@@ -286,53 +275,22 @@ def test_cutoffs_near_delta_are_admitted(family, rank):
     assert set(fundamentals) <= set(wider)
 
 
-def test_norm_ratio():
+def test_hbar_ratio():
     rs, _, _ = tables_of("A", 1)
     cfg = HbarConfig(hbar=1.0)
-    val, exp = norm_ratio(rs, cfg, (2,), (2,))
+
+    def ratio(num, den):
+        return hbar_ratio(cfg, shifted_norm_sq(rs, num), shifted_norm_sq(rs, den))
+
+    val, exp = ratio((2,), (2,))
     assert val == 1.0 and exp == 0
-    v1, e1 = norm_ratio(rs, cfg, (2,), (0,))
-    v2, e2 = norm_ratio(rs, cfg, (0,), (2,))
+    v1, e1 = ratio((2,), (0,))
+    v2, e2 = ratio((0,), (2,))
     assert e1 == -e2 == 2  # (9/2 - 1/2) / 2 under short-root-length-2 scaling
     assert v1 * v2 == pytest.approx(1.0)
     assert v1 == pytest.approx(math.exp(2.0))
     with pytest.raises(ValueError):
         HbarConfig(hbar=0.0)
-
-
-def test_vanishing_system_su2():
-    rs, wg, classes = tables_of("A", 1)
-    poset = build_poset(wg, list(classes.values()))
-    tables = {
-        label: d_coeffs(rs, coeff_table(wg, cls))
-        for label, cls in classes.items()
-    }
-    cutoff = rs.labels_norm_sq((9,))
-    # base = minimum class: nothing is excluded
-    assert vanishing_system(wg, poset, "0", cutoff, tables) == []
-    # base = full system: the generic class constrains every column
-    rows = vanishing_system(wg, poset, "A1", cutoff, tables)
-    assert {r.class_label for r in rows} == {"0"}
-    by_lam = {r.lam: dict(r.coefficients) for r in rows}
-    assert by_lam[(4,)] == {(2,): -1, (4,): 2, (6,): -1}
-    with pytest.raises(ValueError):
-        vanishing_system(wg, poset, "X9", cutoff, tables)
-
-
-def test_vanishing_system_excluded_set():
-    rs, wg, classes = tables_of("C", 2)
-    poset = build_poset(wg, list(classes.values()))
-    tables = {
-        label: d_coeffs(rs, coeff_table(wg, cls))
-        for label, cls in classes.items()
-    }
-    cutoff = rs.labels_norm_sq((2, 2))
-    rows = vanishing_system(wg, poset, "C2", cutoff, tables)
-    assert {r.class_label for r in rows} == {l for l in classes if l != "C2"}
-    rows = vanishing_system(wg, poset, "C1+C1", cutoff, tables)
-    excluded = {r.class_label for r in rows}
-    assert "C1+C1" not in excluded and "C2" not in excluded
-    assert "D2" in excluded  # incomparable with the long pair
 
 
 STABLE_CASES = [("A", 1), ("A", 2), ("B", 2)]
@@ -350,6 +308,9 @@ def test_stable_rows_match_closed_form(family, rank):
             if is_stable(wg, d, lam)
         ][:5]
         assert stable, label
+        # one block over the stable columns, its cutoff the widest window read below
+        cutoff = max(rs.labels_norm_sq([l + 4 for l in lam]) for lam in stable)
+        block = k_block(wg, d, cutoff, stable).entries
         for lam in stable:
             on_orbit = {}
             for mu, dval in d.entries.items():
@@ -357,9 +318,12 @@ def test_stable_rows_match_closed_form(family, rank):
                     lam2 = tuple(a + b for a, b in zip(lam, mu2))
                     if all(x >= 0 for x in lam2):
                         on_orbit[lam2] = dval
-            for lam2, dval in on_orbit.items():
-                assert k_entry(wg, d, lam2, lam) == dval, (label, lam, lam2)
             window = dominant_labels_within(rs, rs.labels_norm_sq([l + 4 for l in lam]))
+            for lam2 in [*on_orbit, *window]:
+                # a row past the cutoff is left out of the block and would read as 0
+                assert shifted_norm_sq(rs, lam2) <= cutoff, (label, lam, lam2)
+            for lam2, dval in on_orbit.items():
+                assert block.get((lam2, lam), 0) == dval, (label, lam, lam2)
             for lam2 in window:
                 if lam2 not in on_orbit:
-                    assert k_entry(wg, d, lam2, lam) == 0, (label, lam, lam2)
+                    assert block.get((lam2, lam), 0) == 0, (label, lam, lam2)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction as Q
 
@@ -67,6 +68,32 @@ def test_roots_have_uniform_sign_coordinates(family, rank):
 def root_system(family, rank):
     """The root system alone: no Weyl group, which is large at rank 6."""
     return build_root_system(LieType(family, rank))
+
+
+@pytest.mark.parametrize("family,rank", SUPPORTED_TYPES)
+def test_roots_are_the_textbook_lists(family, rank):
+    # A_n: e_i - e_j in n + 1 coordinates; B_n, C_n, D_n: +-e_i +- e_j in n coordinates,
+    # and +-e_i in B_n, +-2e_i in C_n (Bourbaki, Lie VI, planches I-IV)
+    rs = root_system(family, rank)
+    dim = rank + (family == "A")
+
+    def vec(*terms):
+        v = [0] * dim
+        for i, c in terms:
+            v[i] += c
+        return tuple(v)
+
+    want = {
+        vec((i, s), (j, t))
+        for i, j in itertools.combinations(range(dim), 2)
+        for s, t in itertools.product((1, -1), repeat=2)
+        if family != "A" or s == -t
+    }
+    if family in "BC":
+        want |= {vec((i, s * (1 if family == "B" else 2))) for i in range(dim) for s in (1, -1)}
+    assert len(rs.roots) == len(want) and set(rs.roots) == want
+    # positives first, sorted: the lexicographically positive roots
+    assert rs.roots[: rs.num_positive] == sorted(a for a in want if a > (0,) * dim)
 
 
 @st.composite
