@@ -178,7 +178,7 @@ def cmd_hasse(args) -> int:
     if args.format == "csv":
         raise ValueError("hasse supports only dot and json output")
     wg = _build(args)
-    poset = build_poset(wg, enumerate_classes(wg.rs, wg))
+    poset = build_poset(enumerate_classes(wg.rs, wg))
     payload = {
         "classes": [c.label for c in poset.classes],
         "hasse_edges": sorted(poset.hasse_edges),

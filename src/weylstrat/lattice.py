@@ -95,14 +95,8 @@ def kernel_from_file(path: str) -> ExpKernel:
     return ExpKernel(tuple(rows))
 
 
-def check_kernel(rs: RootSystem, kernel: ExpKernel) -> ExpKernel:
-    """The kernel itself, once its rank is rs.rank and it lies between coroots and coweights."""
-    _integral_inverse(rs, kernel)
-    return kernel
-
-
 def _integral_inverse(rs: RootSystem, kernel: ExpKernel) -> List[List[int]]:
-    """R^-1 as integers; ValueError unless the kernel passes `check_kernel`.
+    """R^-1 as integers; ValueError unless rank is rs.rank and coroots ⊆ kernel ⊆ coweights.
 
     The coroot lattice lies inside the kernel exactly when each simple coroot
     (a row of the identity) is an integral combination of the rows of R, that
@@ -131,7 +125,7 @@ def _integral_inverse(rs: RootSystem, kernel: ExpKernel) -> List[List[int]]:
 def pq_map(rs: RootSystem, kernel: ExpKernel) -> List[int]:
     """q of every root a, with {t : t * a^vee in the kernel lattice} = (1/q)Z.
 
-    The kernel goes through the checks of `check_kernel` first, presets
+    The kernel goes through the checks of `_integral_inverse` first, presets
     included, so it contains the coroot lattice and R^-1 is an integer matrix
     M. In simple-coroot coordinates the kernel is K = Z^n R, and a root a has
     the integral coroot coordinates c_j = <omega_j, a^vee> = 2 k(omega_j, a) / k(a, a).

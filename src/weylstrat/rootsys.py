@@ -32,7 +32,7 @@ Vector = Tuple[int, ...]
 Labels = Tuple[int, ...]
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
-# the largest rank any test or example uses; `hasse` at B8 already takes about 30 s
+# the largest rank any test or example uses
 MAX_RANK = 8
 
 
@@ -176,9 +176,10 @@ def _positive_roots(simple: List[Vector]) -> List[Vector]:
     return sorted(r for r in roots if r > zero)
 
 
-def _reflection_perms(vecs: Sequence[Vector], index: dict) -> List[Tuple[int, ...]]:
-    """Each s_a as a permutation of root indices."""
-    return [tuple(index[_reflect(a, b)] for b in vecs) for a in vecs]
+def _reflection_perms(roots: Sequence[Vector], index: dict) -> List[Tuple[int, ...]]:
+    """Each s_a on root indices, built once per positive a: negatives follow, and s_(-a) = s_a."""
+    perms = [tuple(index[_reflect(a, b)] for b in roots) for a in roots[: len(roots) // 2]]
+    return perms + perms
 
 
 def _scaled(mat: List[List[Q]], den: int) -> List[List[int]]:

@@ -8,17 +8,17 @@ representative is a root system of its kind on its own block of orthonormal
 coordinates, with the base that `rootsys.block_base` gives that block (see
 `enumerate_classes`).
 
-Canonical keys and the class order read only the W-orbit of a root index set,
-the images w(S) that `WeylGroup.coset_representatives` walks; no Weyl element
-is built. So does the class of a subsystem (`cli.cmd_gammax`): the first
-class whose representative lies in that orbit.
+The class order is read off the factor lists (`class_leq`). Canonical keys
+read only the W-orbit of a root index set, the images w(S) that
+`WeylGroup.coset_representatives` walks; no Weyl element is built. So does the
+class of a subsystem (`cli.cmd_gammax`): the first class whose representative
+lies in that orbit.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
 from dataclasses import dataclass
 from operator import add
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
@@ -39,6 +39,7 @@ class RootSubsystem:
 @dataclass(frozen=True)
 class SubsystemClass:
     label: str
+    factors: Tuple[Tuple[str, int], ...]  # (kind, m) in label order
     base: Tuple[int, ...]  # root indices
     representative: RootSubsystem
 
@@ -165,7 +166,7 @@ def enumerate_classes(rs: RootSystem, wg: WeylGroup) -> List[SubsystemClass]:
                 start, lo = lo, lo + width
             base += [rs.index[r] for r in block_base(kind, m, start, dim)]
         label = "+".join(f"{kind}{m}" for kind, m in factors) or "0"
-        out.append(SubsystemClass(label, tuple(base), span_subsystem(rs, base)))
+        out.append(SubsystemClass(label, tuple(factors), tuple(base), span_subsystem(rs, base)))
     out.sort(key=lambda c: (len(c), c.label))
     return out
 
@@ -173,48 +174,53 @@ def enumerate_classes(rs: RootSystem, wg: WeylGroup) -> List[SubsystemClass]:
 # -- class order -------------------------------------------------------------
 
 
-def _may_fit(rs: RootSystem, s1: FrozenSet[int], s2: FrozenSet[int]) -> bool:
-    """Whether s2 has at least as many roots of each length as s1, so an image could fit."""
-    if len(s1) > len(s2):
-        return False
-    c1, c2 = (Counter(rs.root_norms[i] for i in s) for s in (s1, s2))
-    return all(c1[k] <= c2[k] for k in c1)
+# the factor kinds a block of each kind contains: D_k contains A_(k-1), and B_k
+# and C_k contain D_k as their long or short roots
+_HOSTS = {"A": "A", "D": "AD", "B": "ADB", "C": "ADC"}
 
 
-def class_leq(wg: WeylGroup, cls1: SubsystemClass, cls2: SubsystemClass) -> bool:
-    """True iff some Weyl image of cls1's representative lies inside cls2's."""
-    s1 = cls1.representative.root_indices
-    s2 = cls2.representative.root_indices
-    return _may_fit(wg.rs, s1, s2) and any(img <= s2 for img in wg.coset_representatives(s1))
+def _pack(parts: Tuple[Tuple[int, str], ...], room: Tuple[Tuple[str, int], ...]) -> bool:
+    """Whether the (width, kind) parts fit into the (hosts, width left) blocks of room.
+
+    Of the blocks alike in hosts and room left, a part tries only the first.
+    """
+    if not parts:
+        return True
+    (width, kind), rest = parts[0], parts[1:]
+    return any(
+        _pack(rest, room[:j] + ((hosts, left - width),) + room[j + 1 :])
+        for j, (hosts, left) in enumerate(room)
+        if kind in hosts and width <= left and (hosts, left) not in room[:j]
+    )
 
 
-def build_poset(wg: WeylGroup, classes: Sequence[SubsystemClass]) -> ClassPoset:
-    """The order of class_leq, walking each class's W-orbit once."""
+def class_leq(cls1: SubsystemClass, cls2: SubsystemClass) -> bool:
+    """True iff some Weyl image of cls1's representative lies inside cls2's.
+
+    Each irreducible factor of cls1 lies inside one block of cls2, so this
+    holds iff cls1's factors pack into cls2's blocks: a block takes only the
+    kinds `_HOSTS` names for it, and the widths it takes sum to at most its own.
+    """
+    parts = sorted(((_width(kind, m), kind) for kind, m in cls1.factors), reverse=True)
+    room = tuple((_HOSTS[kind], _width(kind, m)) for kind, m in cls2.factors)
+    return len(cls1) <= len(cls2) and _pack(tuple(parts), room)
+
+
+def build_poset(classes: Sequence[SubsystemClass]) -> ClassPoset:
+    """The order of class_leq on every pair of classes, and its Hasse edges."""
     classes = sorted(classes, key=lambda c: (len(c), c.label))
-    leq: Dict[Tuple[str, str], bool] = {}
-    for c1 in classes:
-        s1 = c1.representative.root_indices
-        orbit = wg.coset_representatives(s1)  # always needed: c1 passes the prefilter for c1
-        for c2 in classes:
-            s2 = c2.representative.root_indices
-            leq[(c1.label, c2.label)] = _may_fit(wg.rs, s1, s2) and any(img <= s2 for img in orbit)
-    for c1 in classes:
-        for c2 in classes:
-            if c1.label != c2.label and leq[(c1.label, c2.label)] and leq[(c2.label, c1.label)]:
-                raise ValueError(f"distinct classes {c1.label}, {c2.label} compare both ways")
-    edges = []
-    for c1 in classes:
-        for c2 in classes:
-            if c1.label == c2.label or not leq[(c1.label, c2.label)]:
-                continue
-            if any(
-                c3.label not in (c1.label, c2.label)
-                and leq[(c1.label, c3.label)]
-                and leq[(c3.label, c2.label)]
-                for c3 in classes
-            ):
-                continue
-            edges.append((c1.label, c2.label))
+    leq = {(c1.label, c2.label): class_leq(c1, c2) for c1 in classes for c2 in classes}
+    pairs = [(a, b) for a, b in leq if a != b and leq[(a, b)]]
+    for a, b in pairs:
+        if leq[(b, a)]:
+            raise ValueError(f"distinct classes {a}, {b} compare both ways")
+    # a Hasse edge is a pair with no third class between them
+    labels = [c.label for c in classes]
+    edges = [
+        (a, b)
+        for a, b in pairs
+        if not any(c not in (a, b) and leq[(a, c)] and leq[(c, b)] for c in labels)
+    ]
     return ClassPoset(list(classes), leq, edges)
 
 

@@ -1,5 +1,6 @@
 import functools
 import math
+from collections import Counter
 from fractions import Fraction as Q
 from operator import mul
 
@@ -206,6 +207,25 @@ def are_conjugate(wg, sub1, sub2):
     if sorted(norms[i] for i in s1) != sorted(norms[i] for i in s2):
         return False
     return s2 in wg.coset_representatives(s1)
+
+
+def orbit_walk_leq(wg, classes):
+    """The class order by brute force: cls1 <= cls2 iff some image w(S1) lies inside S2.
+
+    Each class's W-orbit of root index sets is walked once. Classes whose
+    roots of some length outnumber the other's are not compared further. The
+    oracle for the factor-list rule of `subsys.class_leq`.
+    """
+    norms = wg.rs.root_norms
+    counts = {c.label: Counter(norms[i] for i in c.representative.root_indices) for c in classes}
+    leq = {}
+    for c1 in classes:
+        orbit = wg.coset_representatives(c1.representative.root_indices)
+        for c2 in classes:
+            s2 = c2.representative.root_indices
+            fits = counts[c1.label] <= counts[c2.label]
+            leq[(c1.label, c2.label)] = fits and any(img <= s2 for img in orbit)
+    return leq
 
 
 def root_coords(rs, lab):

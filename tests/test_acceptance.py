@@ -105,11 +105,11 @@ def test_criterion_4_hasse_posets():
     ok = True
     for (family, rank), expected in sorted(EXPECTED_EDGES.items()):
         rs, wg = system(family, rank)
-        poset = build_poset(wg, enumerate_classes(rs, wg))
+        poset = build_poset(enumerate_classes(rs, wg))
         ok &= set(poset.hasse_edges) == expected
     for family, rank, full in [("B", 3, "B3"), ("C", 3, "C3"), ("D", 4, "D4")]:
         rs, wg = system(family, rank)
-        poset = build_poset(wg, enumerate_classes(rs, wg))
+        poset = build_poset(enumerate_classes(rs, wg))
         labels = [c.label for c in poset.classes]
         for a in labels:
             ok &= poset.is_leq("0", a) and poset.is_leq(a, full)

@@ -86,6 +86,7 @@ def test_d_representative_independence():
     moved = frozenset(w.perm[i] for i in cls.representative.root_indices)
     alt = SubsystemClass(
         cls.label,
+        cls.factors,
         tuple(w.perm[b] for b in cls.base),
         RootSubsystem(moved, cls.representative.closed),
     )

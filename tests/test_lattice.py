@@ -8,7 +8,6 @@ import pytest
 from weylstrat.lattice import (
     ExpKernel,
     TorusPoint,
-    check_kernel,
     gamma_x,
     kernel_from_file,
     kernel_preset,
@@ -67,7 +66,7 @@ def test_presets_pass_kernel_checks(family, rank):
     presets = ["sc", "so-odd"] if family == "B" or rank == 2 else ["sc"]
     for name in presets:
         kernel = kernel_preset(rs, name)
-        assert check_kernel(rs, kernel) is kernel
+        assert len(pq_map(rs, kernel)) == len(rs.roots)
         # and each generator pairs integrally with every simple root: K lies in the coweights
         for row in kernel.rows:
             for i in range(rank):
@@ -82,7 +81,7 @@ def test_kernels_containing_coroots_give_p_one(family, rank, tmp_path):
     if family == "C":
         so5 = tmp_path / "so5.txt"
         so5.write_text("# SO(5) in the C2 numbering (first simple root short)\n1/2 0\n0 1\n")
-        kernels.append(check_kernel(rs, kernel_from_file(str(so5))))
+        kernels.append(kernel_from_file(str(so5)))
     for kernel in kernels:
         assert all(type(q) is int and q >= 1 for q in pq_map(rs, kernel))
     # not vacuous: the SO(2n+1) kernel gives q = 2 on some roots
@@ -90,16 +89,15 @@ def test_kernels_containing_coroots_give_p_one(family, rank, tmp_path):
 
 
 def test_pq_map_refuses_a_kernel_missing_the_coroot_lattice(tmp_path):
-    # presets and files take one path: pq_map runs check_kernel, with its message
+    # presets and files take one path through pq_map's kernel checks
     rs, _ = system("C", 2)
     path = tmp_path / "double.txt"
     path.write_text("2 0\n0 2\n")
     kernel = kernel_from_file(str(path))
     message = "kernel does not contain the coroot lattice (R^-1 is not integral)"
-    for refuse in (check_kernel, pq_map):
-        with pytest.raises(ValueError) as exc:
-            refuse(rs, kernel)
-        assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        pq_map(rs, kernel)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("C", 2), ("B", 3)])
@@ -200,7 +198,7 @@ def test_gamma_x_equivariance():
 
 
 def _sweep_kernels(rs, count, seed):
-    """Seeded kernels R = M * (fundamental coweight rows) that check_kernel accepts."""
+    """Seeded kernels R = M * (fundamental coweight rows) that pq_map accepts."""
     rng = random.Random(seed)
     n = rs.rank
     cinv = cartan_inverse(rs)
@@ -212,9 +210,11 @@ def _sweep_kernels(rs, count, seed):
             for i in range(n)
         )
         try:
-            kept.append(check_kernel(rs, ExpKernel(rows)))
+            kernel = ExpKernel(rows)
+            pq_map(rs, kernel)
         except ValueError:
             continue
+        kept.append(kernel)
         if len(kept) == count:
             break
     return kept

@@ -17,7 +17,7 @@ from weylstrat.relcoeff import (
     subset_sums,
     symmetrize,
 )
-from weylstrat.lattice import ExpKernel, check_kernel, kernel_preset, pq_map
+from weylstrat.lattice import ExpKernel, kernel_preset, pq_map
 from weylstrat.repthy import dominant_labels_within, identity_value
 from weylstrat.rootsys import LieType, build_root_system
 from weylstrat.subsys import SubsystemClass, enumerate_classes, RootSubsystem
@@ -262,7 +262,7 @@ def kernel_scales(rs, kernel):
         rows = cartan_inverse(rs)
     else:
         rows = [[Q(t) for t in row.split()] for row in kernel.split(";")]
-    return pq_map(rs, check_kernel(rs, ExpKernel(tuple(map(tuple, rows)))))
+    return pq_map(rs, ExpKernel(tuple(map(tuple, rows))))
 
 
 @pytest.mark.parametrize(
@@ -465,6 +465,7 @@ def moved_class(rs, cls, w):
     moved = frozenset(w.perm[i] for i in cls.representative.root_indices)
     return SubsystemClass(
         cls.label,
+        cls.factors,
         tuple(w.perm[b] for b in cls.base),
         RootSubsystem(moved, cls.representative.closed),
     )

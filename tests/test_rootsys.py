@@ -134,10 +134,13 @@ def test_integer_forms(family, rank):
 
 @pytest.mark.parametrize("family,rank", RANK_SIX_TYPES)
 def test_reflection_perms_match_fraction_reflections(family, rank):
-    # the integer permutations against Fraction reflections of the coordinates
+    # the integer permutations against Fraction reflections of the coordinates;
+    # a root and its negative give one reflection
     rs = root_system(family, rank)
-    for a, perm in zip(rs.roots, rs.reflection_perms()):
-        assert perm == tuple(rs.index[reflect(rs, a, b)] for b in rs.roots), a
+    perms = rs.reflection_perms()
+    for i, a in enumerate(rs.roots):
+        assert perms[i] == tuple(rs.index[reflect(rs, a, b)] for b in rs.roots), a
+        assert perms[i] == perms[rs.negative_index(i)], a
     # the Fraction coroot labels behind the dense label-matrix oracle of the tests
     rows = coroot_labels(rs)
     assert all(x.denominator == 1 for row in rows for x in row)

@@ -15,7 +15,9 @@ from weylstrat.subsys import (
     poset_to_dot,
     span_subsystem,
 )
-from conftest import SUPPORTED_TYPES, are_conjugate, simple_roots, system
+from conftest import (
+    RANK_SIX_TYPES, SUPPORTED_TYPES, are_conjugate, orbit_walk_leq, simple_roots, system,
+)
 
 
 def classes_by_label(family, rank):
@@ -191,9 +193,9 @@ def test_orbit_walk_matches_full_scans(family, rank):
     for (label1, sub1), (label2, sub2) in itertools.product(subs, repeat=2):
         s1, s2 = sub1.root_indices, sub2.root_indices
         assert are_conjugate(wg, sub1, sub2) == scan_conjugate(wg, s1, s2) == (label1 == label2)
-        cls1 = SubsystemClass(label1, (), sub1)
-        cls2 = SubsystemClass(label2, (), sub2)
-        assert class_leq(wg, cls1, cls2) == scan_leq(wg, s1, s2), (label1, label2)
+        cls1 = SubsystemClass(label1, classes[label1].factors, (), sub1)
+        cls2 = SubsystemClass(label2, classes[label2].factors, (), sub2)
+        assert class_leq(cls1, cls2) == scan_leq(wg, s1, s2), (label1, label2)
 
 
 def test_class_leq_basics():
@@ -201,25 +203,19 @@ def test_class_leq_basics():
     full = classes["A3"]
     empty = classes["0"]
     for c in classes.values():
-        assert class_leq(wg, empty, c)
-        assert class_leq(wg, c, full)
-    assert class_leq(wg, classes["A1+A1"], full)
-    assert class_leq(wg, classes["A2"], full)
-    assert not class_leq(wg, classes["A1+A1"], classes["A2"])
-    assert not class_leq(wg, classes["A2"], classes["A1+A1"])
+        assert class_leq(empty, c)
+        assert class_leq(c, full)
+    assert class_leq(classes["A1+A1"], full)
+    assert class_leq(classes["A2"], full)
+    assert not class_leq(classes["A1+A1"], classes["A2"])
+    assert not class_leq(classes["A2"], classes["A1+A1"])
 
 
-@pytest.mark.parametrize(
-    "family,rank", [(f, r) for f, lo in [("A", 1), ("B", 2), ("C", 2), ("D", 4)] for r in range(lo, 6)]
-)
-def test_build_poset_matches_class_leq(family, rank):
-    # one orbit walk per class in build_poset gives the same order as class_leq per pair
+@pytest.mark.parametrize("family,rank", RANK_SIX_TYPES + [("A", 7), ("A", 8), ("D", 7)])
+def test_poset_matches_the_orbit_walk(family, rank):
+    # packing factor lists gives the order that walking each class's W-orbit gives
     rs, wg, classes = classes_by_label(family, rank)
-    poset = build_poset(wg, list(classes.values()))
-    assert poset.leq == {
-        (c1.label, c2.label): class_leq(wg, c1, c2)
-        for c1, c2 in itertools.product(classes.values(), repeat=2)
-    }
+    assert build_poset(list(classes.values())).leq == orbit_walk_leq(wg, list(classes.values()))
 
 
 EXPECTED_EDGES = {
@@ -238,14 +234,14 @@ EXPECTED_EDGES = {
 @pytest.mark.parametrize("family,rank", sorted(EXPECTED_EDGES))
 def test_hasse_matches_figures(family, rank):
     rs, wg, classes = classes_by_label(family, rank)
-    poset = build_poset(wg, list(classes.values()))
+    poset = build_poset(list(classes.values()))
     assert set(poset.hasse_edges) == EXPECTED_EDGES[(family, rank)]
 
 
 @pytest.mark.parametrize("family,rank,full", [("B", 3, "B3"), ("C", 3, "C3"), ("D", 4, "D4")])
 def test_poset_consistency(family, rank, full):
     rs, wg, classes = classes_by_label(family, rank)
-    poset = build_poset(wg, list(classes.values()))
+    poset = build_poset(list(classes.values()))
     labels = [c.label for c in poset.classes]
     for a in labels:
         assert poset.is_leq(a, a)
@@ -255,7 +251,7 @@ def test_poset_consistency(family, rank, full):
             for c in labels:
                 if poset.is_leq(a, b) and poset.is_leq(b, c):
                     assert poset.is_leq(a, c)
-    # length multisets forbid B1 <= D2 while A1 <= D2 holds
+    # a D block takes A factors but no B factor
     if family == "B":
         assert poset.is_leq("A1", "D2")
         assert not poset.is_leq("B1", "D2")
@@ -263,13 +259,13 @@ def test_poset_consistency(family, rank, full):
 
 def test_single_class_poset_has_no_edges():
     rs, wg, classes = classes_by_label("A", 1)
-    poset = build_poset(wg, [classes["0"]])
+    poset = build_poset([classes["0"]])
     assert poset.hasse_edges == []
 
 
 def test_dot_export():
     rs, wg, classes = classes_by_label("B", 2)
-    dot = poset_to_dot(build_poset(wg, list(classes.values())))
+    dot = poset_to_dot(build_poset(list(classes.values())))
     assert '"B1+B1" [shape=circle, style=solid' in dot  # non-closed -> hollow
     assert '"D2" [shape=circle, style=filled' in dot
     assert '"0" -> "A1";' in dot

@@ -295,7 +295,7 @@ def test_pipeline_never_enumerates_w():
     wg = generate_group(rs)
     assert len(wg) == 23040
     classes = {c.label: c for c in enumerate_classes(rs, wg)}
-    poset = build_poset(wg, list(classes.values()))
+    poset = build_poset(list(classes.values()))
     assert poset.is_leq("D5", "D6") and not poset.is_leq("D4", "A5")
     assert coeff_table(wg, classes["D6"]).entries == {(0,) * 6: 1}
     assert coeff_table(wg, classes["D5"]).stabilizer_order == 2 * 1920
