@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 from .rootsys import LieType, build_root_system
 from .subsys import (
-    SubsystemClass, build_poset, enumerate_classes, normalize_label, poset_to_dot,
+    SubsystemClass, build_poset, class_label, enumerate_classes, normalize_label, poset_to_dot,
 )
 from .weyl import WeylGroup, generate_group
 
@@ -340,16 +340,11 @@ def _parse_point(spec: str, rank: int) -> TorusPoint:
 def cmd_gammax(args) -> int:
     from .lattice import gamma_x
 
-    wg = _build(args)
-    rs = wg.rs
+    rs = build_root_system(LieType(args.family, args.rank))
     scales = _kernel_scales(rs, args.kernel)
     point = _parse_point(args.point, rs.rank)
     sub = gamma_x(rs, scales, point)
-    orbit = wg.coset_representatives(sub.root_indices)
-    label = next(
-        (c.label for c in enumerate_classes(rs, wg) if c.representative.root_indices in orbit),
-        None,
-    )
+    label = class_label(rs, sub.root_indices)
     payload = {
         "point": {"A": [str(x) for x in point.a_coords], "B": [str(x) for x in point.b_coords]},
         "root_indices": sorted(sub.root_indices),

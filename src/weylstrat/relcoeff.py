@@ -11,8 +11,8 @@ of the q-scaled roots, and `denominator_values` reads the same weights
 off one pass over the orbit of their rho_q, building no V. The reduced
 coefficients are these weights times the character expansions of the m_mu
 (`WeylGroup.orbit_folds`, asked once per table and folded once per type and
-mu, from each orbit or, one `shifted_folds` call per zero set, from the kept
-W.delta), all in integer label arithmetic. The weights are the D table (see
+mu, from each orbit or, one `shifted_folds` call per zero set, from one walk
+of W.delta), all in integer label arithmetic. The weights are the D table (see
 `costrat.d_coeffs`), so no weight system is ever computed here.
 
 Two budgets bound the work: MAX_SUPPORT weights of a subset-sum map, and

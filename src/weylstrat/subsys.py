@@ -8,11 +8,9 @@ representative is a root system of its kind on its own block of orthonormal
 coordinates, with the base that `rootsys.block_base` gives that block (see
 `enumerate_classes`).
 
-The class order is read off the factor lists (`class_leq`). Canonical keys
-read only the W-orbit of a root index set, the images w(S) that
-`WeylGroup.coset_representatives` walks; no Weyl element is built. So does the
-class of a subsystem (`cli.cmd_gammax`): the first class whose representative
-lies in that orbit.
+The class order (`class_leq`) and the class of a subsystem (`class_label`,
+which `gammax` prints) are read off factor lists, with no W-orbit walk. Only
+the tests read canonical keys, the least image w(S) over the W-orbit of S.
 """
 
 from __future__ import annotations
@@ -21,9 +19,9 @@ import itertools
 import re
 from dataclasses import dataclass
 from operator import add
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .rootsys import RootSystem, block_base
+from .rootsys import RootSystem, Vector, block_base
 from .weyl import WeylGroup
 
 
@@ -143,6 +141,38 @@ def normalize_label(label: str) -> str:
     return "+".join(f"{f}{i}" for f, i in parsed)
 
 
+def class_label(rs: RootSystem, root_indices: Iterable[int]) -> Optional[str]:
+    """The label of the class of the subsystem on these roots; None for an unlisted D_n twin.
+
+    Coordinates that share a root merge into blocks, one irreducible factor of
+    width k each: the family's B_k or C_k if it holds a root +-e_i or +-2e_i,
+    D_k if it holds all 2k(k-1) roots +-e_a +- e_b, else A_(k-1). Of a D_n twin
+    pair (ROADMAP item 2), the class listed has an even number of roots e_a + e_b.
+    """
+    family = rs.lie_type.family
+    roots = [rs.roots[i] for i in root_indices]
+    blocks: List[Tuple[Set[int], List[Vector]]] = []  # (coordinates, roots)
+    for root in roots:
+        coords, members = {c for c, x in enumerate(root) if x}, [root]
+        for block in [b for b in blocks if b[0] & coords]:
+            blocks.remove(block)
+            coords |= block[0]
+            members += block[1]
+        blocks.append((coords, members))
+    factors = []
+    for coords, members in blocks:
+        k = len(coords)
+        if any(sum(map(bool, r)) == 1 for r in members):
+            factors.append((family, k))
+        else:
+            factors.append(("D", k) if len(members) == 2 * k * (k - 1) else ("A", k - 1))
+    # A factors of odd m that cover all n coordinates leave room for no other factor
+    if family == "D" and sum(m + 1 for kind, m in factors if kind == "A" and m % 2) == rs.rank:
+        if sum(sum(r) == 2 for r in roots) % 2:
+            return None
+    return normalize_label("+".join(f"{kind}{m}" for kind, m in factors) or "0")
+
+
 def enumerate_classes(rs: RootSystem, wg: WeylGroup) -> List[SubsystemClass]:
     """One class per factor list, ordered by (cardinality, label).
 
@@ -214,12 +244,14 @@ def build_poset(classes: Sequence[SubsystemClass]) -> ClassPoset:
     for a, b in pairs:
         if leq[(b, a)]:
             raise ValueError(f"distinct classes {a}, {b} compare both ways")
-    # a Hasse edge is a pair with no third class between them
+    # a Hasse edge is a pair with no third class between them, and only a class listed
+    # between them can be one: distinct comparable classes differ in size
     labels = [c.label for c in classes]
+    pos = {label: i for i, label in enumerate(labels)}
     edges = [
         (a, b)
         for a, b in pairs
-        if not any(c not in (a, b) and leq[(a, c)] and leq[(c, b)] for c in labels)
+        if not any(leq[(a, c)] and leq[(c, b)] for c in labels[pos[a] + 1 : pos[b]])
     ]
     return ClassPoset(list(classes), leq, edges)
 

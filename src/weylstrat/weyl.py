@@ -3,9 +3,9 @@
 A group keeps only its simple reflections; its order comes from the closed
 formula per family, and so does |W_J| for a set J of simple reflections
 (`parabolic_order`), which gives orbit sizes without walking them. No command
-builds a group element: conjugacy, class order and coset counts need only
-W-orbits of root index sets, and everything else only W-orbits of label
-vectors.
+builds a group element: coset counts need only the W-orbit of a root index
+set (`WeylGroup.coset_representatives`), and everything else only W-orbits of
+label vectors (`subsys` reads class names and order off factor lists).
 
 W acts on Dynkin labels only through its simple reflections: s_i is applied
 sparsely, negating l_i and changing l_j only at the Dynkin neighbours j of i.
@@ -22,20 +22,14 @@ shifted point, which folds every K block and the W.delta path below.
 A group keeps, per dominant weight mu it is asked about, the fold of the
 orbit sum m_mu (its character expansion), so C tables of every class of a
 type share them. `orbit_folds` folds each orbit W.mu as the sorted list
-`dominant_orbit` keeps or, when walking W.delta and filtering it once per
-new zero set J touches fewer points, the points of W.delta positive at J
-(`coset_points`) with the mus of J as the lambdas of one `shifted_folds`
-call. So W.delta is held only by a group whose tables fold more orbit points
-than it has (a class-0 table from rank 3 on; never the near-full classes of
-rank 8, whose W.delta has 10,321,920 points), with each J-list filtered from
-it. The orbit lists serve the first path and `relcoeff.symmetrize`, which
-keeps every orbit a table other than class 0 asks about before that table's
-folds, so the first path walks none of them again.
-
-Cosets of a setwise stabilizer are orbit images: the left cosets w*Stab(S)
-correspond one-to-one with the images w(S) in the W-orbit of the root index
-set S, and `WeylGroup.coset_representatives` walks that orbit under the simple
-reflection permutations, building no element.
+`dominant_orbit` keeps or, when one walk of W.delta filtered once per zero
+set J touches fewer points, the points of W.delta positive at J with the mus
+of J as the lambdas of one `shifted_folds` call. So W.delta is walked only for
+mus with more orbit points than it has (a class-0 table from rank 3 on; never
+the near-full classes of rank 8, whose W.delta has 10,321,920 points), and is
+never kept. The orbit lists serve the first path and `relcoeff.symmetrize`,
+which keeps every orbit a table other than class 0 asks about before that
+table's folds, so the first path walks none of them again.
 
 `WeylElement` (a signed root permutation), `identity`, `generators`,
 `elements`, `compose` and `setwise_stabilizer` serve only the tests and the
@@ -82,9 +76,6 @@ class WeylGroup:
         # per dominant weight: its orbit when asked for as a list, and the fold of its orbit sum
         self._orbits: Dict[Labels, List[Labels]] = {}
         self._folds: Dict[Labels, Dict[Labels, int]] = {}
-        # W.delta once walked, as (p - delta, sign) per point p under the key (), and per
-        # zero set J (a tuple of label indices) the points positive at J
-        self._coset_points: Dict[Tuple[int, ...], List[Tuple[Labels, int]]] = {}
         self._order = expected_group_order(rs)
 
     def __len__(self):
@@ -225,14 +216,13 @@ class WeylGroup:
         shifted fold at lambda = mu of the p - delta, each with sign(u), and
         every mu + p lies nearer the dominant chamber than its u(mu) + delta.
 
-        The mus not yet folded take one path together. Walking W.delta (if not
-        yet walked) and filtering it once per new non-empty zero set costs |W|
-        points each; the orbit path folds |W| / |W_J| points per mu of zero
-        set J, each with a longer dominant walk than its mu + p. The cheaper
-        is taken: each orbit as `dominant_orbit` keeps it, or per J one
-        `shifted_folds` call over its J-list, kept for later calls, bounded
-        by the largest ||mu + delta||^2, which no row passes (||mu + p|| <=
-        ||mu + delta||).
+        The mus not yet folded take the cheaper of two paths together. Each
+        orbit as `dominant_orbit` keeps it: |W| / |W_J| points per mu of zero
+        set J, each with a longer dominant walk than its mu + p. Or one walk of
+        W.delta, filtered once per non-empty J (|W| points each), and per J one
+        `shifted_folds` call over the points positive at J, bounded by the
+        largest ||mu + delta||^2, which no row passes (||mu + p|| <= ||mu +
+        delta||). Only the folds are kept.
         """
         folds = self._folds
         wanted = dict.fromkeys(mus)
@@ -241,14 +231,15 @@ class WeylGroup:
             if mu not in folds:
                 groups.setdefault(tuple(i for i, m in enumerate(mu) if not m), []).append(mu)
         if groups:
-            kept = self._coset_points
-            new = len(set(groups).difference(kept, [()]))
-            buy = len(self) * ((() not in kept) + new)
+            buy = len(self) * (1 + len(groups) - (() in groups))
             rent = sum(len(g) * self.orbit_size(g[0]) for g in groups.values())
             if buy < rent:
+                delta = (1,) * self.rs.rank
+                walk = [(tuple(x - 1 for x in p), sign) for p, sign in self.orbit_walk(delta)]
                 for zeros, group in groups.items():
+                    points = [pt for pt in walk if all(pt[0][i] >= 0 for i in zeros)]
                     bound = max(self.rs.scaled_norm([m + 1 for m in mu]) for mu in group)
-                    for mu, fold, _ in shifted_folds(self, self.coset_points(zeros), group, bound):
+                    for mu, fold, _ in shifted_folds(self, points, group, bound):
                         folds[mu] = fold
             else:
                 zero = (0,) * self.rs.rank
@@ -256,24 +247,6 @@ class WeylGroup:
                     points = ((nu, 1) for nu in self.dominant_orbit(mu))
                     folds[mu] = shifted_fold(self, points, zero)
         return {mu: folds[mu] for mu in wanted}
-
-    def coset_points(self, zeros: Tuple[int, ...]) -> List[Tuple[Labels, int]]:
-        """(p - delta, sign) for the points p of W.delta positive at every label in zeros.
-
-        These p are the u^-1(delta) for the minimal coset representatives u of
-        W/W_J, J = zeros, and the sign is sign(u). W.delta is walked once per
-        group and kept as the list for J = (); every other list is filtered
-        from it once, on the labels p_i - 1 >= 0 at i in J, and kept.
-        """
-        kept = self._coset_points
-        if () not in kept:
-            kept[()] = [
-                (tuple(x - 1 for x in p), sign) for p, sign in self.orbit_walk((1,) * self.rs.rank)
-            ]
-        points = kept.get(zeros)
-        if points is None:
-            points = kept[zeros] = [pt for pt in kept[()] if all(pt[0][i] >= 0 for i in zeros)]
-        return points
 
     # -- subgroups and cosets ------------------------------------------------
 

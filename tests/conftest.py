@@ -209,6 +209,16 @@ def are_conjugate(wg, sub1, sub2):
     return s2 in wg.coset_representatives(s1)
 
 
+def orbit_walk_label(wg, classes, root_indices):
+    """The label of the first class whose representative lies in the W-orbit of the index set.
+
+    None if there is none. The W-orbit of the set is walked once. The oracle
+    for `subsys.class_label`.
+    """
+    orbit = wg.coset_representatives(root_indices)
+    return next((c.label for c in classes if c.representative.root_indices in orbit), None)
+
+
 def orbit_walk_leq(wg, classes):
     """The class order by brute force: cls1 <= cls2 iff some image w(S1) lies inside S2.
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from weylstrat import cli, weyl
 from weylstrat.cli import run
 from conftest import SUPPORTED_TYPES
 
@@ -68,6 +69,9 @@ EXTRA = [
     "kblock --family A --rank 2 --class 0 --cutoff 0 --format json",
     "kblock --family A --rank 3 --class 0 --cutoff 10 --format csv",
     "kblock --family A --rank 3 --class 0 --cutoff 10 --format text",
+    # a D4 point whose Γ_x is the unlisted twin A3', so its class is None; recorded while
+    # gammax walked Γ_x's W-orbit; it moves when ROADMAP item 2 lists the twins
+    "gammax --family D --rank 4 --point A=1/4,0,0,1/4",
 ]
 
 
@@ -192,6 +196,7 @@ DIGESTS = {
     "kblock --family A --rank 2 --class 0 --cutoff 0 --format json": "a489a71a6a3462c7fa3e4611697571957ed0e9c4c8498c525c411cc39784e16a",
     "kblock --family A --rank 3 --class 0 --cutoff 10 --format csv": "6145b51c880822789363e7657398e30a42f9d6826f2756b8b575e60525e9b75d",
     "kblock --family A --rank 3 --class 0 --cutoff 10 --format text": "1527dd29a3fc4ed1b55fc69d4641a014ef06b83cce5b00c6e8c4fbf341b8cdee",
+    "gammax --family D --rank 4 --point A=1/4,0,0,1/4": "e402843bb43a897795de75cbef6f566b96218bb4e7860e45be1222c9e0bfd206",
 }
 
 
@@ -199,6 +204,19 @@ DIGESTS = {
 def test_output_matches_recorded_digest(cmd, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal
+    assert digest(cmd, capsys) == DIGESTS[cmd]
+
+
+@pytest.mark.parametrize("cmd", [c for c in DIGESTS if c.startswith("gammax")])
+def test_gammax_builds_no_weyl_group(cmd, tmp_path, capsys, monkeypatch):
+    # the class is read off Γ_x's coordinate blocks: no group, class list or orbit walk
+    def refuse(*args):
+        raise AssertionError("gammax reached the Weyl group or the class list")
+
+    monkeypatch.setattr(weyl.WeylGroup, "__init__", refuse)
+    monkeypatch.setattr(weyl.WeylGroup, "coset_representatives", refuse)
+    monkeypatch.setattr(cli, "enumerate_classes", refuse)
+    monkeypatch.chdir(tmp_path)
     assert digest(cmd, capsys) == DIGESTS[cmd]
 
 

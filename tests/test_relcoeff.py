@@ -346,12 +346,41 @@ def dominant_values(wg, cls):
     return symmetrize(wg, len(wg.coset_representatives(members)), subset_sums(wg.rs, complement))
 
 
+@pytest.fixture
+def delta_folds(monkeypatch):
+    """The (points, lams) of each weyl.shifted_folds call, which orbit_folds makes only on the
+    W.delta path (costrat holds its own binding)."""
+    calls = []
+    shifted_folds = weyl.shifted_folds
+
+    def counted(group, points, lams, bound):
+        calls.append((points, lams))
+        return shifted_folds(group, points, lams, bound)
+
+    monkeypatch.setattr(weyl, "shifted_folds", counted)
+    return calls
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The start point of each WeylGroup.orbit_walk."""
+    starts = []
+    orbit_walk = WeylGroup.orbit_walk
+
+    def counted(wg, mu):
+        starts.append(tuple(mu))
+        return orbit_walk(wg, mu)
+
+    monkeypatch.setattr(WeylGroup, "orbit_walk", counted)
+    return starts
+
+
 @pytest.mark.parametrize(
     "family,rank,label", [(f, r, None) for f, r in RANK_SIX_TYPES if r <= 5] + [("A", 6, "0")]
 )
-def test_orbit_folds_match_the_tree_walk_oracle(family, rank, label):
+def test_orbit_folds_match_the_tree_walk_oracle(family, rank, label, delta_folds):
     # each class table's dominant weights folded in class order on one fresh group, zero
-    # keys included: class 0 comes first and, from rank 3 on, takes the W.delta lists.
+    # keys included: class 0 comes first and, from rank 3 on, takes the W.delta path.
     # At rank 5 the classes other than 0 are those with at most 20 complement roots,
     # as in test_rank_five: a larger subset-sum map takes 2-10 s to build.
     rs, wg = system(family, rank)
@@ -363,43 +392,37 @@ def test_orbit_folds_match_the_tree_walk_oracle(family, rank, label):
         if rank == 5 and len(cls) and len(rs.roots) - len(cls) > 20:
             continue
         mus = dominant_values(wg, cls)
+        del delta_folds[:]
         folds = fresh.orbit_folds(mus)
         for mu in mus:
             if mu not in oracle:
                 oracle[mu] = tree_walk_fold(fresh, mu)
             assert folds[mu] == oracle[mu], (cls.label, mu)
         if cls.label == "0" and rank >= 3:
-            assert fresh._coset_points
+            assert delta_folds
     # single small orbits on a fresh group: the origin and the first fundamental weight
     fresh = WeylGroup(rs)
+    del delta_folds[:]
     for mu in [(0,) * rank, (1,) + (0,) * (rank - 1)]:
         assert fresh.orbit_folds([mu])[mu] == tree_walk_fold(fresh, mu)
-    assert not fresh._coset_points
+    assert not delta_folds
 
 
-def test_full_class_at_rank_eight_walks_no_w_delta():
+def test_full_class_at_rank_eight_walks_no_w_delta(walked, delta_folds):
     # |W| = 10321920 at B8; the full class folds the one-point orbit of 0
     rs = build_root_system(LieType("B", 8))
     wg = WeylGroup(rs)
     full = max(enumerate_classes(rs, wg), key=len)
     assert coeff_table(wg, full).entries == {(0,) * 8: 1}
-    assert not wg._coset_points
+    assert (1,) * 8 not in walked and not delta_folds
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4)])
-def test_orbit_memo_is_order_free(family, rank, monkeypatch):
+def test_orbit_memo_is_order_free(family, rank, delta_folds):
     # every class forward, reversed, and each on a fresh group gives the same tables,
     # although the fold path of each table depends on what its group has kept
     rs = build_root_system(LieType(family, rank))
     classes = enumerate_classes(rs, generate_group(rs))
-    coset_calls = []
-    coset_points = WeylGroup.coset_points
-
-    def counted(wg, zeros):
-        coset_calls.append(zeros)
-        return coset_points(wg, zeros)
-
-    monkeypatch.setattr(WeylGroup, "coset_points", counted)
     paths = set()
 
     def tables(order, fresh):
@@ -407,10 +430,10 @@ def test_orbit_memo_is_order_free(family, rank, monkeypatch):
         out = {}
         for cls in order:
             wg = generate_group(rs) if fresh else shared
-            folded, calls = len(wg._folds), len(coset_calls)
+            folded, calls = len(wg._folds), len(delta_folds)
             out[cls.label] = coeff_table(wg, cls)
             if len(wg._folds) > folded:
-                paths.add("W.delta" if len(coset_calls) > calls else "orbits")
+                paths.add("W.delta" if len(delta_folds) > calls else "orbits")
         return out
 
     forward = tables(classes, False)
@@ -422,13 +445,15 @@ def test_orbit_memo_is_order_free(family, rank, monkeypatch):
 @pytest.mark.parametrize("family,rank,label", [
     ("A", 3, None), ("B", 3, None), ("C", 3, None), ("D", 4, None), ("D", 5, "A1+A1"),
 ])
-def test_w_delta_path_folds_once_per_zero_set(family, rank, label, monkeypatch):
+def test_w_delta_path_folds_once_per_zero_set(family, rank, label, walked, monkeypatch):
     # every class in order on one group (or one class on a fresh group): a table on the
-    # W.delta path makes one shifted_folds call per zero set of the weights it has not
-    # folded yet, with that zero set's kept W.delta list as points and those weights as
-    # columns, and no row of any fold passes the bound
+    # W.delta path walks W.delta once and makes one shifted_folds call per zero set of the
+    # weights it has not folded yet, with W.delta's points positive at that zero set as
+    # points and those weights as columns, and no row of any fold passes the bound
     rs = build_root_system(LieType(family, rank))
     wg = generate_group(rs)
+    delta = (1,) * rank
+    w_delta = [(tuple(x - 1 for x in p), sign) for p, sign in wg.orbit_walk(delta)]
     calls = []
     shifted_folds = weyl.shifted_folds
 
@@ -443,19 +468,24 @@ def test_w_delta_path_folds_once_per_zero_set(family, rank, label, monkeypatch):
     for cls in enumerate_classes(rs, wg):
         if label is not None and cls.label != label:
             continue
-        folded = set(wg._folds)
-        del calls[:]
+        folded, kept = set(wg._folds), delta in wg._orbits
+        del calls[:], walked[:]
         table = coeff_table(wg, cls)
         zero_sets = {}
         for mu in table.dominant_values:
             if mu not in folded:
                 zero_sets.setdefault(tuple(i for i, m in enumerate(mu) if not m), []).append(mu)
+        # besides the W.delta path, class 0's denominator values walk delta's orbit, and so
+        # does the first dominant_orbit(delta)
+        others = (cls.label == "0") + (delta in wg._orbits and not kept)
+        assert walked.count(delta) == bool(calls) + others, cls.label
         if calls:
             paths.append(cls.label)
             assert len(calls) == len(zero_sets), cls.label
             for points, lams in calls:
                 zeros = tuple(i for i, m in enumerate(lams[0]) if not m)
-                assert points is wg._coset_points[zeros], cls.label
+                want = [pt for pt in w_delta if all(pt[0][i] >= 0 for i in zeros)]
+                assert points == want, cls.label
                 assert lams == zero_sets[zeros], cls.label
     assert (paths[0] == "0") if label is None else (paths == [label])
 

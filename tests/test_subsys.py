@@ -1,22 +1,26 @@
 import itertools
 import random
+from fractions import Fraction as Q
 from operator import mul
 
 import pytest
 
+from weylstrat.lattice import TorusPoint, gamma_x, kernel_preset, pq_map
 from weylstrat.subsys import (
     RootSubsystem,
     SubsystemClass,
     _closed,
     build_poset,
     canonical_key,
+    class_label,
     class_leq,
     enumerate_classes,
     poset_to_dot,
     span_subsystem,
 )
 from conftest import (
-    RANK_SIX_TYPES, SUPPORTED_TYPES, are_conjugate, orbit_walk_leq, simple_roots, system,
+    RANK_SIX_TYPES, SUPPORTED_TYPES, are_conjugate, orbit_walk_label, orbit_walk_leq,
+    simple_roots, system, word_element,
 )
 
 
@@ -218,6 +222,97 @@ def test_poset_matches_the_orbit_walk(family, rank):
     assert build_poset(list(classes.values())).leq == orbit_walk_leq(wg, list(classes.values()))
 
 
+# -- naming a subsystem's class -------------------------------------------------
+
+
+@pytest.mark.parametrize("family,rank", SUPPORTED_TYPES)
+def test_every_representative_names_its_class(family, rank):
+    rs, wg, classes = classes_by_label(family, rank)
+    for label, c in classes.items():
+        assert class_label(rs, c.representative.root_indices) == label
+
+
+@pytest.mark.parametrize("family,rank", [(f, r) for f, r in RANK_SIX_TYPES if r <= 5])
+def test_class_label_is_weyl_invariant(family, rank):
+    # random Weyl-word images of each representative name its class; at D4 this holds the
+    # parity of the A3 and A1+A1 images too
+    rng = random.Random(f"{family}{rank}")
+    rs, wg, classes = classes_by_label(family, rank)
+    for label, c in classes.items():
+        for _ in range(3):
+            w = word_element(wg, rng, 3 * rank)
+            moved = [w.perm[i] for i in c.representative.root_indices]
+            assert class_label(rs, moved) == label
+
+
+# the all-A classes at D_n whose W-class has an unlisted twin (ROADMAP item 2)
+TWINNED = {
+    4: {"A3", "A1+A1"},
+    6: {"A5", "A1+A3", "A1+A1+A1"},
+    8: {"A7", "A1+A5", "A3+A3", "A1+A1+A3", "A1+A1+A1+A1"},
+}
+
+
+@pytest.mark.parametrize("rank", sorted(TWINNED))
+def test_d_twins_name_no_class(rank):
+    # each primed base (the listed base with its last root e_(n-1) - e_n swapped for
+    # e_(n-1) + e_n) spans the twin, which no listed class holds: it names None and its
+    # unprimed class its label. The orbit walk agrees at D4 and D6.
+    rs, wg, classes = classes_by_label("D", rank)
+    twinned = {
+        label for label, c in classes.items()
+        if all(kind == "A" and m % 2 for kind, m in c.factors)
+        and sum(m + 1 for _, m in c.factors) == rank
+    }
+    assert twinned == TWINNED[rank]
+    z = (0,) * (rank - 2)
+    for label in twinned:
+        c = classes[label]
+        assert rs.roots[c.base[-1]] == z + (1, -1)
+        primed = span_subsystem(rs, c.base[:-1] + (rs.index[z + (1, 1)],)).root_indices
+        assert class_label(rs, primed) is None, label
+        assert class_label(rs, c.representative.root_indices) == label
+        if rank <= 6:
+            assert orbit_walk_label(wg, list(classes.values()), primed) is None, label
+
+
+GRID_CASES = (
+    [(f, r, "sc") for f, r in RANK_SIX_TYPES if r <= 5]
+    + [("D", 6, "sc"), ("C", 2, "so-odd")]
+    + [("B", r, "so-odd") for r in range(2, 6)]
+)
+
+
+# grid points whose Γ_x lies in a D_n twin: A3' at D4 and A5' at D6
+TWIN_POINTS = {("D", 4): "1/4,0,0,1/4", ("D", 6): "1/2,0,1/2,0,1/2,0"}
+
+
+@pytest.mark.parametrize("family,rank,kernel", GRID_CASES)
+def test_class_label_matches_the_orbit_walk_on_grid_points(family, rank, kernel):
+    # Γ_x of random grid points, every third with a B part that keeps only the roots with
+    # a zero label at one node, and of the twin points: the name read off the blocks is
+    # the orbit walk's, and None only at a twin
+    rng = random.Random(f"{family}{rank}{kernel}")
+    rs, wg, classes = classes_by_label(family, rank)
+    scales = pq_map(rs, kernel_preset(rs, kernel))
+    points = []
+    for k in range(12):
+        den = rng.choice([2, 3, 4, 6])
+        b = [Q(0)] * rank
+        if k % 3 == 0:
+            b[rng.randrange(rank)] = Q(1, 5)
+        points.append(([Q(rng.randrange(den), den) for _ in range(rank)], b))
+    twin = TWIN_POINTS.get((family, rank))
+    if twin:
+        points.append(([Q(x) for x in twin.split(",")], [Q(0)] * rank))
+    names = []
+    for a, b in points:
+        sub = gamma_x(rs, scales, TorusPoint.make(a, b)).root_indices
+        names.append(class_label(rs, sub))
+        assert names[-1] == orbit_walk_label(wg, list(classes.values()), sub), (a, b)
+    assert (None in names) == (twin is not None)
+
+
 EXPECTED_EDGES = {
     ("A", 1): {("0", "A1")},
     ("A", 2): {("0", "A1"), ("A1", "A2")},
@@ -251,6 +346,14 @@ def test_poset_consistency(family, rank, full):
             for c in labels:
                 if poset.is_leq(a, b) and poset.is_leq(b, c):
                     assert poset.is_leq(a, c)
+    # the edges are the transitive reduction over every third class, not only those
+    # listed between the ends
+    pairs = [(a, b) for a in labels for b in labels if a != b and poset.is_leq(a, b)]
+    assert set(poset.hasse_edges) == {
+        (a, b)
+        for a, b in pairs
+        if not any(c not in (a, b) and poset.is_leq(a, c) and poset.is_leq(c, b) for c in labels)
+    }
     # a D block takes A factors but no B factor
     if family == "B":
         assert poset.is_leq("A1", "D2")
