@@ -19,7 +19,7 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .rootsys import RootSystem, _invert_rational
-from .subsys import RootSubsystem, _closed
+from .subsys import RootSubsystem, block_factors, closed
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def pq_map(rs: RootSystem, kernel: ExpKernel) -> List[int]:
 
 
 def gamma_x(rs: RootSystem, scales: Sequence[int], x: TorusPoint) -> RootSubsystem:
-    """Roots whose reflection fixes x: q*a(A) integral and a(B) = 0."""
+    """Roots whose reflection fixes x: q*a(A) integral and a(B) = 0; closed per their factors."""
     n = rs.rank
     if len(x.a_coords) != n:
         raise ValueError("torus point has wrong rank")
@@ -155,5 +155,4 @@ def gamma_x(rs: RootSystem, scales: Sequence[int], x: TorusPoint) -> RootSubsyst
         b_val = sum(x.b_coords[j] * lab[j] for j in range(n))
         if b_val == 0 and (a_val * scales[i]).denominator == 1:
             members.append(i)
-    indices = frozenset(members)
-    return RootSubsystem(indices, _closed(rs, indices))
+    return RootSubsystem(frozenset(members), closed(rs.lie_type.family, block_factors(rs, members)))

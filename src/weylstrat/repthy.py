@@ -8,10 +8,10 @@ and entirely in integers: norms are the root system's scaled integer norms
 membership of lambda - mu is divisibility of the scaled inverse Cartan
 coordinates by cartan_den. The recursion always resolves to positive
 integers. `shifted_fold`, imported from `weyl`, is the one shifted Weyl-orbit
-sum (the Brauer-Klimyk rule): tensor multiplicities call it here, K blocks and
-K entries in `costrat`, and `WeylGroup.orbit_folds` folds the orbit sums
-behind C tables with it. `identity_value` checks a C table against
-`weyl_dim`. The transcendental norm prefactors never enter here.
+sum (the Brauer-Klimyk rule): tensor multiplicities call it here, and the
+orbit path of `WeylGroup.orbit_folds` folds the orbit sums behind C tables
+with it. `identity_value` checks a C table against `weyl_dim`. The
+transcendental norm prefactors never enter here.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ and every root is a tuple of integer coordinates. The form k is the dot
 product scaled so that short roots have k(a, a) = 2; this normalization
 cancels in every reduced coefficient downstream. `block_base` is the one
 recipe that places the simple roots of a type on a block of coordinates: the
-root system's own base is the block that starts at coordinate 0, its roots
-are that base closed under its reflections, and `subsys` builds every class
-representative from such blocks.
+root system's own base is the block that starts at coordinate 0, and `subsys`
+builds every class representative from such blocks. `positive_roots` closes
+a base under its reflections, the one closure that gives both the root
+system's roots and the roots of every block of a representative.
 
 Every table is built from integer dot products and exact floor division:
 root norms, the Cartan matrix, root labels, the pairings `komega` of
@@ -92,7 +93,7 @@ class RootSystem:
 
         self.dim = n + (lie_type.family == "A")
         simple = block_base(lie_type.family, n, 0, self.dim)
-        positives = _positive_roots(simple)
+        positives = positive_roots(simple)
         self.num_positive = len(positives)
         self.roots: List[Vector] = positives + [tuple(-x for x in a) for a in positives]
         self.index: dict = {a: i for i, a in enumerate(self.roots)}
@@ -108,8 +109,6 @@ class RootSystem:
         self.cartan: List[List[int]] = [
             [self._root_labels[i][j] for i in self.simple_indices] for j in range(n)
         ]
-        # Dynkin labels are linear and tell roots apart
-        self.label_index: dict = {l: i for i, l in enumerate(self._root_labels)}
         inverse = _invert_rational([[Q(c) for c in row] for row in self.cartan])
         # scaled_cartan_inverse = cartan_den * (inverse Cartan matrix), integral
         den = self.cartan_den = lcm(*(x.denominator for row in inverse for x in row))
@@ -160,8 +159,8 @@ def _reflect(a: Vector, b: Vector) -> Vector:
     return tuple(y - c * x for x, y in zip(a, b))
 
 
-def _positive_roots(simple: List[Vector]) -> List[Vector]:
-    """The lexicographically positive roots, sorted.
+def positive_roots(simple: List[Vector]) -> List[Vector]:
+    """The lexicographically positive roots of the system with these simple roots, sorted.
 
     The simple reflections generate W, and every root is W-conjugate to a
     simple root, so closing the simple roots under their reflections gives

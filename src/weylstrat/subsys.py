@@ -1,27 +1,26 @@
-"""Root subsystems: closure, conjugacy classes, and their partial order.
+"""Root subsystems: conjugacy classes, their partial order, and closedness.
 
 A class is one list of (kind, m) factors in label order: A parts, then D
 parts from D2, then B/C parts, each ascending. Its label is the factors joined
 by + ("0" for none), which keeps the non-conjugate pairs B1/A1, C1/A1,
 D2/A1+A1 and D3/A3 apart even though they are isomorphic. Each factor of the
 representative is a root system of its kind on its own block of orthonormal
-coordinates, with the base that `rootsys.block_base` gives that block (see
-`enumerate_classes`).
+coordinates, the `rootsys.positive_roots` closure of the base that
+`rootsys.block_base` gives that block (see `enumerate_classes`).
 
-The class order (`class_leq`) and the class of a subsystem (`class_label`,
-which `gammax` prints) are read off factor lists, with no W-orbit walk. Only
-the tests read canonical keys, the least image w(S) over the W-orbit of S.
+The class order (`class_leq`), whether a subsystem is closed (`closed`) and
+the class of a subsystem (`class_label`, which `gammax` prints) are read off
+factor lists, with no W-orbit walk and no scan of root pairs. Only the tests
+read canonical keys, the least image w(S) over the W-orbit of S.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
-from operator import add
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .rootsys import RootSystem, Vector, block_base
+from .rootsys import RootSystem, Vector, block_base, positive_roots
 from .weyl import WeylGroup
 
 
@@ -53,34 +52,6 @@ class ClassPoset:
 
     def is_leq(self, label1: str, label2: str) -> bool:
         return self.leq[(label1, label2)]
-
-
-def span_subsystem(rs: RootSystem, base: Sequence[int]) -> RootSubsystem:
-    """Smallest index set containing the base and stable under its own reflections."""
-    perms = rs.reflection_perms()
-    current = set(base)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(current):
-            pa = perms[a]
-            for b in list(current):
-                c = pa[b]
-                if c not in current:
-                    current.add(c)
-                    changed = True
-    indices = frozenset(current)
-    return RootSubsystem(indices, _closed(rs, indices))
-
-
-def _closed(rs: RootSystem, indices: FrozenSet[int]) -> bool:
-    # labels are linear, so a + b is a root iff its labels are those of a root
-    labels, idx = rs.root_labels, rs.label_index
-    for a, b in itertools.combinations(indices, 2):
-        k = idx.get(tuple(map(add, labels(a), labels(b))))
-        if k is not None and k not in indices:
-            return False
-    return True
 
 
 def canonical_key(wg: WeylGroup, indices: FrozenSet[int]) -> Tuple[int, ...]:
@@ -141,18 +112,15 @@ def normalize_label(label: str) -> str:
     return "+".join(f"{f}{i}" for f, i in parsed)
 
 
-def class_label(rs: RootSystem, root_indices: Iterable[int]) -> Optional[str]:
-    """The label of the class of the subsystem on these roots; None for an unlisted D_n twin.
+def block_factors(rs: RootSystem, root_indices: Collection[int]) -> List[Tuple[str, int]]:
+    """The (kind, m) factors of the subsystem on these roots, one per block of coordinates.
 
     Coordinates that share a root merge into blocks, one irreducible factor of
     width k each: the family's B_k or C_k if it holds a root +-e_i or +-2e_i,
-    D_k if it holds all 2k(k-1) roots +-e_a +- e_b, else A_(k-1). Of a D_n twin
-    pair (ROADMAP item 2), the class listed has an even number of roots e_a + e_b.
+    D_k if it holds all 2k(k-1) roots +-e_a +- e_b, else A_(k-1).
     """
-    family = rs.lie_type.family
-    roots = [rs.roots[i] for i in root_indices]
     blocks: List[Tuple[Set[int], List[Vector]]] = []  # (coordinates, roots)
-    for root in roots:
+    for root in [rs.roots[i] for i in root_indices]:
         coords, members = {c for c, x in enumerate(root) if x}, [root]
         for block in [b for b in blocks if b[0] & coords]:
             blocks.remove(block)
@@ -163,12 +131,34 @@ def class_label(rs: RootSystem, root_indices: Iterable[int]) -> Optional[str]:
     for coords, members in blocks:
         k = len(coords)
         if any(sum(map(bool, r)) == 1 for r in members):
-            factors.append((family, k))
+            factors.append((rs.lie_type.family, k))
         else:
             factors.append(("D", k) if len(members) == 2 * k * (k - 1) else ("A", k - 1))
+    return factors
+
+
+def closed(family: str, factors: Collection[Tuple[str, int]]) -> bool:
+    """Whether a subsystem with these (kind, m) factors holds each root that sums two of its roots.
+
+    Roots of distinct blocks sum to no root but for the short roots of two B
+    blocks, as e_i + e_j is a root of B_n. Inside a block, only a D block of
+    family C misses a sum: 2e_a = (e_a - e_b) + (e_a + e_b).
+    """
+    kinds = [kind for kind, _ in factors]
+    return kinds.count("B") < 2 and not (family == "C" and "D" in kinds)
+
+
+def class_label(rs: RootSystem, root_indices: Collection[int]) -> Optional[str]:
+    """The label of the class of the subsystem on these roots; None for an unlisted D_n twin.
+
+    The label joins the `block_factors` in label order. Of a D_n twin pair
+    (ROADMAP item 2), the class listed has an even number of roots e_a + e_b.
+    """
+    factors = block_factors(rs, root_indices)
     # A factors of odd m that cover all n coordinates leave room for no other factor
-    if family == "D" and sum(m + 1 for kind, m in factors if kind == "A" and m % 2) == rs.rank:
-        if sum(sum(r) == 2 for r in roots) % 2:
+    odd_a = sum(m + 1 for kind, m in factors if kind == "A" and m % 2)
+    if rs.lie_type.family == "D" and odd_a == rs.rank:
+        if sum(sum(rs.roots[i]) == 2 for i in root_indices) % 2:
             return None
     return normalize_label("+".join(f"{kind}{m}" for kind, m in factors) or "0")
 
@@ -176,16 +166,17 @@ def class_label(rs: RootSystem, root_indices: Iterable[int]) -> Optional[str]:
 def enumerate_classes(rs: RootSystem, wg: WeylGroup) -> List[SubsystemClass]:
     """One class per factor list, ordered by (cardinality, label).
 
-    Each factor's base is `block_base` on its own block of coordinates. A
-    blocks take the coordinates from the first on and D blocks follow, except
-    that in family D the last factor, if it is a D, sits at the last
-    coordinates. B/C blocks tile down from the last coordinate, the first
-    factor last.
+    Each factor's base is `block_base` on its own block of coordinates, and
+    its roots are that base's `positive_roots` and their negatives. A blocks
+    take the coordinates from the first on and D blocks follow, except that in
+    family D the last factor, if it is a D, sits at the last coordinates. B/C
+    blocks tile down from the last coordinate, the first factor last.
     """
     family, dim = rs.lie_type.family, rs.dim
     out = []
     for factors in _factor_lists(family, rs.rank):
         base: List[int] = []
+        positives: List[int] = []
         lo, hi = 0, dim
         for i, (kind, m) in enumerate(factors):
             width = _width(kind, m)
@@ -194,9 +185,13 @@ def enumerate_classes(rs: RootSystem, wg: WeylGroup) -> List[SubsystemClass]:
                 start = hi
             else:
                 start, lo = lo, lo + width
-            base += [rs.index[r] for r in block_base(kind, m, start, dim)]
+            simple = block_base(kind, m, start, dim)
+            base += [rs.index[r] for r in simple]
+            positives += [rs.index[r] for r in positive_roots(simple)]
         label = "+".join(f"{kind}{m}" for kind, m in factors) or "0"
-        out.append(SubsystemClass(label, tuple(factors), tuple(base), span_subsystem(rs, base)))
+        indices = frozenset(positives + [rs.negative_index(j) for j in positives])
+        sub = RootSubsystem(indices, closed(family, factors))
+        out.append(SubsystemClass(label, tuple(factors), tuple(base), sub))
     out.sort(key=lambda c: (len(c), c.label))
     return out
 

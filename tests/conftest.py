@@ -1,14 +1,16 @@
 import functools
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction as Q
-from operator import mul
+from operator import add, mul
 
 import pytest
 
 from weylstrat.relcoeff import CoeffTable, subset_sums
 from weylstrat.repthy import dominant_weight_system
 from weylstrat.rootsys import MAX_RANK, LieType, _invert_rational, build_root_system
+from weylstrat.subsys import RootSubsystem
 from weylstrat.weyl import WeylElement, generate_group, shifted_fold
 
 
@@ -207,6 +209,40 @@ def are_conjugate(wg, sub1, sub2):
     if sorted(norms[i] for i in s1) != sorted(norms[i] for i in s2):
         return False
     return s2 in wg.coset_representatives(s1)
+
+
+def span_subsystem(rs, base):
+    """The smallest index set holding the base and stable under its own reflections.
+
+    A fixpoint over root indices, with the pair scan's closed flag. The oracle
+    for the roots and closed flag that `subsys.enumerate_classes` reads off
+    the blocks of each class.
+    """
+    perms = rs.reflection_perms()
+    current = set(base)
+    changed = True
+    while changed:
+        changed = False
+        for a in list(current):
+            for b in list(current):
+                if perms[a][b] not in current:
+                    current.add(perms[a][b])
+                    changed = True
+    indices = frozenset(current)
+    return RootSubsystem(indices, pair_scan_closed(rs, indices))
+
+
+def pair_scan_closed(rs, indices):
+    """Whether a + b lies in the index set for every pair a, b in it whose sum is a root.
+
+    Every pair is tried. The oracle for the factor rule of `subsys.closed`.
+    """
+    indices = frozenset(indices)
+    for a, b in itertools.combinations(indices, 2):
+        k = rs.index.get(tuple(map(add, rs.roots[a], rs.roots[b])))
+        if k is not None and k not in indices:
+            return False
+    return True
 
 
 def orbit_walk_label(wg, classes, root_indices):

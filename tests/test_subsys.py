@@ -9,18 +9,18 @@ from weylstrat.lattice import TorusPoint, gamma_x, kernel_preset, pq_map
 from weylstrat.subsys import (
     RootSubsystem,
     SubsystemClass,
-    _closed,
+    block_factors,
     build_poset,
     canonical_key,
     class_label,
     class_leq,
+    closed,
     enumerate_classes,
     poset_to_dot,
-    span_subsystem,
 )
 from conftest import (
     RANK_SIX_TYPES, SUPPORTED_TYPES, are_conjugate, orbit_walk_label, orbit_walk_leq,
-    simple_roots, system, word_element,
+    pair_scan_closed, simple_roots, span_subsystem, system, word_element,
 )
 
 
@@ -43,13 +43,15 @@ def test_span_small():
     }
     gamma_s = span_subsystem(rs, [rs.index[alpha], rs.index[tuple(map(sum, zip(alpha, beta)))]])
     assert len(gamma_s.root_indices) == 4
-    assert gamma_l.closed and _closed(rs, gamma_l.root_indices)
-    assert not gamma_s.closed and not _closed(rs, gamma_s.root_indices)
+    # the pair scan and the factor rule agree: C1+C1 is closed, D2 misses 2e_1 and 2e_2
+    assert gamma_l.closed and closed("C", block_factors(rs, gamma_l.root_indices))
+    assert not gamma_s.closed and not closed("C", block_factors(rs, gamma_s.root_indices))
 
 
 def test_empty_set_closed():
     rs, _ = system("A", 2)
-    assert _closed(rs, frozenset())
+    assert pair_scan_closed(rs, frozenset())
+    assert block_factors(rs, frozenset()) == [] and closed("A", [])
 
 
 @pytest.mark.parametrize(
@@ -158,7 +160,7 @@ def test_brute_force_class_enumeration_rank_two():
         assert len(orbits) == len(classes)
         ours = {canonical_key(wg, c.representative.root_indices) for c in classes.values()}
         assert set(orbits) == ours
-        closed_flags = sorted(_closed(rs, s) for s in orbits.values())
+        closed_flags = sorted(pair_scan_closed(rs, s) for s in orbits.values())
         assert closed_flags == sorted(c.representative.closed for c in classes.values())
 
 
@@ -230,6 +232,7 @@ def test_every_representative_names_its_class(family, rank):
     rs, wg, classes = classes_by_label(family, rank)
     for label, c in classes.items():
         assert class_label(rs, c.representative.root_indices) == label
+        assert c.representative.closed == pair_scan_closed(rs, c.representative.root_indices)
 
 
 @pytest.mark.parametrize("family,rank", [(f, r) for f, r in RANK_SIX_TYPES if r <= 5])
@@ -243,6 +246,7 @@ def test_class_label_is_weyl_invariant(family, rank):
             w = word_element(wg, rng, 3 * rank)
             moved = [w.perm[i] for i in c.representative.root_indices]
             assert class_label(rs, moved) == label
+            assert closed(family, block_factors(rs, moved)) == pair_scan_closed(rs, moved)
 
 
 # the all-A classes at D_n whose W-class has an unlisted twin (ROADMAP item 2)
@@ -285,13 +289,19 @@ GRID_CASES = (
 
 # grid points whose Γ_x lies in a D_n twin: A3' at D4 and A5' at D6
 TWIN_POINTS = {("D", 4): "1/4,0,0,1/4", ("D", 6): "1/2,0,1/2,0,1/2,0"}
+# so-odd grid points whose Γ_x is not closed: D2 at C2, B1+B1 at B2, two B factors at B3-B5
+NONCLOSED_POINTS = {
+    ("C", 2): "1/4,0", ("B", 2): "0,1/4", ("B", 3): "1/2,0,0", ("B", 4): "1/2,0,0,0",
+    ("B", 5): "1/2,0,0,0,0",
+}
 
 
 @pytest.mark.parametrize("family,rank,kernel", GRID_CASES)
 def test_class_label_matches_the_orbit_walk_on_grid_points(family, rank, kernel):
     # Γ_x of random grid points, every third with a B part that keeps only the roots with
-    # a zero label at one node, and of the twin points: the name read off the blocks is
-    # the orbit walk's, and None only at a twin
+    # a zero label at one node, and of the twin and non-closed points: the name read off
+    # the blocks is the orbit walk's, and None only at a twin; the closed flag read off the
+    # factors is the pair scan's, and False only under so-odd
     rng = random.Random(f"{family}{rank}{kernel}")
     rs, wg, classes = classes_by_label(family, rank)
     scales = pq_map(rs, kernel_preset(rs, kernel))
@@ -303,14 +313,20 @@ def test_class_label_matches_the_orbit_walk_on_grid_points(family, rank, kernel)
             b[rng.randrange(rank)] = Q(1, 5)
         points.append(([Q(rng.randrange(den), den) for _ in range(rank)], b))
     twin = TWIN_POINTS.get((family, rank))
-    if twin:
-        points.append(([Q(x) for x in twin.split(",")], [Q(0)] * rank))
-    names = []
+    nonclosed = NONCLOSED_POINTS.get((family, rank)) if kernel == "so-odd" else None
+    for point in (twin, nonclosed):
+        if point:
+            points.append(([Q(x) for x in point.split(",")], [Q(0)] * rank))
+    names, flags = [], []
     for a, b in points:
-        sub = gamma_x(rs, scales, TorusPoint.make(a, b)).root_indices
+        gamma = gamma_x(rs, scales, TorusPoint.make(a, b))
+        sub = gamma.root_indices
         names.append(class_label(rs, sub))
         assert names[-1] == orbit_walk_label(wg, list(classes.values()), sub), (a, b)
+        flags.append(gamma.closed)
+        assert flags[-1] == pair_scan_closed(rs, sub), (a, b)
     assert (None in names) == (twin is not None)
+    assert (False in flags) == (kernel == "so-odd")
 
 
 EXPECTED_EDGES = {
