@@ -26,7 +26,7 @@ from operator import add, mul
 from typing import Dict, Optional, Sequence
 
 from .rootsys import Labels, RootSystem
-from .subsys import SubsystemClass
+from .subsys import SubsystemClass, stabilizer_order
 from .weyl import WeylGroup
 
 
@@ -183,8 +183,8 @@ def coeff_table(
     """Reduced coefficients of the class relation in the normalized character basis.
 
     Symmetrizes the complement's subset-sum map over the cosets of the members'
-    setwise stabilizer, which are as many as the images in their W-orbit (so
-    the stabilizer order is |W| over the orbit size). The symmetrized map is
+    setwise stabilizer, |W| / |Stab(S)| of them, with the stabilizer order read
+    off the class's factors (`subsys.stabilizer_order`). The symmetrized map is
     sum over dominant mu of its value at mu times the orbit sum m_mu, so the
     coefficients are the sum of value times the character expansion of m_mu,
     from one `WeylGroup.orbit_folds` call that wg keeps for the next class. The table
@@ -193,13 +193,12 @@ def coeff_table(
     scales are the q of every root (`lattice.pq_map`), all 1 for None.
     """
     members = cls.representative.root_indices
+    stabilizer = stabilizer_order(wg.rs, cls.factors)
     if not members:
-        n_cosets = 1
         dominant = denominator_values(wg, scales)
     else:
         complement = [i for i in range(len(wg.rs.roots)) if i not in members]
-        n_cosets = len(wg.coset_representatives(members))
-        dominant = symmetrize(wg, n_cosets, subset_sums(wg.rs, complement, scales))
+        dominant = symmetrize(wg, len(wg) // stabilizer, subset_sums(wg.rs, complement, scales))
 
     folds = wg.orbit_folds(dominant)
     acc: Dict[Labels, int] = {}
@@ -207,4 +206,4 @@ def coeff_table(
         for row, c in folds[mu].items():
             acc[row] = acc.get(row, 0) + share * c
     entries = {k: c for k, c in sorted(acc.items()) if c}
-    return CoeffTable(entries, len(wg) // n_cosets, dominant)
+    return CoeffTable(entries, stabilizer, dominant)

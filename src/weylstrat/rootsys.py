@@ -15,10 +15,10 @@ Every table is built from integer dot products and exact floor division:
 root norms, the Cartan matrix, root labels, the pairings `komega` of
 fundamental weights with positive roots (through simple-root coordinates)
 and `gram`, norm_den * k(omega_i, omega_j), the form in label space.
-`cartan_den` times the inverse Cartan matrix is an integer matrix too, and
-the reflection permutations act on root indices. A `Fraction` appears only
-at the API edge, in `labels_norm_sq`, and in `_invert_rational`, which gives
-`cartan_den` here and the kernel inverse in `lattice`.
+`cartan_den` times the inverse Cartan matrix is an integer matrix too. A
+`Fraction` appears only at the API edge, in `labels_norm_sq`, and in
+`_invert_rational`, which gives `cartan_den` here and the kernel inverse in
+`lattice`.
 """
 
 from __future__ import annotations
@@ -125,7 +125,6 @@ class RootSystem:
             [h * _dot(row, lab) // den for row, h in zip(sci, half)]
             for lab in self._root_labels[: self.num_positive]
         ]
-        self._reflection_perms: List[Tuple[int, ...]] = _reflection_perms(self.roots, self.index)
 
     def scaled_norm(self, labels: Sequence[int]) -> int:
         """norm_den * ||l||^2 of a label vector; an int for integer labels."""
@@ -139,10 +138,6 @@ class RootSystem:
 
     def negative_index(self, i: int) -> int:
         return i + self.num_positive if i < self.num_positive else i - self.num_positive
-
-    def reflection_perms(self) -> List[Tuple[int, ...]]:
-        """Permutation of root indices induced by each root's reflection."""
-        return self._reflection_perms
 
 
 def _reflect(a: Vector, b: Vector) -> Vector:
@@ -173,12 +168,6 @@ def positive_roots(simple: List[Vector]) -> List[Vector]:
         roots |= frontier
     zero = (0,) * len(simple[0])
     return sorted(r for r in roots if r > zero)
-
-
-def _reflection_perms(roots: Sequence[Vector], index: dict) -> List[Tuple[int, ...]]:
-    """Each s_a on root indices, built once per positive a: negatives follow, and s_(-a) = s_a."""
-    perms = [tuple(index[_reflect(a, b)] for b in roots) for a in roots[: len(roots) // 2]]
-    return perms + perms
 
 
 def _scaled(mat: List[List[Q]], den: int) -> List[List[int]]:

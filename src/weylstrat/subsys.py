@@ -8,20 +8,24 @@ representative is a root system of its kind on its own block of orthonormal
 coordinates, the `rootsys.positive_roots` closure of the base that
 `rootsys.block_base` gives that block (see `enumerate_classes`).
 
-The class order (`class_leq`), whether a subsystem is closed (`closed`) and
-the class of a subsystem (`class_label`, which `gammax` prints) are read off
-factor lists, with no W-orbit walk and no scan of root pairs. Only the tests
-read canonical keys, the least image w(S) over the W-orbit of S.
+The class order (`class_leq`), whether a subsystem is closed (`closed`), the
+order of its setwise stabilizer in W (`stabilizer_order`, which gives the
+coset count of a C table) and the class of a subsystem (`class_label`, which
+`gammax` prints) are read off factor lists, with no W-orbit walk, no root
+permutation and no scan of root pairs. Only the tests read canonical keys, the
+least image w(S) over the W-orbit of S.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from math import factorial
 from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .rootsys import RootSystem, Vector, block_base, positive_roots
-from .weyl import WeylGroup
+from .weyl import WeylGroup, weyl_order
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,39 @@ def closed(family: str, factors: Collection[Tuple[str, int]]) -> bool:
     return kinds.count("B") < 2 and not (family == "C" and "D" in kinds)
 
 
+def _even_a_cover(rs: RootSystem, factors: Collection[Tuple[str, int]]) -> bool:
+    """Whether A blocks of even width cover every coordinate: at D_n, the classes with a twin."""
+    return sum(m + 1 for kind, m in factors if kind == "A" and m % 2) == rs.dim
+
+
+def stabilizer_order(rs: RootSystem, factors: Collection[Tuple[str, int]]) -> int:
+    """|Stab(S)|, the order of the setwise stabilizer in W of a subsystem S with these factors.
+
+    Read off the signed-permutation model: W(A_n) permutes the n + 1
+    coordinates, W(B_n) = W(C_n) permutes the n coordinates and changes their
+    signs, and W(D_n) is the half of W(B_n) with an even number of sign
+    changes. Stab(S) maps each block of S onto a block of the same factor, so
+    k equal factors give their order to the k-th power times k!. An A_m block
+    gives the (m + 1)! permutations of its coordinates, times 2 outside family
+    A for the block's sign flip; a B_m, C_m or D_m block gives every signed
+    permutation, 2^m m!. The f free coordinates give f! in family A and 2^f f!
+    otherwise. At D_n the product is halved unless A blocks of even width cover
+    every coordinate, as then every element flips whole blocks of even width.
+    """
+    family = rs.lie_type.family
+    free = rs.dim - sum(_width(kind, m) for kind, m in factors)
+    order = factorial(free) if family == "A" else weyl_order("B", free)
+    for (kind, m), k in Counter(factors).items():
+        if kind == "A":
+            block = weyl_order("A", m) * (1 if family == "A" else 2)
+        else:
+            block = weyl_order("B", m)
+        order *= block**k * factorial(k)
+    if family == "D" and not _even_a_cover(rs, factors):
+        order //= 2
+    return order
+
+
 def class_label(rs: RootSystem, root_indices: Collection[int]) -> Optional[str]:
     """The label of the class of the subsystem on these roots; None for an unlisted D_n twin.
 
@@ -155,9 +192,7 @@ def class_label(rs: RootSystem, root_indices: Collection[int]) -> Optional[str]:
     (ROADMAP item 2), the class listed has an even number of roots e_a + e_b.
     """
     factors = block_factors(rs, root_indices)
-    # A factors of odd m that cover all n coordinates leave room for no other factor
-    odd_a = sum(m + 1 for kind, m in factors if kind == "A" and m % 2)
-    if rs.lie_type.family == "D" and odd_a == rs.rank:
+    if rs.lie_type.family == "D" and _even_a_cover(rs, factors):
         if sum(sum(rs.roots[i]) == 2 for i in root_indices) % 2:
             return None
     return normalize_label("+".join(f"{kind}{m}" for kind, m in factors) or "0")

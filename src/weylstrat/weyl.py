@@ -3,9 +3,10 @@
 A group keeps only its simple reflections; its order comes from the closed
 formula per family, and so does |W_J| for a set J of simple reflections
 (`parabolic_order`), which gives orbit sizes without walking them. No command
-builds a group element: coset counts need only the W-orbit of a root index
-set (`WeylGroup.coset_representatives`), and everything else only W-orbits of
-label vectors (`subsys` reads class names and order off factor lists).
+builds a group element or a root permutation: a class's coset count is |W|
+over the stabilizer order that `subsys.stabilizer_order` reads off its factor
+list, and everything else needs only W-orbits of label vectors (`subsys` reads
+class names and order off factor lists too).
 
 W acts on Dynkin labels only through its simple reflections: s_i is applied
 sparsely, negating l_i and changing l_j only at the Dynkin neighbours j of i.
@@ -32,10 +33,13 @@ which keeps every orbit a table other than class 0 asks about before that
 table's folds, so the first path walks none of them again.
 
 `WeylElement` (a signed root permutation), `identity`, `generators`,
-`elements`, `compose` and `setwise_stabilizer` serve only the tests and the
-benchmark tracer, which wraps the last two; nothing enumerates W except
-`elements` (23040 elements at D6, 46080 at B6 and C6). They move to
-`tests/conftest.py` with ROADMAP item 1, when the tracer reads in-process spans.
+`elements`, `compose`, `setwise_stabilizer` and `coset_representatives` (the
+W-orbit of a root index set, the tests' oracle for coset counts) serve only
+the tests and the benchmark tracer, which wraps the last three; nothing
+enumerates W except `elements` (23040 elements at D6, 46080 at B6 and C6).
+The simple reflections' root permutations behind them are built when one of
+them first asks. They move to `tests/conftest.py` with ROADMAP item 1, when
+the tracer reads in-process spans.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ class WeylGroup:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         n = rs.rank
-        refl = rs.reflection_perms()
         # s_i on labels, sparsely: l_i -> -l_i, l_j -> l_j - cartan[j][i] * l_i at neighbours j
         self._neighbours: List[List[Tuple[int, int]]] = [
             [(j, rs.cartan[j][i]) for j in range(n) if j != i and rs.cartan[j][i]]
@@ -70,9 +73,6 @@ class WeylGroup:
         self._resume: List[int] = [
             min([j for j, _ in self._neighbours[i] if j < i], default=i + 1) for i in range(n)
         ]
-        self._simple_perms: List[Tuple[int, ...]] = [refl[i] for i in rs.simple_indices]
-        self.identity = WeylElement(tuple(range(len(rs.roots))), 1)
-        self.generators: List[WeylElement] = [WeylElement(p, -1) for p in self._simple_perms]
         # per dominant weight: its orbit when asked for as a list, and the fold of its orbit sum
         self._orbits: Dict[Labels, List[Labels]] = {}
         self._folds: Dict[Labels, Dict[Labels, int]] = {}
@@ -80,6 +80,26 @@ class WeylGroup:
 
     def __len__(self):
         return self._order
+
+    @cached_property
+    def _simple_perms(self) -> List[Tuple[int, ...]]:
+        """s_i on root indices: s_i(b) = b - (label i of b) * alpha_i."""
+        rs = self.rs
+        return [
+            tuple(
+                rs.index[tuple(y - rs.root_labels(b)[i] * x for x, y in zip(rs.roots[s], root))]
+                for b, root in enumerate(rs.roots)
+            )
+            for i, s in enumerate(rs.simple_indices)
+        ]
+
+    @cached_property
+    def identity(self) -> WeylElement:
+        return WeylElement(tuple(range(len(self.rs.roots))), 1)
+
+    @cached_property
+    def generators(self) -> List[WeylElement]:
+        return [WeylElement(p, -1) for p in self._simple_perms]
 
     @cached_property
     def elements(self) -> List[WeylElement]:
@@ -361,8 +381,8 @@ def parabolic_order(cartan: Sequence[Sequence[int]], nodes: Iterable[int]) -> in
     """|W_J|, the order of the subgroup generated by the simple reflections at J.
 
     The product over the connected components of J in the Dynkin diagram of
-    a classical type: B_k or C_k (2^k k!) when the component holds a double
-    bond, D_k (2^(k-1) k!) when it holds a branch node, else A_k ((k+1)!).
+    a classical type of the `weyl_order` of its kind: B_k or C_k when the
+    component holds a double bond, D_k when it holds a branch node, else A_k.
     """
     left = set(nodes)
     order = 1
@@ -372,14 +392,21 @@ def parabolic_order(cartan: Sequence[Sequence[int]], nodes: Iterable[int]) -> in
             for j in [j for j in left if cartan[i][j]]:
                 left.remove(j)
                 comp.append(j)
-        k = len(comp)
         if any(cartan[i][j] < -1 for i in comp for j in comp):
-            order *= 2**k * factorial(k)
+            kind = "B"
         elif any(sum(1 for j in comp if j != i and cartan[i][j]) > 2 for i in comp):
-            order *= 2 ** (k - 1) * factorial(k)
+            kind = "D"
         else:
-            order *= factorial(k + 1)
+            kind = "A"
+        order *= weyl_order(kind, len(comp))
     return order
+
+
+def weyl_order(kind: str, m: int) -> int:
+    """|W(kind_m)|: (m + 1)! for A_m, 2^m m! for B_m and C_m, 2^(m-1) m! for D_m."""
+    if kind == "A":
+        return factorial(m + 1)
+    return 2 ** (m - (kind == "D")) * factorial(m)
 
 
 def generate_group(rs: RootSystem) -> WeylGroup:

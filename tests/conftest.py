@@ -9,7 +9,7 @@ import pytest
 
 from weylstrat.relcoeff import CoeffTable, subset_sums
 from weylstrat.repthy import dominant_weight_system
-from weylstrat.rootsys import MAX_RANK, LieType, _invert_rational, build_root_system
+from weylstrat.rootsys import MAX_RANK, LieType, _invert_rational, _reflect, build_root_system
 from weylstrat.subsys import RootSubsystem
 from weylstrat.weyl import WeylElement, generate_group, shifted_fold
 
@@ -83,9 +83,23 @@ def inverse(w):
     return WeylElement(tuple(inv), w.sign)
 
 
+@functools.cache
+def reflection_perms(rs):
+    """Each root's reflection as a permutation of root indices, built once per root system.
+
+    One integer reflection per positive root a; the negatives follow, as
+    s_(-a) = s_a. No command builds a root permutation: this table is the
+    tests' oracle, read by `reflection`, `span_subsystem` and the brute-force
+    scans.
+    """
+    positives = rs.roots[: rs.num_positive]
+    perms = [tuple(rs.index[_reflect(a, b)] for b in rs.roots) for a in positives]
+    return perms + perms
+
+
 def reflection(wg, root_index):
     """The reflection in the root at root_index, as an element."""
-    return WeylElement(wg.rs.reflection_perms()[root_index], -1)
+    return WeylElement(reflection_perms(wg.rs)[root_index], -1)
 
 
 # -- the Fraction vector layer: the oracle for the integer tables of RootSystem --
@@ -218,7 +232,7 @@ def span_subsystem(rs, base):
     for the roots and closed flag that `subsys.enumerate_classes` reads off
     the blocks of each class.
     """
-    perms = rs.reflection_perms()
+    perms = reflection_perms(rs)
     current = set(base)
     changed = True
     while changed:

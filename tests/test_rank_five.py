@@ -1,9 +1,11 @@
 """Self-consistency at rank 5, where the golden corpus has no data.
 
-Class counts come from the factor-tuple oracle, coset counts from a scan of
-all of W, and the coefficient tables must satisfy the identity sum rule and be
-independent of the class representative. Tables are built only for classes
-with a small complement, which keeps the gate to a few seconds.
+Class counts come from the factor-tuple oracle, and stabilizer orders, read
+off factor lists, from a scan of all of W. The coefficient tables must satisfy
+the identity sum rule and be independent of the class representative, and a
+moved representative's stabilizer order is checked against the orbit walk of
+its own root set. Tables are built only for classes with a small complement,
+which keeps the gate to a few seconds.
 """
 
 import random
@@ -12,7 +14,7 @@ import pytest
 
 from weylstrat.relcoeff import coeff_table
 from weylstrat.repthy import identity_value
-from weylstrat.subsys import enumerate_classes
+from weylstrat.subsys import enumerate_classes, stabilizer_order
 from conftest import system, tuple_count_oracle, word_element
 from test_relcoeff import moved_class
 
@@ -28,7 +30,9 @@ def test_rank_five_self_consistency(family):
     for cls in classes:
         members = cls.representative.root_indices
         reps = wg.coset_representatives(members)
-        assert len(reps) * len(wg.setwise_stabilizer(members)) == len(wg), cls.label
+        stab = len(wg.setwise_stabilizer(members))
+        assert len(reps) * stab == len(wg), cls.label
+        assert stabilizer_order(rs, cls.factors) == stab, cls.label
 
     rng = random.Random(ord(family))
     small = [c for c in classes if len(rs.roots) - len(c) <= MAX_COMPLEMENT]
@@ -41,6 +45,8 @@ def test_rank_five_self_consistency(family):
         else:
             assert value == 0, cls.label
         w = word_element(wg, rng, 12)
-        moved = coeff_table(wg, moved_class(rs, cls, w))
+        moved_cls = moved_class(rs, cls, w)
+        moved = coeff_table(wg, moved_cls)
         assert moved.entries == table.entries, cls.label
-        assert moved.stabilizer_order == table.stabilizer_order, cls.label
+        walk = wg.coset_representatives(moved_cls.representative.root_indices)
+        assert moved.stabilizer_order == len(wg) // len(walk), cls.label

@@ -1,16 +1,17 @@
 """Self-consistency at rank 6, past the golden corpus and the rank-5 gate.
 
-Class counts come from the factor-tuple oracle, and every class whose
-complement is small enough must satisfy the identity sum rule. W is never
-enumerated: B6 and C6 have 46080 elements, so there is no stabilizer scan
-and no moved representative here (tests/test_rank_five.py has both).
+Class counts come from the factor-tuple oracle, stabilizer orders read off
+factor lists from the orbit walk of each class's root set, and every class
+whose complement is small enough must satisfy the identity sum rule. W is
+never enumerated: B6 and C6 have 46080 elements, so there is no stabilizer
+scan and no moved representative here (tests/test_rank_five.py has both).
 """
 
 import pytest
 
 from weylstrat.relcoeff import coeff_table
 from weylstrat.repthy import identity_value
-from weylstrat.subsys import enumerate_classes
+from weylstrat.subsys import enumerate_classes, stabilizer_order
 from conftest import system, tuple_count_oracle
 from test_rank_five import MAX_COMPLEMENT
 
@@ -28,6 +29,9 @@ def test_rank_six_self_consistency(family, n_classes):
     rs, wg = system(family, 6)
     classes = enumerate_classes(rs, wg)
     assert len(classes) == n_classes == tuple_count_oracle(family, 6)
+    for cls in classes:
+        walk = wg.coset_representatives(cls.representative.root_indices)
+        assert stabilizer_order(rs, cls.factors) * len(walk) == len(wg), cls.label
     small = [c for c in classes if len(rs.roots) - len(c) <= MAX_COMPLEMENT]
     assert {c.label for c in small} == SMALL_CLASSES[family]
     for cls in small:

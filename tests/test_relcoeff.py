@@ -526,9 +526,11 @@ def test_representative_independence_property(group, data):
     label = data.draw(st.sampled_from(sorted(classes)), label="class")
     w = wg.elements[data.draw(st.integers(0, len(wg) - 1), label="w")]
     base = table_of(*group, label)
-    moved = coeff_table(wg, moved_class(rs, classes[label], w))
+    moved_cls = moved_class(rs, classes[label], w)
+    moved = coeff_table(wg, moved_cls)
     assert moved.entries == base.entries
-    assert moved.stabilizer_order == base.stabilizer_order
+    walk = wg.coset_representatives(moved_cls.representative.root_indices)
+    assert moved.stabilizer_order == len(wg) // len(walk)
 
 
 def test_a_family_outer_symmetry():

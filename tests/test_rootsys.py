@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from weylstrat.rootsys import LieType, build_root_system
 from conftest import (
     RANK_SIX_TYPES, SUPPORTED_TYPES, cartan_inverse, coroot_labels, from_labels,
-    fundamental_weights, half_sum, pairing, pairing_tables, reflect, root_coords, simple_roots,
-    system, to_labels,
+    fundamental_weights, half_sum, pairing, pairing_tables, reflect, reflection_perms, root_coords,
+    simple_roots, system, to_labels,
 )
 
 ALL_TYPES = [
@@ -137,7 +137,7 @@ def test_reflection_perms_match_fraction_reflections(family, rank):
     # the integer permutations against Fraction reflections of the coordinates;
     # a root and its negative give one reflection
     rs = root_system(family, rank)
-    perms = rs.reflection_perms()
+    perms = reflection_perms(rs)
     for i, a in enumerate(rs.roots):
         assert perms[i] == tuple(rs.index[reflect(rs, a, b)] for b in rs.roots), a
         assert perms[i] == perms[rs.negative_index(i)], a

@@ -17,10 +17,11 @@ from weylstrat.subsys import (
     closed,
     enumerate_classes,
     poset_to_dot,
+    stabilizer_order,
 )
 from conftest import (
     RANK_SIX_TYPES, SUPPORTED_TYPES, are_conjugate, orbit_walk_label, orbit_walk_leq,
-    pair_scan_closed, simple_roots, span_subsystem, system, word_element,
+    pair_scan_closed, reflection_perms, simple_roots, span_subsystem, system, word_element,
 )
 
 
@@ -148,7 +149,7 @@ def test_brute_force_class_enumeration_rank_two():
     for family, rank in [("A", 1), ("A", 2), ("B", 2), ("C", 2)]:
         rs, wg, classes = classes_by_label(family, rank)
         n = len(rs.roots)
-        perms = rs.reflection_perms()
+        perms = reflection_perms(rs)
         subsystems = []
         for mask in range(1 << n):
             s = frozenset(i for i in range(n) if mask >> i & 1)
@@ -261,7 +262,8 @@ TWINNED = {
 def test_d_twins_name_no_class(rank):
     # each primed base (the listed base with its last root e_(n-1) - e_n swapped for
     # e_(n-1) + e_n) spans the twin, which no listed class holds: it names None and its
-    # unprimed class its label. The orbit walk agrees at D4 and D6.
+    # unprimed class its label. The orbit walk agrees at D4 and D6, where it also gives
+    # the twin as many cosets as its partner: the stabilizer order is not halved there
     rs, wg, classes = classes_by_label("D", rank)
     twinned = {
         label for label, c in classes.items()
@@ -278,6 +280,9 @@ def test_d_twins_name_no_class(rank):
         assert class_label(rs, c.representative.root_indices) == label
         if rank <= 6:
             assert orbit_walk_label(wg, list(classes.values()), primed) is None, label
+            n_cosets = len(wg) // stabilizer_order(rs, c.factors)
+            assert len(wg.coset_representatives(primed)) == n_cosets, label
+            assert len(wg.coset_representatives(c.representative.root_indices)) == n_cosets, label
 
 
 GRID_CASES = (

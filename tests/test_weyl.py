@@ -12,8 +12,8 @@ from weylstrat.weyl import expected_group_order, generate_group
 from conftest import (
     RANK_SIX_TYPES, apply_labels, are_conjugate, coset_movers, dominant_representative, from_labels,
     fundamental_weights, half_sum, inverse, label_mat, orbit, pairing, reflect, reflect_labels,
-    reflection, simple_roots, system, to_labels, tuple_dominant_data, weight_system,
-    word_element,
+    reflection, reflection_perms, simple_roots, system, to_labels, tuple_dominant_data,
+    weight_system, word_element,
 )
 
 
@@ -48,7 +48,7 @@ def test_reflection_basics():
     # sigma_alpha(beta) = beta + 2 alpha = the long root at the top of the string
     expected = tuple(b + 2 * a for a, b in zip(alpha, beta))
     assert reflect(rs, alpha, beta) == expected
-    assert rs.reflection_perms()[rs.index[alpha]][rs.index[beta]] == rs.index[expected]
+    assert reflection_perms(rs)[rs.index[alpha]][rs.index[beta]] == rs.index[expected]
     # fixes the orthogonal hyperplane
     orth = (Q(1), Q(1))
     assert pairing(rs, alpha, orth) == 0
@@ -289,8 +289,9 @@ def test_composed_elements_match_dense_products(family, rank):
 
 
 def test_pipeline_never_enumerates_w():
-    # a fresh D6 group (|W| = 23040): classes, poset, C tables and conjugacy use only
-    # the simple reflections, so the lazy `elements` list is never built
+    # a fresh D6 group (|W| = 23040): classes, poset and C tables build no root
+    # permutation, and conjugacy uses only the simple reflections, so the lazy
+    # `elements` list is never built
     rs = build_root_system(LieType("D", 6))
     wg = generate_group(rs)
     assert len(wg) == 23040
@@ -299,6 +300,8 @@ def test_pipeline_never_enumerates_w():
     assert poset.is_leq("D5", "D6") and not poset.is_leq("D4", "A5")
     assert coeff_table(wg, classes["D6"]).entries == {(0,) * 6: 1}
     assert coeff_table(wg, classes["D5"]).stabilizer_order == 2 * 1920
+    assert "_simple_perms" not in vars(wg)
+    assert not [name for name in dir(rs) if "perm" in name]
     s1 = classes["D5"].representative
     w = word_element(wg, random.Random(6), 15)
     s2 = frozenset(w.perm[i] for i in s1.root_indices)
