@@ -197,12 +197,12 @@ def _emit_coeffs(args, with_d: bool) -> int:
 
         dt = costrat.d_coeffs(wg.rs, table)
         columns.append("d")
-        lams |= set(dt.entries)
+        lams |= set(dt)
     rows = []
     for lam in sorted(lams):
         row = {"lambda": list(lam), "c_over_n": str(table.entries.get(lam, 0))}
         if with_d:
-            row["d"] = str(dt.entries.get(lam, 0))
+            row["d"] = str(dt.get(lam, 0))
         rows.append(row)
     width = 2 * args.rank + 2
     csv_rows = chain(
@@ -247,7 +247,7 @@ def cmd_kblock(args) -> int:
     norm_sq = cutoff**2
     columns = costrat.kblock_columns(rs, norm_sq)  # before the tables, which may take long
     cls, table = _class_table(args, wg)
-    block = costrat.k_block(wg, costrat.d_coeffs(rs, table), norm_sq, columns)
+    block = costrat.k_block(wg, table.dominant_values, norm_sq, columns)
     items = sorted(block.entries.items())
     incomplete = sorted(block.incomplete_columns)
     if cfg is None:

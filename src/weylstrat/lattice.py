@@ -22,24 +22,8 @@ from .rootsys import RootSystem, _invert_rational
 from .subsys import RootSubsystem, block_factors, closed
 
 
-@dataclass(frozen=True)
-class ExpKernel:
-    """Rows express kernel generators in the 2*pi*i coroot basis of the simple roots."""
-
-    rows: Tuple[Tuple[Q, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
-            raise ValueError("kernel matrix must be square")
-        try:
-            _invert_rational([list(r) for r in self.rows])
-        except ValueError:
-            raise ValueError("kernel generators are linearly dependent") from None
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+# kernel matrix rows: kernel generators in the 2*pi*i coroot basis of the simple roots
+Kernel = Tuple[Tuple[Q, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -58,12 +42,12 @@ class TorusPoint:
         return TorusPoint(a, b)
 
 
-def kernel_preset(rs: RootSystem, name: str) -> ExpKernel:
+def kernel_preset(rs: RootSystem, name: str) -> Kernel:
     """Built-in kernels: 'sc' (simply connected) and 'so-odd' (SO(2n+1))."""
     n = rs.rank
     ident = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
     if name == "sc":
-        return ExpKernel(tuple(tuple(r) for r in ident))
+        return tuple(tuple(r) for r in ident)
     if name == "so-odd":
         short = min(rs.root_norms)
         if all(x == short for x in rs.root_norms):
@@ -75,12 +59,15 @@ def kernel_preset(rs: RootSystem, name: str) -> ExpKernel:
                 f"(got {len(short_simple)} for {rs.lie_type})"
             )
         ident[short_simple[0]][short_simple[0]] = Q(1, 2)
-        return ExpKernel(tuple(tuple(r) for r in ident))
+        return tuple(tuple(r) for r in ident)
     raise ValueError(f"unknown kernel preset {name!r}")
 
 
-def kernel_from_file(path: str) -> ExpKernel:
-    """Load a kernel matrix from whitespace-separated rows of rationals."""
+def kernel_from_file(path: str) -> Kernel:
+    """Load a kernel matrix from whitespace-separated rows of rationals.
+
+    The rows are checked only by `pq_map`, as every kernel is.
+    """
     rows = []
     with open(path) as fh:
         for line in fh:
@@ -92,11 +79,14 @@ def kernel_from_file(path: str) -> ExpKernel:
                     raise ValueError(f"zero denominator in kernel row {line!r} of {path}") from None
     if not rows:
         raise ValueError(f"no matrix rows found in {path}")
-    return ExpKernel(tuple(rows))
+    return tuple(rows)
 
 
-def _integral_inverse(rs: RootSystem, kernel: ExpKernel) -> List[List[int]]:
-    """R^-1 as integers; ValueError unless rank is rs.rank and coroots ⊆ kernel ⊆ coweights.
+def _integral_inverse(rs: RootSystem, kernel: Kernel) -> List[List[int]]:
+    """R^-1 as integers; ValueError unless R has rank rs.rank and coroots ⊆ kernel ⊆ coweights.
+
+    The checks run in the order square, independent, rank, coroots, coweights,
+    so each bad kernel gets the first message that applies.
 
     The coroot lattice lies inside the kernel exactly when each simple coroot
     (a row of the identity) is an integral combination of the rows of R, that
@@ -105,12 +95,18 @@ def _integral_inverse(rs: RootSystem, kernel: ExpKernel) -> List[List[int]]:
     sum_j R[a][j] * <alpha_i, alpha_j^vee> is entry (a, i) of R times
     rs.cartan, so R * cartan must be integral.
     """
-    if kernel.rank != rs.rank:
-        raise ValueError(f"kernel has rank {kernel.rank}, but {rs.lie_type} has rank {rs.rank}")
-    inverse = _invert_rational([list(r) for r in kernel.rows])
+    n = len(kernel)
+    if any(len(r) != n for r in kernel):
+        raise ValueError("kernel matrix must be square")
+    try:
+        inverse = _invert_rational([list(r) for r in kernel])
+    except ValueError:
+        raise ValueError("kernel generators are linearly dependent") from None
+    if n != rs.rank:
+        raise ValueError(f"kernel has rank {n}, but {rs.lie_type} has rank {rs.rank}")
     if any(x.denominator != 1 for row in inverse for x in row):
         raise ValueError("kernel does not contain the coroot lattice (R^-1 is not integral)")
-    for row in kernel.rows:
+    for row in kernel:
         for i in range(rs.rank):
             if sum(r * c[i] for r, c in zip(row, rs.cartan)).denominator != 1:
                 raise ValueError(
@@ -122,7 +118,7 @@ def _integral_inverse(rs: RootSystem, kernel: ExpKernel) -> List[List[int]]:
 # -- q per root ---------------------------------------------------------------
 
 
-def pq_map(rs: RootSystem, kernel: ExpKernel) -> List[int]:
+def pq_map(rs: RootSystem, kernel: Kernel) -> List[int]:
     """q of every root a, with {t : t * a^vee in the kernel lattice} = (1/q)Z.
 
     The kernel goes through the checks of `_integral_inverse` first, presets

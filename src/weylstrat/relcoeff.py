@@ -12,8 +12,9 @@ off one pass over the orbit of their rho_q, building no V. The reduced
 coefficients are these weights times the character expansions of the m_mu
 (`WeylGroup.orbit_folds`, asked once per table and folded once per type and
 mu, from each orbit or, one `shifted_folds` call per zero set, from one walk
-of W.delta), all in integer label arithmetic. The weights are the D table (see
-`costrat.d_coeffs`), so no weight system is ever computed here.
+of W.delta), all in integer label arithmetic. The weights are the D table: a
+`CoeffTable` keeps them as `dominant_values`, the one place D is held, so no
+weight system is ever computed here.
 
 Two budgets bound the work: MAX_SUPPORT weights of a subset-sum map, and
 MAX_ORBIT_POINTS orbit points behind a class-0 table.
@@ -32,11 +33,10 @@ from .weyl import WeylGroup
 
 @dataclass
 class CoeffTable:
-    """Reduced coefficients (the C-over-N column) for one subsystem class."""
+    """One subsystem class's C table (the C-over-N column) and D table."""
 
     entries: Dict[Labels, int]
-    stabilizer_order: int
-    # the non-zero values of the symmetrized map at dominant weights
+    # the D table: the non-zero values of the symmetrized map at dominant weights
     dominant_values: Dict[Labels, int]
 
 
@@ -188,17 +188,18 @@ def coeff_table(
     sum over dominant mu of its value at mu times the orbit sum m_mu, so the
     coefficients are the sum of value times the character expansion of m_mu,
     from one `WeylGroup.orbit_folds` call that wg keeps for the next class. The table
-    also keeps the map's values at dominant weights. The class 0 (no members)
-    takes those values from `denominator_values` instead, under every kernel.
+    also keeps the map's non-zero values at dominant weights, the D table. The
+    class 0 (no members) takes those values from `denominator_values` instead,
+    under every kernel.
     scales are the q of every root (`lattice.pq_map`), all 1 for None.
     """
     members = cls.representative.root_indices
-    stabilizer = stabilizer_order(wg.rs, cls.factors)
     if not members:
         dominant = denominator_values(wg, scales)
     else:
         complement = [i for i in range(len(wg.rs.roots)) if i not in members]
-        dominant = symmetrize(wg, len(wg) // stabilizer, subset_sums(wg.rs, complement, scales))
+        n_cosets = len(wg) // stabilizer_order(wg.rs, cls.factors)
+        dominant = symmetrize(wg, n_cosets, subset_sums(wg.rs, complement, scales))
 
     folds = wg.orbit_folds(dominant)
     acc: Dict[Labels, int] = {}
@@ -206,4 +207,4 @@ def coeff_table(
         for row, c in folds[mu].items():
             acc[row] = acc.get(row, 0) + share * c
     entries = {k: c for k, c in sorted(acc.items()) if c}
-    return CoeffTable(entries, stabilizer, dominant)
+    return CoeffTable(entries, dominant)

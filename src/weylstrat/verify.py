@@ -17,7 +17,6 @@ from fractions import Fraction as Q
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .costrat import DCoeffTable, d_coeffs
 from .relcoeff import CoeffTable, coeff_table
 from .rootsys import Labels, LieType, build_root_system
 from .subsys import enumerate_classes, normalize_label
@@ -56,19 +55,14 @@ def load_corpus(name: Optional[str] = None) -> List[dict]:
     return out
 
 
-def computed_tables(
-    family: str, rank: int, class_labels: Sequence[str]
-) -> Dict[str, Tuple[CoeffTable, DCoeffTable]]:
+def computed_tables(family: str, rank: int, class_labels: Sequence[str]) -> Dict[str, CoeffTable]:
+    """One table per class label: its C entries and its D values."""
     wg = generate_group(build_root_system(LieType(family, rank)))
     classes = {c.label: c for c in enumerate_classes(wg.rs, wg)}
     for label in class_labels:
         if normalize_label(label) not in classes:
             raise ValueError(f"{label!r} is not a subsystem class of {wg.rs.lie_type}")
-    out = {}
-    for label in class_labels:
-        ct = coeff_table(wg, classes[normalize_label(label)])
-        out[label] = (ct, d_coeffs(wg.rs, ct))
-    return out
+    return {label: coeff_table(wg, classes[normalize_label(label)]) for label in class_labels}
 
 
 def _fork_permutations(family: str, rank: int) -> List[Tuple[int, ...]]:
@@ -104,7 +98,11 @@ def _column_diff(
     table_entries: Dict[Labels, int],
     perm: Tuple[int, ...],
 ) -> List[Mismatch]:
-    """Diff one class column of parsed values; column 0 is the C values, 1 the D values."""
+    """Diff one class column of parsed values; column 0 is the C values, 1 the D values.
+
+    table_entries may leave out zero values; computed values with no corpus
+    row are reported in lambda order.
+    """
     kind = "c" if column == 0 else "d"
     bad = []
     seen = set()
@@ -115,7 +113,8 @@ def _column_diff(
         seen.add(ours)
         if expected != got:
             bad.append(Mismatch(group, corpus_label, lam, kind, str(expected), str(got)))
-    for lam, value in table_entries.items():
+    for lam in sorted(table_entries):
+        value = table_entries[lam]
         if lam not in seen and value:
             bad.append(
                 Mismatch(group, corpus_label, _permute(lam, perm), kind, "absent", str(value))
@@ -178,10 +177,10 @@ def verify_group(data: dict) -> Tuple[List[Mismatch], Tuple[int, ...]]:
     def diff_under(perm: Tuple[int, ...]) -> List[Mismatch]:
         bad: List[Mismatch] = []
         for ci, label in enumerate(data["classes"]):
-            ct, dt = tables[label]
+            ct = tables[label]
             per_class = {lam: vals[ci] for lam, vals in corpus_rows.items()}
             bad += _column_diff(group, label, 0, per_class, ct.entries, perm)
-            bad += _column_diff(group, label, 1, per_class, dt.entries, perm)
+            bad += _column_diff(group, label, 1, per_class, ct.dominant_values, perm)
         return bad
 
     best: Optional[Tuple[List[Mismatch], Tuple[int, ...]]] = None

@@ -16,9 +16,10 @@ carries the sign of each point's depth. `dominant_data` reflects one list in
 place at its first negative label; `regular_dominant` is the same walk
 stopped at the first zero label, as the shifted folds drop singular points.
 `shifted_fold` is the one shifted Weyl-orbit sum (the Brauer-Klimyk rule) of
-the orbit path of `orbit_folds` below and of `repthy.tensor_coeff`, and the
-tests' oracle for `shifted_folds`: the same sum at many lambdas with one walk
-per distinct shifted point, which folds every K block and the W.delta path.
+the orbit path of `orbit_folds` below, the one caller in this package (the
+tests' tensor multiplicities call it too), and the tests' oracle for
+`shifted_folds`: the same sum at many lambdas with one walk per distinct
+shifted point, which folds every K block and the W.delta path.
 
 A group keeps, per dominant weight mu it is asked about, the fold of the
 orbit sum m_mu (its character expansion), so C tables of every class of a

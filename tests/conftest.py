@@ -8,7 +8,7 @@ from operator import add, mul
 import pytest
 
 from weylstrat.relcoeff import CoeffTable, subset_sums
-from weylstrat.repthy import dominant_weight_system
+from weylstrat.repthy import _pairing_labels_root, dominant_weight_system
 from weylstrat.rootsys import MAX_RANK, LieType, _invert_rational, _reflect, build_root_system
 from weylstrat.subsys import RootSubsystem
 from weylstrat.weyl import WeylElement, generate_group, shifted_fold
@@ -338,6 +338,35 @@ def weight_system(rs, wg, lam):
     return dominant_weight_system(rs, wg, lam)
 
 
+def weyl_dim(rs, labels):
+    """Dimension of the irrep: product over positive roots of k(l+d,a)/k(d,a)."""
+    lam = [int(l) for l in labels]
+    if any(l < 0 for l in lam):
+        raise ValueError(f"{labels} is not dominant")
+    shifted = [l + 1 for l in lam]
+    ones = [1] * rs.rank
+    num = den = 1
+    for p in range(rs.num_positive):
+        num *= _pairing_labels_root(rs, shifted, p)
+        den *= _pairing_labels_root(rs, ones, p)
+    dim, rem = divmod(num, den)
+    assert not rem, f"Weyl dimension formula gave {Q(num, den)} at {labels}"
+    return dim
+
+
+def identity_value(rs, table):
+    """Sum of coefficient times irrep dimension; zero for every non-full class."""
+    return sum(c * weyl_dim(rs, lam) for lam, c in table.entries.items())
+
+
+def tensor_coeff(wg, lam_fac, lam, lam2):
+    """Multiplicity of the irrep lam2 in (irrep lam_fac) tensor (irrep lam), by Brauer-Klimyk."""
+    ws = dominant_weight_system(wg.rs, wg, lam_fac)
+    total = shifted_fold(wg, wg.orbit_points(ws.dominant_entries), lam).get(tuple(lam2), 0)
+    assert total >= 0, "negative tensor multiplicity"
+    return total
+
+
 def freudenthal_d_entries(rs, wg, table):
     """D table as sum of c_lambda * m_lambda(mu) over Freudenthal weight systems, keys sorted."""
     acc = {}
@@ -347,14 +376,14 @@ def freudenthal_d_entries(rs, wg, table):
     return dict(sorted(acc.items()))
 
 
-def k_block_oracle(rs, wg, dtable, cutoff_norm_sq, columns):
+def k_block_oracle(rs, wg, values, cutoff_norm_sq, columns):
     """K-block entries and incomplete columns, folding one orbit contribution at a time.
 
     A contribution landing past the cutoff flags its column; the entries sum
     in Fraction arithmetic and drop a key whose sum returns to zero.
     """
     entries, incomplete = {}, set()
-    orbits = [(mu, d, wg.orbit_labels(mu)) for mu, d in dtable.entries.items() if d]
+    orbits = [(mu, d, wg.orbit_labels(mu)) for mu, d in values.items() if d]
     for lam in columns:
         for mu, d, orbit in orbits:
             for mu2 in orbit:
@@ -433,7 +462,7 @@ def spread_coeff_table(wg, cls, scales=None):
             folded[row] = folded.get(row, 0) + sign * c
     entries = {k: c for k, c in sorted(folded.items()) if c}
     dominant = {k: c for k, c in spread.items() if min(k) >= 0}
-    return CoeffTable(entries, len(wg) // n_cosets, dominant)
+    return CoeffTable(entries, dominant)
 
 
 def pairing_tables(rs):

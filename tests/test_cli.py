@@ -266,10 +266,13 @@ def test_class_zero_orbit_point_budget(monkeypatch, capsys):
 
 
 def test_d_tables_need_no_weight_system(monkeypatch, capsys):
-    def refuse(*_args):
-        raise AssertionError("Freudenthal weight system on the D-table path")
+    # verify and kblock read CoeffTable.dominant_values: no Freudenthal weight system,
+    # and no d_coeffs, which only dcoeffs calls to fill in the zero rows
+    for module, name in [(repthy, "dominant_weight_system"), (costrat, "d_coeffs")]:
+        def refuse(*_args, name=name):
+            raise AssertionError(f"{name} on the verify or kblock path")
 
-    monkeypatch.setattr(repthy, "dominant_weight_system", refuse)
+        monkeypatch.setattr(module, name, refuse)
     assert run(["verify", "--group", "Spin(7)"]) == 0
     assert out_of(capsys).strip().endswith("OK")
     assert run(["kblock", "--family", "B", "--rank", "3", "--class", "A1", "--cutoff", "8"]) == 0
@@ -333,7 +336,11 @@ def test_verify_mismatch_report_keeps_its_bytes(tmp_path, capsys):
     "argv,absent",
     [
         (["verify", "--group", "SU(2)"], ["weylstrat.lattice", "weylstrat.repthy"]),
+        (["verify", "--group", "SU(2)"], ["weylstrat.costrat"]),
         (["coeffs", "--family", "A", "--rank", "2", "--class", "A1"], ["weylstrat.repthy"]),
+        (["kblock", "--family", "A", "--rank", "2", "--class", "0", "--cutoff", "6"],
+         ["weylstrat.repthy"]),
+        (["dcoeffs", "--family", "B", "--rank", "2", "--class", "A1"], ["weylstrat.repthy"]),
     ],
 )
 def test_commands_load_only_the_modules_they_call(argv, absent):

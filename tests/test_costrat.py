@@ -7,6 +7,7 @@ from weylstrat.costrat import (
     MAX_COLUMNS,
     HbarConfig,
     d_coeffs,
+    dominant_labels_within,
     hbar_ratio,
     is_stable,
     k_block,
@@ -15,7 +16,7 @@ from weylstrat.costrat import (
 )
 from weylstrat.lattice import kernel_preset, pq_map
 from weylstrat.relcoeff import coeff_table
-from weylstrat.repthy import dominant_labels_within, dominant_weight_system
+from weylstrat.repthy import dominant_weight_system
 from weylstrat.rootsys import RootSystem
 from weylstrat.subsys import SubsystemClass, RootSubsystem, enumerate_classes
 from weylstrat.weyl import shifted_fold
@@ -40,21 +41,21 @@ def test_su2_d_table():
     rs, wg, classes = tables_of("A", 1)
     t = coeff_table(wg, classes["0"])
     d = d_coeffs(rs, t)
-    assert d.entries == {(0,): 2, (2,): -1}
+    assert d == {(0,): 2, (2,): -1}
 
 
 def test_su3_d_values():
     rs, wg, classes = tables_of("A", 2)
     d = d_coeffs(rs, coeff_table(wg, classes["0"]))
-    assert d.entries == {(0, 0): 6, (1, 1): -2, (2, 2): -1, (0, 3): 2, (3, 0): 2}
+    assert d == {(0, 0): 6, (1, 1): -2, (2, 2): -1, (0, 3): 2, (3, 0): 2}
 
 
 def test_spin7_d3_d_values():
     rs, wg, classes = tables_of("B", 3)
     d = d_coeffs(rs, coeff_table(wg, classes["D3"]))
-    assert d.entries[(0, 0, 0)] == 8
-    assert d.entries[(0, 1, 0)] == 2
-    assert d.entries[(1, 0, 0)] == -4
+    assert d[(0, 0, 0)] == 8
+    assert d[(0, 1, 0)] == 2
+    assert d[(1, 0, 0)] == -4
 
 
 @pytest.mark.parametrize("family, rank, kernel", KERNEL_CASES)
@@ -65,7 +66,7 @@ def test_d_table_matches_freudenthal(family, rank, kernel):
     for label, cls in classes.items():
         t = coeff_table(wg, cls, scales)
         want = freudenthal_d_entries(rs, wg, t)
-        assert list(d_coeffs(rs, t).entries.items()) == list(want.items()), label
+        assert list(d_coeffs(rs, t).items()) == list(want.items()), label
 
 
 def test_d_support_is_union_of_weight_systems():
@@ -75,13 +76,13 @@ def test_d_support_is_union_of_weight_systems():
     support = set()
     for lam in t.entries:
         support |= set(dominant_weight_system(rs, wg, lam).dominant_entries)
-    assert set(d.entries) == support
+    assert set(d) == support
 
 
 def test_d_representative_independence():
     rs, wg, classes = tables_of("C", 2)
     cls = classes["C1"]
-    base = d_coeffs(rs, coeff_table(wg, cls)).entries
+    base = d_coeffs(rs, coeff_table(wg, cls))
     w = wg.elements[-1]
     moved = frozenset(w.perm[i] for i in cls.representative.root_indices)
     alt = SubsystemClass(
@@ -90,7 +91,7 @@ def test_d_representative_independence():
         tuple(w.perm[b] for b in cls.base),
         RootSubsystem(moved, cls.representative.closed),
     )
-    assert d_coeffs(rs, coeff_table(wg, alt)).entries == base
+    assert d_coeffs(rs, coeff_table(wg, alt)) == base
 
 
 def test_d_equals_c_when_weight_appears_only_in_own_system():
@@ -106,13 +107,13 @@ def test_d_equals_c_when_weight_appears_only_in_own_system():
                 if lam != mu
             )
             if not appears_elsewhere:
-                assert d.entries[mu] == t.entries[mu], (label, mu)
+                assert d[mu] == t.entries[mu], (label, mu)
 
 
 def test_is_stable():
     rs, wg, classes = tables_of("A", 1)
     d = d_coeffs(rs, coeff_table(wg, classes["0"]))
-    assert sorted(nu for mu in d.entries for nu in wg.dominant_orbit(mu)) == [(-2,), (0,), (2,)]
+    assert sorted(nu for mu in d for nu in wg.dominant_orbit(mu)) == [(-2,), (0,), (2,)]
     assert not is_stable(wg, d, (0,))  # the -2 shift leaves the chamber
     assert not is_stable(wg, d, (1,))
     assert is_stable(wg, d, (2,))
@@ -130,12 +131,12 @@ def test_k_block_su2():
     row4 = {k: v for k, v in block.entries.items() if k[1] == (4,)}
     assert row4 == {((2,), (4,)): -1, ((4,), (4,)): 2, ((6,), (4,)): -1}
     # diagonal entry at a stable column picks out the zero-weight coefficient
-    assert block.entries[((5,), (5,))] == d.entries[(0,)]
+    assert block.entries[((5,), (5,))] == d[(0,)]
     # stable columns agree with D-table lookups on shifted orbits
     for lam2, lam in block.entries:
         if is_stable(wg, d, lam):
             diff = lam2[0] - lam[0]
-            assert block.entries[(lam2, lam)] == d.entries[(abs(diff),)]
+            assert block.entries[(lam2, lam)] == d[(abs(diff),)]
     assert (8,) in block.incomplete_columns
 
 
@@ -152,9 +153,9 @@ def test_c_table_is_k_column_zero(family, rank, kernel):
         assert {row: v for (row, col), v in block.entries.items()} == t.entries, label
 
 
-def shifted_fold_block(rs, wg, dtable, cutoff_norm_sq, columns):
+def shifted_fold_block(rs, wg, values, cutoff_norm_sq, columns):
     """K-block entries, in k_block's key order, and incomplete columns: one shifted_fold per column."""
-    points = wg.orbit_points(dtable.entries)
+    points = wg.orbit_points(values)
     entries, incomplete = {}, set()
     for lam in columns:
         for row, val in shifted_fold(wg, points, lam).items():
@@ -197,10 +198,33 @@ def test_k_block_matches_per_contribution_oracle(family, rank, kernel, radius, r
     scales = None if kernel == "sc" else pq_map(rs, kernel_preset(rs, kernel))
     for label, cls in classes.items():
         d = d_coeffs(rs, coeff_table(wg, cls, scales))
-        assert all(type(v) is int for v in d.entries.values()), label
+        assert all(type(v) is int for v in d.values()), label
         for r in (radius, radius2):
             cutoff = Q(r) ** 2
             assert_block_matches_oracles(rs, wg, d, cutoff, kblock_columns(rs, cutoff), (label, r))
+
+
+@pytest.mark.parametrize("family, rank, kernel, radius", [
+    ("B", 3, "sc", "11/2"), ("C", 3, "sc", "4"), ("D", 4, "sc", "9/2"), ("B", 3, "so-odd", "11/2"),
+])
+def test_dominant_values_are_the_d_table(family, rank, kernel, radius):
+    # D is held once, as table.dominant_values: d_coeffs only adds zero rows, and a
+    # K block from either map is the same
+    rs, wg, classes = tables_of(family, rank)
+    scales = None if kernel == "sc" else pq_map(rs, kernel_preset(rs, kernel))
+    cutoff = Q(radius) ** 2
+    columns = kblock_columns(rs, cutoff)
+    for label, cls in classes.items():
+        t = coeff_table(wg, cls, scales)
+        d = d_coeffs(rs, t)
+        assert set(t.dominant_values) <= set(d), label
+        assert {mu: v for mu, v in d.items() if v} == t.dominant_values, label
+        block = k_block(wg, t.dominant_values, cutoff, columns)
+        zero_filled = k_block(wg, d, cutoff, columns)
+        # equal as maps: the key order follows the orbit order of the D map, and the
+        # kblock command sorts the entries
+        assert block.entries == zero_filled.entries, label
+        assert block.incomplete_columns == zero_filled.incomplete_columns, label
 
 
 @pytest.mark.parametrize("family, rank, label, kernel", [
@@ -314,7 +338,7 @@ def test_stable_rows_match_closed_form(family, rank):
         block = k_block(wg, d, cutoff, stable).entries
         for lam in stable:
             on_orbit = {}
-            for mu, dval in d.entries.items():
+            for mu, dval in d.items():
                 for mu2 in wg.orbit_labels(mu):
                     lam2 = tuple(a + b for a, b in zip(lam, mu2))
                     if all(x >= 0 for x in lam2):

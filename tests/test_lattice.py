@@ -6,7 +6,6 @@ from fractions import Fraction as Q
 import pytest
 
 from weylstrat.lattice import (
-    ExpKernel,
     TorusPoint,
     gamma_x,
     kernel_from_file,
@@ -21,13 +20,13 @@ from conftest import cartan_inverse, inverse, label_mat, system
 def test_presets():
     rs, _ = system("C", 2)
     sc = kernel_preset(rs, "sc")
-    assert sc.rows == ((Q(1), Q(0)), (Q(0), Q(1)))
+    assert sc == ((Q(1), Q(0)), (Q(0), Q(1)))
     so5 = kernel_preset(rs, "so-odd")
-    assert so5.rows == ((Q(1, 2), Q(0)), (Q(0), Q(1)))
+    assert so5 == ((Q(1, 2), Q(0)), (Q(0), Q(1)))
 
     rs_b, _ = system("B", 3)
     so7 = kernel_preset(rs_b, "so-odd")
-    assert so7.rows[2][2] == Q(1, 2) and so7.rows[0][0] == 1
+    assert so7[2][2] == Q(1, 2) and so7[0][0] == 1
 
     rs_a, _ = system("A", 2)
     with pytest.raises(ValueError):
@@ -40,16 +39,16 @@ def test_presets():
 
 
 def test_kernel_validation_and_file(tmp_path):
-    with pytest.raises(ValueError):
-        ExpKernel(((Q(1), Q(2)), (Q(2), Q(4))))  # singular
+    rs, wg = system("C", 2)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        pq_map(rs, ((Q(1), Q(2)), (Q(2), Q(4))))  # singular
     p = tmp_path / "kernel.txt"
     p.write_text("# SO(5) lattice\n1/2 0\n0 1\n")
     k = kernel_from_file(str(p))
-    assert k.rows == ((Q(1, 2), Q(0)), (Q(0), Q(1)))
+    assert k == ((Q(1, 2), Q(0)), (Q(0), Q(1)))
     # a user-supplied identity matrix behaves exactly like the sc preset
     ident = tmp_path / "ident.txt"
     ident.write_text("1 0\n0 1\n")
-    rs, wg = system("C", 2)
     scales = pq_map(rs, kernel_from_file(str(ident)))
     assert all(q == 1 for q in scales)
     empty = tmp_path / "empty.txt"
@@ -68,7 +67,7 @@ def test_presets_pass_kernel_checks(family, rank):
         kernel = kernel_preset(rs, name)
         assert len(pq_map(rs, kernel)) == len(rs.roots)
         # and each generator pairs integrally with every simple root: K lies in the coweights
-        for row in kernel.rows:
+        for row in kernel:
             for i in range(rank):
                 assert sum(row[j] * rs.cartan[j][i] for j in range(rank)).denominator == 1
 
@@ -120,8 +119,8 @@ def test_so5_ratios_with_brute_force_oracle():
         vals = set()
         for k1, k2 in itertools.product(range(-6, 7), repeat=2):
             other = 1 - j0
-            if k1 * kernel.rows[0][other] + k2 * kernel.rows[1][other] == 0:
-                vals.add(k1 * kernel.rows[0][j0] + k2 * kernel.rows[1][j0])
+            if k1 * kernel[0][other] + k2 * kernel[1][other] == 0:
+                vals.add(k1 * kernel[0][j0] + k2 * kernel[1][j0])
         positive = sorted(v for v in vals if v > 0)
         gen = positive[0]
         assert Q(1, scales[rs.simple_indices[j0]]) == gen
@@ -210,11 +209,10 @@ def _sweep_kernels(rs, count, seed):
             for i in range(n)
         )
         try:
-            kernel = ExpKernel(rows)
-            pq_map(rs, kernel)
+            pq_map(rs, rows)
         except ValueError:
             continue
-        kept.append(kernel)
+        kept.append(rows)
         if len(kept) == count:
             break
     return kept
@@ -228,7 +226,7 @@ def test_pq_map_matches_brute_force_on_random_kernels(family, rank):
     kernels = _sweep_kernels(rs, 6, seed=11)
     assert len(kernels) == 6
     # some kept lattice lies strictly between the coroots and the coweights
-    assert any(x.denominator != 1 for k in kernels for row in k.rows for x in row)
+    assert any(x.denominator != 1 for k in kernels for row in k for x in row)
     scales = [pq_map(rs, k) for k in kernels]
     # q > 1 needs every root to pair evenly with a^vee, which only B_n and C2 allow
     has_q = any(q > 1 for qk in scales for q in qk)
@@ -240,9 +238,9 @@ def test_pq_map_matches_brute_force_on_random_kernels(family, rank):
         assert all(len(v) == 1 for v in by_norm.values())
         # independent oracle: the t with k R = t e_j over a window of integral k. Each
         # e_j lies in K, so the generator t <= 1 has k = t * (row j of R^-1) in the window.
-        den = math.lcm(*(x.denominator for row in kernel.rows for x in row))
-        scaled = [[int(x * den) for x in row] for row in kernel.rows]
-        inverse = _invert_rational([list(row) for row in kernel.rows])
+        den = math.lcm(*(x.denominator for row in kernel for x in row))
+        scaled = [[int(x * den) for x in row] for row in kernel]
+        inverse = _invert_rational([list(row) for row in kernel])
         bound = max(6, *(int(abs(x)) for row in inverse for x in row))
         found = [set() for _ in range(rank)]
         for k in itertools.product(range(-bound, bound + 1), repeat=rank):

@@ -13,9 +13,8 @@ import random
 import pytest
 
 from weylstrat.relcoeff import coeff_table
-from weylstrat.repthy import identity_value
 from weylstrat.subsys import enumerate_classes, stabilizer_order
-from conftest import system, tuple_count_oracle, word_element
+from conftest import identity_value, system, tuple_count_oracle, word_element
 from test_relcoeff import moved_class
 
 # complements of up to 20 roots: 16 classes over the four types
@@ -48,5 +47,6 @@ def test_rank_five_self_consistency(family):
         moved_cls = moved_class(rs, cls, w)
         moved = coeff_table(wg, moved_cls)
         assert moved.entries == table.entries, cls.label
+        assert moved.dominant_values == table.dominant_values, cls.label
         walk = wg.coset_representatives(moved_cls.representative.root_indices)
-        assert moved.stabilizer_order == len(wg) // len(walk), cls.label
+        assert stabilizer_order(rs, moved_cls.factors) == len(wg) // len(walk), cls.label

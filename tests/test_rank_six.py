@@ -10,9 +10,8 @@ scan and no moved representative here (tests/test_rank_five.py has both).
 import pytest
 
 from weylstrat.relcoeff import coeff_table
-from weylstrat.repthy import identity_value
 from weylstrat.subsys import enumerate_classes, stabilizer_order
-from conftest import system, tuple_count_oracle
+from conftest import identity_value, system, tuple_count_oracle
 from test_rank_five import MAX_COMPLEMENT
 
 # the classes within MAX_COMPLEMENT roots of the whole system, which is the full class

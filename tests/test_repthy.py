@@ -3,14 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylstrat.repthy import (
-    dominant_labels_within,
-    dominant_weight_system,
-    shifted_fold,
-    tensor_coeff,
-    weyl_dim,
-)
-from conftest import apply_labels, root_coords, system
+from weylstrat.costrat import dominant_labels_within
+from weylstrat.repthy import dominant_weight_system
+from weylstrat.weyl import shifted_fold
+from conftest import apply_labels, root_coords, system, tensor_coeff, weyl_dim
 
 
 # -- independent oracles -------------------------------------------------------

@@ -9,10 +9,10 @@ FORK_PERMS = _fork_permutations("D", 4)
 
 def test_class_zero_tables_are_fork_invariant():
     # why the trivial class cannot pick the numbering
-    ct, dt = computed_tables("D", 4, ["0"])["0"]
+    ct = computed_tables("D", 4, ["0"])["0"]
     assert len(FORK_PERMS) == 6
     for perm in FORK_PERMS:
-        for entries in (ct.entries, dt.entries):
+        for entries in (ct.entries, ct.dominant_values):
             assert {_permute(lam, perm): c for lam, c in entries.items()} == entries, perm
 
 
