@@ -22,9 +22,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 from .rootsys import LieType, build_root_system
-from .subsys import (
-    SubsystemClass, build_poset, class_label, enumerate_classes, normalize_label, poset_to_dot,
-)
+from .subsys import RootSubsystem, build_poset, enumerate_classes, normalize_label, poset_to_dot
 from .weyl import WeylGroup, generate_group
 
 if TYPE_CHECKING:
@@ -35,7 +33,7 @@ def _build(args) -> WeylGroup:
     return generate_group(build_root_system(LieType(args.family, args.rank)))
 
 
-def _find_class(classes: List[SubsystemClass], label: str) -> SubsystemClass:
+def _find_class(classes: List[RootSubsystem], label: str) -> RootSubsystem:
     if label == "full":
         return max(classes, key=len)
     want = normalize_label(label)
@@ -157,17 +155,17 @@ def cmd_subsystems(args) -> int:
             {
                 "label": c.label,
                 "size": len(c),
-                "closed": c.representative.closed,
-                "root_indices": sorted(c.representative.root_indices),
+                "closed": c.closed,
+                "root_indices": sorted(c.root_indices),
             }
             for c in classes
         ],
     }
     csv_rows = chain(
-        [["label", "size", "closed"]], ([c.label, len(c), c.representative.closed] for c in classes)
+        [["label", "size", "closed"]], ([c.label, len(c), c.closed] for c in classes)
     )
     text = (
-        f"{c.label:16s} size={len(c):3d}  {'closed' if c.representative.closed else 'non-closed'}\n"
+        f"{c.label:16s} size={len(c):3d}  {'closed' if c.closed else 'non-closed'}\n"
         for c in classes
     )
     _emit(args, payload, csv_rows, text)
@@ -344,18 +342,17 @@ def cmd_gammax(args) -> int:
     scales = _kernel_scales(rs, args.kernel)
     point = _parse_point(args.point, rs.rank)
     sub = gamma_x(rs, scales, point)
-    label = class_label(rs, sub.root_indices)
     payload = {
         "point": {"A": [str(x) for x in point.a_coords], "B": [str(x) for x in point.b_coords]},
         "root_indices": sorted(sub.root_indices),
         "roots": [[str(x) for x in rs.roots[i]] for i in sorted(sub.root_indices)],
         "closed": sub.closed,
-        "class": label,
+        "class": sub.label,
     }
     roots = " ".join("(" + ",".join(r) + ")" for r in payload["roots"])
     text = (
         f"indices: {payload['root_indices']}\nroots: {roots}\n"
-        f"closed: {payload['closed']}\nclass: {label}\n"
+        f"closed: {payload['closed']}\nclass: {sub.label}\n"
     )
     _emit(args, payload, None, [text])  # no csv form: csv prints the text
     return 0
@@ -366,6 +363,9 @@ def cmd_verify(args) -> int:
 
     if args.corpus:
         import json
+
+        if args.group:
+            raise ValueError("--group selects from the built-in corpus; it does not go with --corpus")
 
         with open(args.corpus) as fh:
             groups = [json.load(fh)]

@@ -8,7 +8,8 @@ p_a/q_a generates the lattice K ∩ ℝ·a^∨ of kernel points on the line of t
 coroot. Every kernel accepted here contains the coroot lattice, so p_a = 1 and
 `pq_map` returns q_a alone, computed through R^-1; membership of a in the
 subsystem of a torus point then reduces to a rational integrality test, with
-no transcendental arithmetic anywhere.
+no transcendental arithmetic anywhere. `gamma_x` returns that subsystem as
+a `subsys.RootSubsystem`, the type of a listed class.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .rootsys import RootSystem, _invert_rational
-from .subsys import RootSubsystem, block_factors, closed
+from .subsys import RootSubsystem, subsystem
 
 
 # kernel matrix rows: kernel generators in the 2*pi*i coroot basis of the simple roots
@@ -140,7 +141,10 @@ def pq_map(rs: RootSystem, kernel: Kernel) -> List[int]:
 
 
 def gamma_x(rs: RootSystem, scales: Sequence[int], x: TorusPoint) -> RootSubsystem:
-    """Roots whose reflection fixes x: q*a(A) integral and a(B) = 0; closed per their factors."""
+    """Γ_x, the roots whose reflection fixes x: q*a(A) integral and a(B) = 0.
+
+    Its factors, label and closed flag are read off its roots by `subsys.subsystem`.
+    """
     n = rs.rank
     if len(x.a_coords) != n:
         raise ValueError("torus point has wrong rank")
@@ -151,4 +155,4 @@ def gamma_x(rs: RootSystem, scales: Sequence[int], x: TorusPoint) -> RootSubsyst
         b_val = sum(x.b_coords[j] * lab[j] for j in range(n))
         if b_val == 0 and (a_val * scales[i]).denominator == 1:
             members.append(i)
-    return RootSubsystem(frozenset(members), closed(rs.lie_type.family, block_factors(rs, members)))
+    return subsystem(rs, members)

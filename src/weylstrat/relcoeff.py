@@ -27,7 +27,7 @@ from operator import add, mul
 from typing import Dict, Optional, Sequence
 
 from .rootsys import Labels, RootSystem
-from .subsys import SubsystemClass, stabilizer_order
+from .subsys import RootSubsystem, stabilizer_order
 from .weyl import WeylGroup
 
 
@@ -178,7 +178,7 @@ def denominator_values(wg: WeylGroup, scales: Optional[Sequence[int]]) -> Dict[L
 
 
 def coeff_table(
-    wg: WeylGroup, cls: SubsystemClass, scales: Optional[Sequence[int]] = None
+    wg: WeylGroup, cls: RootSubsystem, scales: Optional[Sequence[int]] = None
 ) -> CoeffTable:
     """Reduced coefficients of the class relation in the normalized character basis.
 
@@ -193,7 +193,7 @@ def coeff_table(
     under every kernel.
     scales are the q of every root (`lattice.pq_map`), all 1 for None.
     """
-    members = cls.representative.root_indices
+    members = cls.root_indices
     if not members:
         dominant = denominator_values(wg, scales)
     else:

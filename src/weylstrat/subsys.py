@@ -1,19 +1,22 @@
 """Root subsystems: conjugacy classes, their partial order, and closedness.
 
-A class is one list of (kind, m) factors in label order: A parts, then D
-parts from D2, then B/C parts, each ascending. Its label is the factors joined
-by + ("0" for none), which keeps the non-conjugate pairs B1/A1, C1/A1,
-D2/A1+A1 and D3/A3 apart even though they are isomorphic. Each factor of the
-representative is a root system of its kind on its own block of orthonormal
-coordinates, the `rootsys.positive_roots` closure of the base that
-`rootsys.block_base` gives that block (see `enumerate_classes`).
+One type, `RootSubsystem`, holds every root subsystem: the class
+representatives that `enumerate_classes` lists and the Γ_x that
+`lattice.gamma_x` finds. Each is one list of (kind, m) factors in label order:
+A parts, then D parts from D2, then B/C parts, each ascending. Its label is the
+factors joined by + ("0" for none), which keeps the non-conjugate pairs B1/A1,
+C1/A1, D2/A1+A1 and D3/A3 apart even though they are isomorphic. Each factor of
+a listed representative is a root system of its kind on its own block of
+orthonormal coordinates, the `rootsys.positive_roots` closure of the base that
+`rootsys.block_base` gives that block (see `enumerate_classes`); `subsystem`
+reads the factors of any other root set off its coordinate blocks.
 
 The class order (`class_leq`), whether a subsystem is closed (`closed`), the
 order of its setwise stabilizer in W (`stabilizer_order`, which gives the
-coset count of a C table) and the class of a subsystem (`class_label`, which
-`gammax` prints) are read off factor lists, with no W-orbit walk, no root
-permutation and no scan of root pairs. Only the tests read canonical keys, the
-least image w(S) over the W-orbit of S.
+coset count of a C table) and the label of a subsystem's class are read off
+factor lists, with no W-orbit walk, no root permutation and no scan of root
+pairs. Only the tests read canonical keys, the least image w(S) over the
+W-orbit of S.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from .weyl import WeylGroup, weyl_order
 
 @dataclass(frozen=True)
 class RootSubsystem:
+    label: Optional[str]  # None for an unlisted D_n twin (ROADMAP item 2)
+    factors: Tuple[Tuple[str, int], ...]  # (kind, m) in label order
     root_indices: FrozenSet[int]
     closed: bool
 
@@ -37,20 +42,9 @@ class RootSubsystem:
         return len(self.root_indices)
 
 
-@dataclass(frozen=True)
-class SubsystemClass:
-    label: str
-    factors: Tuple[Tuple[str, int], ...]  # (kind, m) in label order
-    base: Tuple[int, ...]  # root indices
-    representative: RootSubsystem
-
-    def __len__(self):
-        return len(self.representative)
-
-
 @dataclass
 class ClassPoset:
-    classes: List[SubsystemClass]
+    classes: List[RootSubsystem]
     leq: Dict[Tuple[str, str], bool]
     hasse_edges: List[Tuple[str, str]]
 
@@ -185,20 +179,29 @@ def stabilizer_order(rs: RootSystem, factors: Collection[Tuple[str, int]]) -> in
     return order
 
 
-def class_label(rs: RootSystem, root_indices: Collection[int]) -> Optional[str]:
-    """The label of the class of the subsystem on these roots; None for an unlisted D_n twin.
+def _subsystem(
+    rs: RootSystem, factors: Sequence[Tuple[str, int]], root_indices: Collection[int]
+) -> RootSubsystem:
+    """The subsystem on these roots, whose (kind, m) factors in label order these are.
 
-    The label joins the `block_factors` in label order. Of a D_n twin pair
-    (ROADMAP item 2), the class listed has an even number of roots e_a + e_b.
+    The label joins the factors. Of a D_n twin pair (ROADMAP item 2), the class
+    listed has an even number of roots e_a + e_b; the other gets the label None.
     """
-    factors = block_factors(rs, root_indices)
-    if rs.lie_type.family == "D" and _even_a_cover(rs, factors):
+    family = rs.lie_type.family
+    label: Optional[str] = "+".join(f"{kind}{m}" for kind, m in factors) or "0"
+    if family == "D" and _even_a_cover(rs, factors):
         if sum(sum(rs.roots[i]) == 2 for i in root_indices) % 2:
-            return None
-    return normalize_label("+".join(f"{kind}{m}" for kind, m in factors) or "0")
+            label = None
+    return RootSubsystem(label, tuple(factors), frozenset(root_indices), closed(family, factors))
 
 
-def enumerate_classes(rs: RootSystem, wg: WeylGroup) -> List[SubsystemClass]:
+def subsystem(rs: RootSystem, root_indices: Collection[int]) -> RootSubsystem:
+    """The subsystem on these roots, its factors read off its coordinate blocks (`block_factors`)."""
+    factors = sorted(block_factors(rs, root_indices), key=lambda f: (_KIND_ORDER[f[0]], f[1]))
+    return _subsystem(rs, factors, root_indices)
+
+
+def enumerate_classes(rs: RootSystem, wg: WeylGroup) -> List[RootSubsystem]:
     """One class per factor list, ordered by (cardinality, label).
 
     Each factor's base is `block_base` on its own block of coordinates, and
@@ -210,7 +213,6 @@ def enumerate_classes(rs: RootSystem, wg: WeylGroup) -> List[SubsystemClass]:
     family, dim = rs.lie_type.family, rs.dim
     out = []
     for factors in _factor_lists(family, rs.rank):
-        base: List[int] = []
         positives: List[int] = []
         lo, hi = 0, dim
         for i, (kind, m) in enumerate(factors):
@@ -220,13 +222,8 @@ def enumerate_classes(rs: RootSystem, wg: WeylGroup) -> List[SubsystemClass]:
                 start = hi
             else:
                 start, lo = lo, lo + width
-            simple = block_base(kind, m, start, dim)
-            base += [rs.index[r] for r in simple]
-            positives += [rs.index[r] for r in positive_roots(simple)]
-        label = "+".join(f"{kind}{m}" for kind, m in factors) or "0"
-        indices = frozenset(positives + [rs.negative_index(j) for j in positives])
-        sub = RootSubsystem(indices, closed(family, factors))
-        out.append(SubsystemClass(label, tuple(factors), tuple(base), sub))
+            positives += [rs.index[r] for r in positive_roots(block_base(kind, m, start, dim))]
+        out.append(_subsystem(rs, factors, positives + [rs.negative_index(j) for j in positives]))
     out.sort(key=lambda c: (len(c), c.label))
     return out
 
@@ -254,8 +251,8 @@ def _pack(parts: Tuple[Tuple[int, str], ...], room: Tuple[Tuple[str, int], ...])
     )
 
 
-def class_leq(cls1: SubsystemClass, cls2: SubsystemClass) -> bool:
-    """True iff some Weyl image of cls1's representative lies inside cls2's.
+def class_leq(cls1: RootSubsystem, cls2: RootSubsystem) -> bool:
+    """True iff some Weyl image of cls1 lies inside cls2.
 
     Each irreducible factor of cls1 lies inside one block of cls2, so this
     holds iff cls1's factors pack into cls2's blocks: a block takes only the
@@ -266,7 +263,7 @@ def class_leq(cls1: SubsystemClass, cls2: SubsystemClass) -> bool:
     return len(cls1) <= len(cls2) and _pack(tuple(parts), room)
 
 
-def build_poset(classes: Sequence[SubsystemClass]) -> ClassPoset:
+def build_poset(classes: Sequence[RootSubsystem]) -> ClassPoset:
     """The order of class_leq on every pair of classes, and its Hasse edges."""
     classes = sorted(classes, key=lambda c: (len(c), c.label))
     leq = {(c1.label, c2.label): class_leq(c1, c2) for c1 in classes for c2 in classes}
@@ -290,7 +287,7 @@ def poset_to_dot(poset: ClassPoset) -> str:
     """DOT rendering: filled nodes for closed classes, hollow for non-closed."""
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for c in poset.classes:
-        style = "filled" if c.representative.closed else "solid"
+        style = "filled" if c.closed else "solid"
         lines.append(f'  "{c.label}" [shape=circle, style={style}, label="{c.label}"];')
     for lo, hi in sorted(poset.hasse_edges):
         lines.append(f'  "{lo}" -> "{hi}";')

@@ -1,7 +1,7 @@
 import functools
 import itertools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction as Q
 from operator import add, mul
 
@@ -10,7 +10,6 @@ import pytest
 from weylstrat.relcoeff import CoeffTable, subset_sums
 from weylstrat.repthy import _pairing_labels_root, dominant_weight_system
 from weylstrat.rootsys import MAX_RANK, LieType, _invert_rational, _reflect, build_root_system
-from weylstrat.subsys import RootSubsystem
 from weylstrat.weyl import WeylElement, generate_group, shifted_fold
 
 
@@ -225,12 +224,16 @@ def are_conjugate(wg, sub1, sub2):
     return s2 in wg.coset_representatives(s1)
 
 
+# a root index set and its closed flag, as the tests' oracles find them
+Span = namedtuple("Span", "root_indices closed")
+
+
 def span_subsystem(rs, base):
     """The smallest index set holding the base and stable under its own reflections.
 
-    A fixpoint over root indices, with the pair scan's closed flag. The oracle
-    for the roots and closed flag that `subsys.enumerate_classes` reads off
-    the blocks of each class.
+    A fixpoint over root indices, with the pair scan's closed flag, as a
+    `Span`. The oracle for the roots and closed flag that
+    `subsys.enumerate_classes` reads off the blocks of each class.
     """
     perms = reflection_perms(rs)
     current = set(base)
@@ -243,7 +246,7 @@ def span_subsystem(rs, base):
                     current.add(perms[a][b])
                     changed = True
     indices = frozenset(current)
-    return RootSubsystem(indices, pair_scan_closed(rs, indices))
+    return Span(indices, pair_scan_closed(rs, indices))
 
 
 def pair_scan_closed(rs, indices):
@@ -263,10 +266,10 @@ def orbit_walk_label(wg, classes, root_indices):
     """The label of the first class whose representative lies in the W-orbit of the index set.
 
     None if there is none. The W-orbit of the set is walked once. The oracle
-    for `subsys.class_label`.
+    for the label of `subsys.subsystem`.
     """
     orbit = wg.coset_representatives(root_indices)
-    return next((c.label for c in classes if c.representative.root_indices in orbit), None)
+    return next((c.label for c in classes if c.root_indices in orbit), None)
 
 
 def orbit_walk_leq(wg, classes):
@@ -277,12 +280,12 @@ def orbit_walk_leq(wg, classes):
     oracle for the factor-list rule of `subsys.class_leq`.
     """
     norms = wg.rs.root_norms
-    counts = {c.label: Counter(norms[i] for i in c.representative.root_indices) for c in classes}
+    counts = {c.label: Counter(norms[i] for i in c.root_indices) for c in classes}
     leq = {}
     for c1 in classes:
-        orbit = wg.coset_representatives(c1.representative.root_indices)
+        orbit = wg.coset_representatives(c1.root_indices)
         for c2 in classes:
-            s2 = c2.representative.root_indices
+            s2 = c2.root_indices
             fits = counts[c1.label] <= counts[c2.label]
             leq[(c1.label, c2.label)] = fits and any(img <= s2 for img in orbit)
     return leq
@@ -440,7 +443,7 @@ def spread_coeff_table(wg, cls, scales=None):
     Brauer-Klimyk fold). Dominant images, orbits and shifted rows are kept per
     group, so the spread maps of every class of a type share them.
     """
-    members = cls.representative.root_indices
+    members = cls.root_indices
     v = subset_sums(wg.rs, [i for i in range(len(wg.rs.roots)) if i not in members], scales)
     n_cosets = len(wg.coset_representatives(members))
     bins = {}

@@ -93,12 +93,12 @@ def test_criterion_3_classification_counts():
                 want_closed = sum(f.startswith("B") for f in factors) <= 1
             else:
                 want_closed = not any(f.startswith("D") for f in factors)
-            ok &= c.representative.closed == want_closed
+            ok &= c.closed == want_closed
     rs3, wg3 = system("A", 3)
     ok &= len(enumerate_classes(rs3, wg3)) == 5
     rsb, wgb = system("B", 3)
     closed_nonfull = {
-        c.label for c in enumerate_classes(rsb, wgb) if c.representative.closed and c.label != "B3"
+        c.label for c in enumerate_classes(rsb, wgb) if c.closed and c.label != "B3"
     }
     ok &= closed_nonfull == {"0", "A1", "B1", "A1+B1", "A2", "B2", "D2", "D2+B1", "D3"}
     report(3, "classification counts and closedness", ok, " ".join(details))
@@ -129,7 +129,7 @@ def test_criterion_5_brute_force_oracles():
     for family, rank in [("A", 1), ("A", 2), ("B", 2)]:
         rs, wg = system(family, rank)
         for cls in enumerate_classes(rs, wg):
-            members = cls.representative.root_indices
+            members = cls.root_indices
             complement = [i for i in range(len(rs.roots)) if i not in members]
             ok_a &= relcoeff.subset_sums(rs, complement) == exhaustive_subset_sums(
                 rs, complement
@@ -196,9 +196,9 @@ def test_criterion_7_non_simply_connected_lattice():
     sc = pq_map(rs, kernel_preset(rs, "sc"))
     ok = all(q == (2 if rs.root_norms[i] == 2 else 1) for i, q in enumerate(so))
     gx = gamma_x(rs, sc, TorusPoint.make([0, Q(1, 2)]))
-    ok &= gx.root_indices == classes["C1+C1"].representative.root_indices
+    ok &= gx.root_indices == classes["C1+C1"].root_indices
     gy = gamma_x(rs, so, TorusPoint.make([Q(1, 4), 0]))
-    ok &= gy.root_indices == classes["D2"].representative.root_indices
+    ok &= gy.root_indices == classes["D2"].root_indices
 
     rng = random.Random(17)
     closed_count = 0

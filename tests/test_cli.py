@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weylstrat
 from weylstrat import costrat, relcoeff, repthy, verify
 from weylstrat.cli import _find_class, _json, run
 from weylstrat.lattice import kernel_preset, pq_map
@@ -295,6 +296,15 @@ def test_verify_single_group(capsys):
     assert run(["verify", "--group", "SU(2)"]) == 0
     out = out_of(capsys)
     assert "PASS SU(2)" in out and out.strip().endswith("OK")
+
+
+def test_verify_refuses_group_with_corpus(capsys):
+    # --group picks from the built-in corpus, so it cannot also name a group of a file
+    corpus = str(Path(weylstrat.__file__).parent / "golden" / "su2.json")
+    assert run(["verify", "--corpus", corpus, "--group", "Spin(8)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
 
 
 def test_verify_detects_injected_fault(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -18,7 +19,7 @@ from weylstrat.lattice import kernel_preset, pq_map
 from weylstrat.relcoeff import coeff_table
 from weylstrat.repthy import dominant_weight_system
 from weylstrat.rootsys import RootSystem
-from weylstrat.subsys import SubsystemClass, RootSubsystem, enumerate_classes
+from weylstrat.subsys import enumerate_classes
 from weylstrat.weyl import shifted_fold
 from conftest import RANK_SIX_TYPES, freudenthal_d_entries, k_block_oracle, system
 
@@ -84,13 +85,7 @@ def test_d_representative_independence():
     cls = classes["C1"]
     base = d_coeffs(rs, coeff_table(wg, cls))
     w = wg.elements[-1]
-    moved = frozenset(w.perm[i] for i in cls.representative.root_indices)
-    alt = SubsystemClass(
-        cls.label,
-        cls.factors,
-        tuple(w.perm[b] for b in cls.base),
-        RootSubsystem(moved, cls.representative.closed),
-    )
+    alt = replace(cls, root_indices=frozenset(w.perm[i] for i in cls.root_indices))
     assert d_coeffs(rs, coeff_table(wg, alt)) == base
 
 

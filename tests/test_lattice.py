@@ -1,9 +1,11 @@
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylstrat.lattice import (
     TorusPoint,
@@ -12,8 +14,9 @@ from weylstrat.lattice import (
     kernel_preset,
     pq_map,
 )
+from weylstrat.relcoeff import coeff_table
 from weylstrat.rootsys import _invert_rational
-from weylstrat.subsys import enumerate_classes
+from weylstrat.subsys import class_leq, enumerate_classes
 from conftest import cartan_inverse, inverse, label_mat, system
 
 
@@ -151,15 +154,57 @@ def test_spin5_so5_worked_example():
     so_scales = pq_map(rs, kernel_preset(rs, "so-odd"))
     # X = half of the long simple coroot step: fixes exactly the long roots
     gx = gamma_x(rs, sc_scales, TorusPoint.make([0, Q(1, 2)]))
-    assert gx.root_indices == classes["C1+C1"].representative.root_indices
+    assert gx.root_indices == classes["C1+C1"].root_indices
     assert gx.closed
     # Y = quarter step along the short coroot: fixes exactly the short roots
     gy = gamma_x(rs, so_scales, TorusPoint.make([Q(1, 4), 0]))
-    assert gy.root_indices == classes["D2"].representative.root_indices
+    assert gy.root_indices == classes["D2"].root_indices
     assert not gy.closed
     # the same Y under the simply connected kernel keeps only the orthogonal pair
     gy_sc = gamma_x(rs, sc_scales, TorusPoint.make([Q(1, 4), 0]))
     assert gy_sc.closed
+
+
+@functools.cache
+def _classes_and_scales(family, rank, kernel):
+    rs, wg = system(family, rank)
+    classes = {c.label: c for c in enumerate_classes(rs, wg)}
+    return classes, pq_map(rs, kernel_preset(rs, kernel))
+
+
+@functools.cache
+def _class_table(family, rank, kernel, label):
+    classes, scales = _classes_and_scales(family, rank, kernel)
+    return coeff_table(system(family, rank)[1], classes[label], scales)
+
+
+@settings(max_examples=30, deadline=None)
+@pytest.mark.parametrize(
+    "family,rank,kernel",
+    [(f, r, "sc") for f, r in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2),
+                               ("C", 3), ("D", 4)]]
+    + [("B", 2, "so-odd"), ("B", 3, "so-odd"), ("C", 2, "so-odd")],
+)
+@given(data=st.data())
+def test_gamma_x_is_its_class(family, rank, kernel, data):
+    # Γ_x of a rational point is the listed class it names in all but its roots: the same
+    # factors, closed flag and size, each below the other, and the same C and D tables
+    rs, wg = system(family, rank)
+    classes, scales = _classes_and_scales(family, rank, kernel)
+    a = []
+    for _ in range(rank):
+        den = data.draw(st.sampled_from([1, 2, 3, 4, 6]))
+        a.append(Q(data.draw(st.integers(0, den - 1)), den))
+    gx = gamma_x(rs, scales, TorusPoint.make(a))
+    if gx.label is None:
+        return
+    cls = classes[gx.label]
+    assert (gx.factors, gx.closed, len(gx)) == (cls.factors, cls.closed, len(cls))
+    assert class_leq(gx, cls) and class_leq(cls, gx)
+    table = coeff_table(wg, gx, scales)
+    want = _class_table(family, rank, kernel, gx.label)
+    assert table.entries == want.entries
+    assert table.dominant_values == want.dominant_values
 
 
 def _random_point(rng, rank):

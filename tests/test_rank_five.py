@@ -27,7 +27,7 @@ def test_rank_five_self_consistency(family):
     classes = enumerate_classes(rs, wg)
     assert len(classes) == tuple_count_oracle(family, 5)
     for cls in classes:
-        members = cls.representative.root_indices
+        members = cls.root_indices
         reps = wg.coset_representatives(members)
         stab = len(wg.setwise_stabilizer(members))
         assert len(reps) * stab == len(wg), cls.label
@@ -48,5 +48,5 @@ def test_rank_five_self_consistency(family):
         moved = coeff_table(wg, moved_cls)
         assert moved.entries == table.entries, cls.label
         assert moved.dominant_values == table.dominant_values, cls.label
-        walk = wg.coset_representatives(moved_cls.representative.root_indices)
+        walk = wg.coset_representatives(moved_cls.root_indices)
         assert stabilizer_order(rs, moved_cls.factors) == len(wg) // len(walk), cls.label

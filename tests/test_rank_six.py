@@ -29,7 +29,7 @@ def test_rank_six_self_consistency(family, n_classes):
     classes = enumerate_classes(rs, wg)
     assert len(classes) == n_classes == tuple_count_oracle(family, 6)
     for cls in classes:
-        walk = wg.coset_representatives(cls.representative.root_indices)
+        walk = wg.coset_representatives(cls.root_indices)
         assert stabilizer_order(rs, cls.factors) * len(walk) == len(wg), cls.label
     small = [c for c in classes if len(rs.roots) - len(c) <= MAX_COMPLEMENT]
     assert {c.label for c in small} == SMALL_CLASSES[family]

@@ -2,6 +2,7 @@ import functools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction as Q
 from operator import mul
 from pathlib import Path
@@ -20,7 +21,7 @@ from weylstrat.relcoeff import (
 from weylstrat.costrat import dominant_labels_within
 from weylstrat.lattice import kernel_preset, pq_map
 from weylstrat.rootsys import LieType, build_root_system
-from weylstrat.subsys import SubsystemClass, enumerate_classes, RootSubsystem, stabilizer_order
+from weylstrat.subsys import enumerate_classes, stabilizer_order
 from weylstrat.weyl import WeylGroup, generate_group
 from conftest import (
     RANK_SIX_TYPES, apply_labels, cartan_inverse, coset_movers, identity_value, inverse,
@@ -48,7 +49,7 @@ def exhaustive_subset_sums(rs, complement):
 
 def unreduced_coefficients(rs, wg, cls):
     """Double Weyl sum over the exhaustive subset map, no coset reduction."""
-    members = cls.representative.root_indices
+    members = cls.root_indices
     complement = [i for i in range(len(rs.roots)) if i not in members]
     v = exhaustive_subset_sums(rs, complement)
     # the extra candidates sum to zero
@@ -127,7 +128,7 @@ def test_su2_subset_sums():
 def test_subset_sums_match_exhaustive_all_classes(family, rank):
     rs, wg, classes = classes_of(family, rank)
     for cls in classes.values():
-        members = cls.representative.root_indices
+        members = cls.root_indices
         complement = [i for i in range(len(rs.roots)) if i not in members]
         got = subset_sums(rs, complement)
         assert got == exhaustive_subset_sums(rs, complement), cls.label
@@ -136,7 +137,7 @@ def test_subset_sums_match_exhaustive_all_classes(family, rank):
 def test_signed_total_and_negation_symmetry():
     rs, wg, classes = classes_of("B", 2)
     for cls in classes.values():
-        members = cls.representative.root_indices
+        members = cls.root_indices
         complement = [i for i in range(len(rs.roots)) if i not in members]
         v = subset_sums(rs, complement)
         assert sum(v.values()) == (1 if not complement else 0)
@@ -205,7 +206,7 @@ def test_symmetrize_matches_full_group_sum(family, rank, only):
     # dominant weight of V's norm ball (D5 A1+A1: 60 cosets, 180k keys)
     rs, wg, classes = classes_of(family, rank)
     for cls in classes.values() if only is None else [classes[only]]:
-        members = cls.representative.root_indices
+        members = cls.root_indices
         complement = [i for i in range(len(rs.roots)) if i not in members]
         v = subset_sums(rs, complement)
         movers = coset_movers(wg, members)
@@ -231,7 +232,7 @@ def test_symmetrize_matches_full_group_sum(family, rank, only):
 def symmetrized_of(family, rank, label):
     """The dense per-coset sum of V, and what symmetrize returns for it."""
     rs, wg, classes = classes_of(family, rank)
-    members = classes[label].representative.root_indices
+    members = classes[label].root_indices
     v = subset_sums(rs, [i for i in range(len(rs.roots)) if i not in members])
     dense = dense_symmetrize(rs, coset_movers(wg, members).values(), v)
     return dense, symmetrize(wg, len(wg.coset_representatives(members)), dict(v))
@@ -339,7 +340,7 @@ def test_coeff_table_matches_spread_map_oracle(family, rank, kernel):
 
 def dominant_values(wg, cls):
     """The symmetrized map of a class at its dominant weights, folding no orbit."""
-    members = cls.representative.root_indices
+    members = cls.root_indices
     if not members:
         return denominator_values(wg, None)
     complement = [i for i in range(len(wg.rs.roots)) if i not in members]
@@ -491,14 +492,8 @@ def test_w_delta_path_folds_once_per_zero_set(family, rank, label, walked, monke
 
 
 def moved_class(rs, cls, w):
-    """The same class with its base and representative moved by w."""
-    moved = frozenset(w.perm[i] for i in cls.representative.root_indices)
-    return SubsystemClass(
-        cls.label,
-        cls.factors,
-        tuple(w.perm[b] for b in cls.base),
-        RootSubsystem(moved, cls.representative.closed),
-    )
+    """The same class with its roots moved by w."""
+    return replace(cls, root_indices=frozenset(w.perm[i] for i in cls.root_indices))
 
 
 def test_representative_independence():
@@ -530,7 +525,7 @@ def test_representative_independence_property(group, data):
     moved = coeff_table(wg, moved_cls)
     assert moved.entries == base.entries
     assert moved.dominant_values == base.dominant_values
-    walk = wg.coset_representatives(moved_cls.representative.root_indices)
+    walk = wg.coset_representatives(moved_cls.root_indices)
     assert stabilizer_order(rs, moved_cls.factors) == len(wg) // len(walk)
 
 
@@ -548,7 +543,7 @@ def test_identity_vanishing():
         for cls in classes.values():
             t = coeff_table(wg, cls)
             value = identity_value(rs, t)
-            if len(cls.representative.root_indices) == full_size:
+            if len(cls.root_indices) == full_size:
                 assert value != 0
             else:
                 assert value == 0, cls.label

@@ -1,23 +1,21 @@
 import itertools
 import random
 from fractions import Fraction as Q
-from operator import mul
+from dataclasses import replace
 
 import pytest
 
 from weylstrat.lattice import TorusPoint, gamma_x, kernel_preset, pq_map
 from weylstrat.subsys import (
-    RootSubsystem,
-    SubsystemClass,
     block_factors,
     build_poset,
     canonical_key,
-    class_label,
     class_leq,
     closed,
     enumerate_classes,
     poset_to_dot,
     stabilizer_order,
+    subsystem,
 )
 from conftest import (
     RANK_SIX_TYPES, SUPPORTED_TYPES, are_conjugate, orbit_walk_label, orbit_walk_leq,
@@ -73,14 +71,14 @@ def test_a3_class_labels():
 def test_b3_closed_classes_match_table_columns():
     _, _, classes = classes_by_label("B", 3)
     closed_nonfull = {
-        l for l, c in classes.items() if c.representative.closed and l != "B3"
+        l for l, c in classes.items() if c.closed and l != "B3"
     }
     assert closed_nonfull == {"0", "A1", "B1", "A1+B1", "A2", "B2", "D2", "D2+B1", "D3"}
 
 
 def test_c3_nonclosed_classes():
     _, _, classes = classes_by_label("C", 3)
-    nonclosed = {l for l, c in classes.items() if not c.representative.closed}
+    nonclosed = {l for l, c in classes.items() if not c.closed}
     assert nonclosed == {"D2", "D2+C1", "D3"}
 
 
@@ -95,7 +93,7 @@ def test_closedness_criteria(family, rank):
             expected = sum(f.startswith("B") for f in factors) <= 1
         else:
             expected = not any(f.startswith("D") for f in factors)
-        assert c.representative.closed == expected, label
+        assert c.closed == expected, label
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("A", 4)])
@@ -103,36 +101,29 @@ def test_classes_pairwise_nonconjugate(family, rank):
     rs, wg, classes = classes_by_label(family, rank)
     labels = sorted(classes)
     for l1, l2 in itertools.combinations(labels, 2):
-        sub1, sub2 = classes[l1].representative, classes[l2].representative
+        sub1, sub2 = classes[l1], classes[l2]
         assert not are_conjugate(wg, sub1, sub2), (l1, l2)
     # and canonical keys are distinct
-    keys = {canonical_key(wg, c.representative.root_indices) for c in classes.values()}
+    keys = {canonical_key(wg, c.root_indices) for c in classes.values()}
     assert len(keys) == len(classes)
 
 
 def test_representative_matches_its_base_span():
-    # a base spans the representative, has one root per unit of the class's
-    # rank, and its roots meet pairwise at obtuse or right angles; with those
-    # it is linearly independent, hence a base of what it spans
+    # each representative is the span of its own roots, its closed flag is the pair
+    # scan's, and the factors read off its coordinate blocks are those it was built from
     for family, rank in SUPPORTED_TYPES:
         rs, wg, classes = classes_by_label(family, rank)
         for c in classes.values():
-            assert all(type(i) is int for i in c.base)
-            sub = span_subsystem(rs, c.base)
-            assert sub.root_indices == c.representative.root_indices
-            assert len(c.base) == sum(
-                int(f[1:]) for f in (c.label.split("+") if c.label != "0" else [])
-            )
-            assert all(
-                sum(map(mul, rs.roots[a], rs.roots[b])) <= 0
-                for a, b in itertools.combinations(c.base, 2)
-            )
+            span = span_subsystem(rs, c.root_indices)
+            assert span.root_indices == c.root_indices, c.label
+            assert span.closed == c.closed, c.label
+            assert sorted(block_factors(rs, c.root_indices)) == sorted(c.factors), c.label
 
 
 def test_conjugacy():
     rs, wg, classes = classes_by_label("C", 2)
-    gl = classes["C1+C1"].representative
-    gs = classes["D2"].representative
+    gl = classes["C1+C1"]
+    gs = classes["D2"]
     assert are_conjugate(wg, gl, gl) is True
     assert are_conjugate(wg, gl, gs) is False
 
@@ -159,10 +150,10 @@ def test_brute_force_class_enumeration_rank_two():
         for s in subsystems:
             orbits.setdefault(canonical_key(wg, s), s)
         assert len(orbits) == len(classes)
-        ours = {canonical_key(wg, c.representative.root_indices) for c in classes.values()}
+        ours = {canonical_key(wg, c.root_indices) for c in classes.values()}
         assert set(orbits) == ours
         closed_flags = sorted(pair_scan_closed(rs, s) for s in orbits.values())
-        assert closed_flags == sorted(c.representative.closed for c in classes.values())
+        assert closed_flags == sorted(c.closed for c in classes.values())
 
 
 # -- |W| scans as oracles for the orbit-walk versions ---------------------------
@@ -191,18 +182,14 @@ def test_orbit_walk_matches_full_scans(family, rank):
     w = random.Random(rank).choice(wg.elements)
     subs = []
     for c in classes.values():
-        members = c.representative.root_indices
-        moved = frozenset(w.perm[i] for i in members)
-        subs += [(c.label, RootSubsystem(members, c.representative.closed)),
-                 (c.label, RootSubsystem(moved, c.representative.closed))]
+        moved = frozenset(w.perm[i] for i in c.root_indices)
+        subs += [(c.label, c), (c.label, replace(c, root_indices=moved))]
     for _, sub in subs:
         assert canonical_key(wg, sub.root_indices) == scan_canonical_key(wg, sub.root_indices)
     for (label1, sub1), (label2, sub2) in itertools.product(subs, repeat=2):
         s1, s2 = sub1.root_indices, sub2.root_indices
         assert are_conjugate(wg, sub1, sub2) == scan_conjugate(wg, s1, s2) == (label1 == label2)
-        cls1 = SubsystemClass(label1, classes[label1].factors, (), sub1)
-        cls2 = SubsystemClass(label2, classes[label2].factors, (), sub2)
-        assert class_leq(cls1, cls2) == scan_leq(wg, s1, s2), (label1, label2)
+        assert class_leq(sub1, sub2) == scan_leq(wg, s1, s2), (label1, label2)
 
 
 def test_class_leq_basics():
@@ -232,8 +219,8 @@ def test_poset_matches_the_orbit_walk(family, rank):
 def test_every_representative_names_its_class(family, rank):
     rs, wg, classes = classes_by_label(family, rank)
     for label, c in classes.items():
-        assert class_label(rs, c.representative.root_indices) == label
-        assert c.representative.closed == pair_scan_closed(rs, c.representative.root_indices)
+        assert subsystem(rs, c.root_indices) == c
+        assert c.closed == pair_scan_closed(rs, c.root_indices)
 
 
 @pytest.mark.parametrize("family,rank", [(f, r) for f, r in RANK_SIX_TYPES if r <= 5])
@@ -245,9 +232,10 @@ def test_class_label_is_weyl_invariant(family, rank):
     for label, c in classes.items():
         for _ in range(3):
             w = word_element(wg, rng, 3 * rank)
-            moved = [w.perm[i] for i in c.representative.root_indices]
-            assert class_label(rs, moved) == label
-            assert closed(family, block_factors(rs, moved)) == pair_scan_closed(rs, moved)
+            moved = [w.perm[i] for i in c.root_indices]
+            sub = subsystem(rs, moved)
+            assert (sub.label, sub.factors) == (label, c.factors)
+            assert sub.closed == pair_scan_closed(rs, moved)
 
 
 # the all-A classes at D_n whose W-class has an unlisted twin (ROADMAP item 2)
@@ -260,10 +248,11 @@ TWINNED = {
 
 @pytest.mark.parametrize("rank", sorted(TWINNED))
 def test_d_twins_name_no_class(rank):
-    # each primed base (the listed base with its last root e_(n-1) - e_n swapped for
-    # e_(n-1) + e_n) spans the twin, which no listed class holds: it names None and its
-    # unprimed class its label. The orbit walk agrees at D4 and D6, where it also gives
-    # the twin as many cosets as its partner: the stabilizer order is not halved there
+    # flipping the sign of the last coordinate of each root, the diagram automorphism
+    # that swaps the last two nodes, maps each class to its twin, which no listed class
+    # holds: it names None and its unflipped class its label. The orbit walk agrees at D4
+    # and D6, where it also gives the twin as many cosets as its partner: the stabilizer
+    # order is not halved there
     rs, wg, classes = classes_by_label("D", rank)
     twinned = {
         label for label, c in classes.items()
@@ -271,18 +260,18 @@ def test_d_twins_name_no_class(rank):
         and sum(m + 1 for _, m in c.factors) == rank
     }
     assert twinned == TWINNED[rank]
-    z = (0,) * (rank - 2)
     for label in twinned:
         c = classes[label]
-        assert rs.roots[c.base[-1]] == z + (1, -1)
-        primed = span_subsystem(rs, c.base[:-1] + (rs.index[z + (1, 1)],)).root_indices
-        assert class_label(rs, primed) is None, label
-        assert class_label(rs, c.representative.root_indices) == label
+        primed = frozenset(rs.index[rs.roots[i][:-1] + (-rs.roots[i][-1],)] for i in c.root_indices)
+        assert primed != c.root_indices
+        twin = subsystem(rs, primed)
+        assert twin.label is None and twin.factors == c.factors, label
+        assert subsystem(rs, c.root_indices).label == label
         if rank <= 6:
             assert orbit_walk_label(wg, list(classes.values()), primed) is None, label
             n_cosets = len(wg) // stabilizer_order(rs, c.factors)
             assert len(wg.coset_representatives(primed)) == n_cosets, label
-            assert len(wg.coset_representatives(c.representative.root_indices)) == n_cosets, label
+            assert len(wg.coset_representatives(c.root_indices)) == n_cosets, label
 
 
 GRID_CASES = (
@@ -326,7 +315,7 @@ def test_class_label_matches_the_orbit_walk_on_grid_points(family, rank, kernel)
     for a, b in points:
         gamma = gamma_x(rs, scales, TorusPoint.make(a, b))
         sub = gamma.root_indices
-        names.append(class_label(rs, sub))
+        names.append(gamma.label)
         assert names[-1] == orbit_walk_label(wg, list(classes.values()), sub), (a, b)
         flags.append(gamma.closed)
         assert flags[-1] == pair_scan_closed(rs, sub), (a, b)

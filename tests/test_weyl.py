@@ -1,5 +1,6 @@
 import functools
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylstrat.relcoeff import coeff_table
 from weylstrat.rootsys import LieType, build_root_system
-from weylstrat.subsys import RootSubsystem, build_poset, enumerate_classes, stabilizer_order
+from weylstrat.subsys import build_poset, enumerate_classes, stabilizer_order
 from weylstrat.weyl import expected_group_order, generate_group
 from conftest import (
     RANK_SIX_TYPES, apply_labels, are_conjugate, coset_movers, dominant_representative, from_labels,
@@ -303,11 +304,11 @@ def test_pipeline_never_enumerates_w():
     assert stabilizer_order(rs, classes["D5"].factors) == 2 * 1920
     assert "_simple_perms" not in vars(wg)
     assert not [name for name in dir(rs) if "perm" in name]
-    s1 = classes["D5"].representative
+    s1 = classes["D5"]
     w = word_element(wg, random.Random(6), 15)
     s2 = frozenset(w.perm[i] for i in s1.root_indices)
-    assert are_conjugate(wg, s1, RootSubsystem(s2, s1.closed)) is True
-    same_size = classes["D3+D3"].representative, classes["D4"].representative
+    assert are_conjugate(wg, s1, replace(s1, root_indices=s2)) is True
+    same_size = classes["D3+D3"], classes["D4"]
     assert are_conjugate(wg, *same_size) is False
     assert "elements" not in vars(wg)
 
@@ -347,7 +348,7 @@ def test_coset_representatives_against_full_scan(family):
     # every coset of every class representative at rank 5, against a scan of all of W
     rs, wg = system(family, 5)
     for cls in enumerate_classes(rs, wg):
-        members = cls.representative.root_indices
+        members = cls.root_indices
         reps = wg.coset_representatives(members)
         assert len(reps) * len(wg.setwise_stabilizer(members)) == len(wg), cls.label
         images = {frozenset(w.perm[i] for i in members) for w in wg.elements}
